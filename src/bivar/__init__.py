@@ -5,9 +5,10 @@ The formula engine (:mod:`bivar.multiplicity`) answers single-weight
 queries directly from partition-indexed sums; :mod:`bivar.weight_tables`
 assembles whole weight tables; :mod:`bivar.oracles` re-derives every
 value through independent routes (Freudenthal recursion, tensor
-convolution, tableau counting) for verification. The hot sums run on a
-compiled kernel when the extension is built, with a pure-Python twin as
-fallback (see :mod:`bivar.kernel`).
+convolution, tableau counting) for verification. The hot sums run in
+:mod:`bivar.kernel`, in pure Python with exact integers. Integer inputs
+are taken exactly: a float or string where an int belongs raises
+:class:`NotAnInteger`.
 """
 
 __version__ = "0.1.0"
@@ -16,6 +17,7 @@ from .errors import (
     BivarError,
     InvalidHighestWeight,
     LengthMismatch,
+    NotAnInteger,
     NotDominant,
     RankOutOfRange,
     ShapeContentMismatch,
@@ -54,6 +56,7 @@ __all__ = [
     "InvalidHighestWeight",
     "LengthMismatch",
     "MultiplicityTable",
+    "NotAnInteger",
     "NotDominant",
     "RankOutOfRange",
     "ShapeContentMismatch",

@@ -22,7 +22,7 @@ from . import __version__, kernel
 from .errors import BivarError
 from .multiplicity import bivariate_mult, tensor_mult
 from .oracles import convolution_mult, freudenthal_diagram, kostka_count, tensor_conv_mult
-from .root_systems import algebra, canonical_weight, highest_weight
+from .root_systems import algebra, canonical_weight, check_weight, highest_weight
 from .weight_tables import (
     MultiplicityTable,
     build_table,
@@ -53,8 +53,13 @@ def table_to_json(table: MultiplicityTable) -> str:
 def table_from_json(text: str) -> MultiplicityTable:
     obj = json.loads(text)
     spec = algebra(obj["family"], obj["rank"])
-    rows = tuple((tuple(r["mu"]), int(r["mult"])) for r in obj["rows"])
-    return MultiplicityTable(spec, obj["k"], obj["l"], obj["dominant_only"], rows)
+    rows = []
+    for r in obj["rows"]:
+        mult = int(r["mult"])
+        if mult <= 0:
+            raise ValueError(f"row {r['mu']!r}: multiplicity must be positive, got {mult}")
+        rows.append((check_weight(spec, r["mu"]), mult))
+    return MultiplicityTable(spec, obj["k"], obj["l"], obj["dominant_only"], tuple(rows))
 
 
 def table_to_csv(table: MultiplicityTable) -> str:
@@ -309,8 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--dominant-only", action="store_true")
     p_table.add_argument("--format", choices=["json", "csv"], default="json")
     p_table.add_argument("--out", default="-", help="output path or '-' for stdout")
-    p_table.add_argument("--parallel", type=int, default=None,
-                         help="worker threads (default: BIVAR_THREADS or 1)")
 
     p_verify = sub.add_parser("verify", help="cross-check the engine against oracles")
     p_verify.add_argument("--grid", default="",
@@ -339,8 +342,7 @@ def cmd_mult(args) -> int:
 
 def cmd_table(args) -> int:
     spec = algebra(args.family, args.rank)
-    table = build_table(spec, args.k, args.l, dominant_only=args.dominant_only,
-                        workers=args.parallel)
+    table = build_table(spec, args.k, args.l, dominant_only=args.dominant_only)
     text = table_to_json(table) if args.format == "json" else table_to_csv(table)
     try:
         _write_out(text, args.out)

@@ -23,3 +23,7 @@ class InvalidHighestWeight(BivarError):
 
 class ShapeContentMismatch(BivarError):
     """Tableau content does not fill the shape."""
+
+
+class NotAnInteger(BivarError, TypeError):
+    """An input that must be an integer is a float, a string or another non-int."""

@@ -1,9 +1,9 @@
 """Weight multiplicity formulas for highest weights k*e1 + l*e2.
 
 The general entry point is :func:`bivariate_mult`. For families B, C, D
-it combines four partition-indexed tensor sums (evaluated by the kernel
-backend); for family A it combines two. Closed-form fast paths cover the
-single-row case, l = 0/1/2 and the zero weight.
+it combines four partition-indexed tensor sums (evaluated by
+:mod:`bivar.kernel`); for family A it combines two. Closed-form fast
+paths cover the single-row case, l = 0/1/2 and the zero weight.
 
 Depth arguments are carried as doubled integers (``r2``), never floats:
 the depth (k + l - |mu|)/2 is genuinely half-integral for family B.
@@ -12,22 +12,17 @@ the depth (k + l - |mu|)/2 is genuinely half-integral for family B.
 from fractions import Fraction
 
 from . import kernel
-from .errors import InvalidHighestWeight
 from .partitions import binom, count_one_norm_sphere
 from .root_systems import (
     AlgebraSpec,
     algebra,
+    check_highest_weight,
     check_weight,
     normalize_a_to_sum,
     one_norm,
     validate,
     weight_stats,
 )
-
-
-def _require_kl(k: int, l: int) -> None:
-    if not (k >= l >= 0):
-        raise InvalidHighestWeight(f"need k >= l >= 0, got k = {k}, l = {l}")
 
 
 def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
@@ -37,8 +32,7 @@ def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
     negative, or fails to be an integer for C and D.
     """
     validate(spec)
-    if k < 0:
-        raise InvalidHighestWeight(f"need k >= 0, got k = {k}")
+    k, _ = check_highest_weight(k, 0)
     mu = check_weight(spec, mu)
     n = spec.rank
     fam = spec.family
@@ -51,11 +45,6 @@ def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
         return 0
     d = n - 1 if fam == "C" else n - 2
     return binom(r2 // 2 + d, d)
-
-
-def _stats_bcd(spec: AlgebraSpec, mu, l: int):
-    norm, ell = weight_stats(spec, mu, l)
-    return norm, ell
 
 
 def _level_counts(rep, l: int):
@@ -72,7 +61,7 @@ def _level_counts(rep, l: int):
 def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     """Multiplicity of ``mu`` in the tensor product pi_{k e1} (x) pi_{l e1}."""
     validate(spec)
-    _require_kl(k, l)
+    k, l = check_highest_weight(k, l)
     mu = check_weight(spec, mu)
     n = spec.rank
     fam = spec.family
@@ -81,7 +70,7 @@ def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
         if rep is None:
             return 0
         return kernel.tensor_sum_a(n, l, _level_counts(rep, l))
-    norm, ell = _stats_bcd(spec, mu, l)
+    norm, ell = weight_stats(spec, mu, l)
     r2 = k + l - norm
     if r2 < 0:
         return 0
@@ -96,7 +85,7 @@ def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
 def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     """Multiplicity of ``mu`` in the irreducible with highest weight k*e1 + l*e2."""
     validate(spec)
-    _require_kl(k, l)
+    k, l = check_highest_weight(k, l)
     mu = check_weight(spec, mu)
     n = spec.rank
     fam = spec.family
@@ -107,7 +96,7 @@ def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
         ell = _level_counts(rep, l)
         return kernel.tensor_sum_a(n, l, ell) - kernel.tensor_sum_a(n, l - 1, ell)
 
-    norm, ell = _stats_bcd(spec, mu, l)
+    norm, ell = weight_stats(spec, mu, l)
     r2 = k + l - norm
     if r2 < 0:
         return 0
@@ -130,7 +119,7 @@ def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
 def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
     """Zero-weight multiplicity via the closed single-sum expressions (B/C/D)."""
     validate(spec)
-    _require_kl(k, l)
+    k, l = check_highest_weight(k, l)
     n = spec.rank
     fam = spec.family
     if fam == "A":
@@ -170,8 +159,7 @@ def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
 def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
     """Fast path for l = 1, agreeing with :func:`bivariate_mult` on all families."""
     validate(spec)
-    if k < 1:
-        raise InvalidHighestWeight(f"need k >= 1 for l = 1, got k = {k}")
+    k, _ = check_highest_weight(k, 1)
     mu = check_weight(spec, mu)
     n = spec.rank
     fam = spec.family
@@ -181,7 +169,7 @@ def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
             return 0
         zeros = sum(1 for b in rep if b == 0)
         return n - zeros
-    norm, (ell0,) = _stats_bcd(spec, mu, 1)
+    norm, (ell0,) = weight_stats(spec, mu, 1)
     r2 = k + 1 - norm
     if r2 < 0:
         return 0
@@ -204,8 +192,7 @@ def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
 def l2_mult_d(n: int, k: int, mu) -> int:
     """Closed form for family D with l = 2 (three binomials in r, l_0, l_1)."""
     spec = algebra("D", n)
-    if k < 2:
-        raise InvalidHighestWeight(f"need k >= 2 for l = 2, got k = {k}")
+    k, _ = check_highest_weight(k, 2)
     mu = check_weight(spec, mu)
     r2 = k + 2 - one_norm(mu)
     if r2 < 0 or r2 % 2:
@@ -224,8 +211,7 @@ def l2_mult_d(n: int, k: int, mu) -> int:
 def l2_mult_a(n: int, k: int, mu) -> int:
     """Closed form for family A with l = 2: C(n+1-l_0, 2) - l_1."""
     spec = algebra("A", n)
-    if k < 2:
-        raise InvalidHighestWeight(f"need k >= 2 for l = 2, got k = {k}")
+    k, _ = check_highest_weight(k, 2)
     mu = check_weight(spec, mu)
     rep = normalize_a_to_sum(mu, k + 2)
     if rep is None or max(rep) > k:

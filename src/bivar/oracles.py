@@ -21,11 +21,13 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, Tuple
 
-from .errors import InvalidHighestWeight, NotDominant, ShapeContentMismatch
+from .errors import NotDominant, ShapeContentMismatch
 from .partitions import partitions_le_length
 from .root_systems import (
     AlgebraSpec,
+    as_integers,
     canonical_weight,
+    check_highest_weight,
     check_weight,
     is_dominant,
     normalize_a_to_sum,
@@ -293,8 +295,7 @@ def convolution_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     cross-check for :func:`bivar.multiplicity.bivariate_mult`.
     """
     validate(spec)
-    if not (k >= l >= 0):
-        raise InvalidHighestWeight(f"need k >= l >= 0, got k = {k}, l = {l}")
+    k, l = check_highest_weight(k, l)
     mu = check_weight(spec, mu)
     if spec.family == "A":
         return _tensor_conv(spec, k, l, mu) - _tensor_conv(spec, k + 1, l - 1, mu)
@@ -309,8 +310,7 @@ def convolution_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
 def tensor_conv_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     """Direct convolution value for the tensor product (oracle side)."""
     validate(spec)
-    if not (k >= l >= 0):
-        raise InvalidHighestWeight(f"need k >= l >= 0, got k = {k}, l = {l}")
+    k, l = check_highest_weight(k, l)
     return _tensor_conv(spec, k, l, check_weight(spec, mu))
 
 
@@ -325,8 +325,8 @@ def kostka_count(shape, content) -> int:
     content[i-1] times. Raises ShapeContentMismatch when the content does
     not fill the shape exactly.
     """
-    shape = tuple(int(a) for a in shape if int(a) > 0)
-    content = tuple(int(c) for c in content)
+    shape = tuple(a for a in as_integers(shape, "shape rows") if a > 0)
+    content = as_integers(content, "content entries")
     if any(c < 0 for c in content):
         raise ShapeContentMismatch("content entries must be non-negative")
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):

@@ -41,18 +41,26 @@ def partitions_le_length(total: int, max_parts: int) -> Iterator[Tuple[int, ...]
         if total == 0:
             yield ()
         return
-
-    def rec(remaining: int, largest: int, slots: int) -> Iterator[Tuple[int, ...]]:
-        if remaining == 0:
-            yield (0,) * slots
+    parts = [total] + [0] * (max_parts - 1)
+    while True:
+        yield tuple(parts)
+        # lower the rightmost part that can give up one unit while the
+        # parts after it still fit below its new value
+        tail = parts[-1]
+        i = max_parts - 2
+        while i >= 0 and tail >= (parts[i] - 1) * (max_parts - 1 - i):
+            tail += parts[i]
+            i -= 1
+        if i < 0:
             return
-        # smallest feasible leading part: ceil(remaining / slots)
-        lo = -(-remaining // slots)
-        for part in range(min(largest, remaining), lo - 1, -1):
-            for rest in rec(remaining - part, part, slots - 1):
-                yield (part,) + rest
-
-    yield from rec(total, total, max_parts)
+        cap = parts[i] - 1
+        parts[i] = cap
+        # refill the tail greedily: the lexicographically largest one
+        tail += 1
+        for j in range(i + 1, max_parts):
+            v = cap if tail > cap else tail
+            parts[j] = v
+            tail -= v
 
 
 def part_counts(q: Sequence[int]) -> Tuple[int, ...]:
@@ -65,14 +73,18 @@ def part_counts(q: Sequence[int]) -> Tuple[int, ...]:
     return tuple(s)
 
 
-def _rows_bounded(length: int, cap: int) -> Iterator[Tuple[int, ...]]:
-    # all non-negative integer tuples of the given length with sum <= cap,
-    # lexicographically ascending
+def rows_bounded(length: int, cap: int) -> Iterator[Tuple[int, ...]]:
+    """Yield every non-negative integer tuple of ``length`` with sum <= ``cap``.
+
+    These are the candidate beta rows: row j of a beta array has j entries
+    summing to at most s_j. Tuples come out lexicographically ascending;
+    ``length == 0`` yields the single empty tuple.
+    """
     if length == 0:
         yield ()
         return
     for first in range(cap + 1):
-        for rest in _rows_bounded(length - 1, cap - first):
+        for rest in rows_bounded(length - 1, cap - first):
             yield (first,) + rest
 
 
@@ -87,7 +99,7 @@ def beta_indices(q: Sequence[int]) -> Iterator[Triangular]:
     """
     counts = part_counts(q)
     total = len(counts)
-    row_options = [tuple(_rows_bounded(j, counts[j - 1])) for j in range(1, total + 1)]
+    row_options = [tuple(rows_bounded(j, counts[j - 1])) for j in range(1, total + 1)]
     yield from product(*row_options)
 
 

@@ -16,11 +16,18 @@ by this package (k*e1 + l*e2 with n >= 3), where the mirror weight
 recursions, are available separately as :func:`weyl_canonical`.
 """
 
+import operator
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import InvalidHighestWeight, LengthMismatch, NotDominant, RankOutOfRange
+from .errors import (
+    InvalidHighestWeight,
+    LengthMismatch,
+    NotAnInteger,
+    NotDominant,
+    RankOutOfRange,
+)
 
 Weight = Tuple[int, ...]
 
@@ -35,8 +42,29 @@ class AlgebraSpec:
     rank: int
 
 
+def as_integers(values: Iterable, what: str) -> Tuple[int, ...]:
+    """Tuple of ``values`` as exact ints, taken with ``operator.index``.
+
+    Floats, strings and other non-integral values raise
+    :class:`NotAnInteger` instead of being truncated or parsed.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise NotAnInteger(f"{what} must be integers, got {values!r}") from None
+
+
+def check_highest_weight(k: int, l: int) -> Tuple[int, int]:
+    """Return (k, l) as ints, raising unless k >= l >= 0."""
+    k, l = as_integers((k, l), "k and l")
+    if not (k >= l >= 0):
+        raise InvalidHighestWeight(f"need k >= l >= 0, got k = {k}, l = {l}")
+    return k, l
+
+
 def validate(spec: AlgebraSpec) -> None:
     """Check the family label and the rank bounds (B/C/A need n >= 2, D needs n >= 3)."""
+    as_integers((spec.rank,), "rank")
     if spec.family not in _MIN_RANK:
         raise RankOutOfRange(f"unknown family {spec.family!r}; expected one of A, B, C, D")
     low = _MIN_RANK[spec.family]
@@ -48,7 +76,8 @@ def validate(spec: AlgebraSpec) -> None:
 
 def algebra(family: str, rank: int) -> AlgebraSpec:
     """Build and validate an algebra descriptor."""
-    spec = AlgebraSpec(str(family).upper(), int(rank))
+    (rank,) = as_integers((rank,), "rank")
+    spec = AlgebraSpec(str(family).upper(), rank)
     validate(spec)
     return spec
 
@@ -59,7 +88,7 @@ def weight_length(spec: AlgebraSpec) -> int:
 
 def check_weight(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
     """Coerce ``mu`` to an integer tuple of the correct length."""
-    coords = tuple(int(a) for a in mu)
+    coords = as_integers(mu, "weight coordinates")
     expect = weight_length(spec)
     if len(coords) != expect:
         raise LengthMismatch(
@@ -81,8 +110,7 @@ def canonical_weight(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
 
 def highest_weight(spec: AlgebraSpec, k: int, l: int) -> Weight:
     """Coordinates of k*e1 + l*e2 (k >= l >= 0)."""
-    if not (k >= l >= 0):
-        raise InvalidHighestWeight(f"need k >= l >= 0, got k = {k}, l = {l}")
+    k, l = check_highest_weight(k, l)
     return (k, l) + (0,) * (weight_length(spec) - 2)
 
 
@@ -315,7 +343,7 @@ def normalize_a_to_sum(coords: Sequence[int], target: int) -> Optional[Weight]:
     (the defect is only defined modulo the number of coordinates) or when
     the matching representative has a negative coordinate.
     """
-    coords = tuple(int(a) for a in coords)
+    coords = as_integers(coords, "weight coordinates")
     m = len(coords)
     delta = target - sum(coords)
     if delta % m:

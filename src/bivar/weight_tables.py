@@ -15,20 +15,18 @@ cross-check; the per-dominant-weight recursion lives in
 :mod:`bivar.oracles`.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from . import kernel
-from .errors import InvalidHighestWeight
+from . import __version__, kernel
 from .multiplicity import bivariate_mult
 from .oracles import _Geometry
 from .partitions import partitions_le_length
 from .root_systems import (
     AlgebraSpec,
     canonical_weight,
+    check_highest_weight,
     highest_weight,
     is_dominant,
     normalize_a_to_sum,
@@ -42,7 +40,7 @@ from .root_systems import (
 Weight = Tuple[int, ...]
 Row = Tuple[Weight, int]
 
-ENGINE_VERSION = "bivar 0.1.0"
+ENGINE_VERSION = f"bivar {__version__}"
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,7 @@ def candidate_dominants(spec: AlgebraSpec, k: int, l: int,
     vectors of length n + 1 summing to k + l.
     """
     validate(spec)
-    if not (k >= l >= 0):
-        raise InvalidHighestWeight(f"need k >= l >= 0, got k = {k}, l = {l}")
+    k, l = check_highest_weight(k, l)
     fam = spec.family
     if fam == "A":
         yield from partitions_le_length(k + l, spec.rank + 1)
@@ -86,44 +83,18 @@ def candidate_dominants(spec: AlgebraSpec, k: int, l: int,
         yield from partitions_le_length(norm, spec.rank)
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        raw = os.environ.get("BIVAR_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"BIVAR_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
-def build_table(spec: AlgebraSpec, k: int, l: int, dominant_only: bool = False,
-                workers: Optional[int] = None) -> MultiplicityTable:
+def build_table(spec: AlgebraSpec, k: int, l: int,
+                dominant_only: bool = False) -> MultiplicityTable:
     """Evaluate the bivariate formula over all candidates and assemble rows.
 
-    Candidate evaluations are independent; with ``workers > 1`` they run
-    on a thread pool. Results are merged in candidate order and sorted,
-    so the table is identical for every worker count.
+    Rows come out sorted, so the table depends only on its arguments.
     """
     validate(spec)
-    if not (k >= l >= 0):
-        raise InvalidHighestWeight(f"need k >= l >= 0, got k = {k}, l = {l}")
-    workers = _resolve_workers(workers)
+    k, l = check_highest_weight(k, l)
     started = time.perf_counter()
-    cands = list(candidate_dominants(spec, k, l))
-
-    def evaluate(mu: Weight) -> int:
-        return bivariate_mult(spec, k, l, mu)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(evaluate, cands, chunksize=8))
-    else:
-        values = [evaluate(mu) for mu in cands]
-
     rows: List[Row] = []
-    for mu, m in zip(cands, values):
+    for mu in candidate_dominants(spec, k, l):
+        m = bivariate_mult(spec, k, l, mu)
         if m == 0:
             continue
         if dominant_only:
@@ -138,7 +109,6 @@ def build_table(spec: AlgebraSpec, k: int, l: int, dominant_only: bool = False,
         "backend": kernel.BACKEND,
         "elapsed_s": time.perf_counter() - started,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "workers": workers,
     }
     return MultiplicityTable(spec, k, l, dominant_only, tuple(rows), meta)
 
@@ -169,8 +139,7 @@ def freudenthal_table(spec: AlgebraSpec, k: int, l: int,
     against.
     """
     validate(spec)
-    if not (k >= l >= 0):
-        raise InvalidHighestWeight(f"need k >= l >= 0, got k = {k}, l = {l}")
+    k, l = check_highest_weight(k, l)
     started = time.perf_counter()
     lam = highest_weight(spec, k, l)
     geo = _Geometry(spec)

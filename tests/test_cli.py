@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from bivar import cli
+from bivar.errors import LengthMismatch
 from bivar.root_systems import algebra
 from bivar.weight_tables import MultiplicityTable, build_table
 
@@ -77,6 +80,16 @@ class TestTable:
         parsed = cli.table_from_json(out)
         assert cli.table_to_json(parsed) == out
 
+    @pytest.mark.parametrize("row, error", [
+        ({"mu": [0, 0, 7], "mult": "1"}, LengthMismatch),
+        ({"mu": [0, 0], "mult": "-3"}, ValueError),
+    ], ids=["wrong-length", "negative-mult"])
+    def test_json_rejects_bad_rows(self, row, error):
+        text = json.dumps({"family": "B", "rank": 2, "k": 1, "l": 0,
+                           "dominant_only": True, "rows": [row]})
+        with pytest.raises(error):
+            cli.table_from_json(text)
+
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(capsys, ["table", "--family", "C", "--rank", "2",
                                     "--k", "2", "--l", "1", "--format", "csv"])
@@ -97,29 +110,6 @@ class TestTable:
                                     "--out", str(tmp_path / "nope" / "t.csv")])
         assert code == 3
         assert "cannot write" in err
-
-    def test_bad_parallel_count(self, capsys):
-        code, _, err = run(capsys, ["table", "--family", "C", "--rank", "2",
-                                    "--k", "1", "--l", "1", "--parallel", "0"])
-        assert code == 2
-        assert "worker count" in err
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BIVAR_THREADS", "many")
-        code, _, err = run(capsys, ["table", "--family", "C", "--rank", "2",
-                                    "--k", "1", "--l", "1"])
-        assert code == 2
-        assert "BIVAR_THREADS" in err
-
-    def test_parallel_flag_deterministic(self, capsys):
-        outputs = []
-        for workers in ("1", "4"):
-            code, out, _ = run(capsys, ["table", "--family", "C", "--rank", "3",
-                                        "--k", "4", "--l", "2", "--format", "json",
-                                        "--parallel", workers])
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
 
 
 class TestVerify:

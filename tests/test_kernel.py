@@ -1,16 +1,17 @@
-"""Kernel backends against a literal re-evaluation built on the index streams.
+"""The kernel against a literal re-evaluation built on the index streams.
 
 The reference evaluator below walks the partition / beta / alpha streams
 from bivar.partitions and multiplies the displayed binomial expression
-term by term. It shares no code with either kernel backend, so agreement
-pins down both the enumeration and the regrouped alpha handling.
+term by term, where the kernel regroups the alpha sum into a polynomial
+in the depth. Both share the partition and beta-row enumerators, so
+agreement here pins down the regrouping; independence of the enumerators
+comes from the Freudenthal, convolution and Kostka oracles, which
+re-derive the multiplicities without them.
 """
 
 from itertools import product
 
-import pytest
-
-from bivar import _kernel_py
+from bivar import kernel
 from bivar.partitions import (
     alpha_indices,
     beta_indices,
@@ -18,13 +19,6 @@ from bivar.partitions import (
     part_counts,
     partitions_le_length,
 )
-
-try:
-    from bivar import _kernel as _kernel_c
-except ImportError:  # extension not built
-    _kernel_c = None
-
-BACKENDS = [_kernel_py] + ([_kernel_c] if _kernel_c else [])
 
 
 def literal_tensor_sum_bcd(n, d, l, r2, ell, step):
@@ -81,9 +75,8 @@ def literal_tensor_sum_a(n, l, ell):
     return total
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 class TestAgainstLiteralEvaluation:
-    def test_bcd_small_grid(self, impl):
+    def test_bcd_small_grid(self):
         for n in (2, 3):
             for d in {n - 1, max(n - 2, 1)}:
                 for l in range(4):
@@ -93,10 +86,10 @@ class TestAgainstLiteralEvaluation:
                                 continue
                             for step in (1, 2):
                                 expected = literal_tensor_sum_bcd(n, d, l, r2, ell, step)
-                                got = impl.tensor_sum_bcd(n, d, l, r2, ell, step)
+                                got = kernel.tensor_sum_bcd(n, d, l, r2, ell, step)
                                 assert got == expected, (n, d, l, r2, ell, step)
 
-    def test_bcd_bigger_spot_checks(self, impl):
+    def test_bcd_bigger_spot_checks(self):
         cases = [
             (4, 3, 5, 9, (1, 1, 0, 2, 0), 1),
             (4, 2, 6, 12, (0, 2, 1, 0, 1, 0), 2),
@@ -104,69 +97,33 @@ class TestAgainstLiteralEvaluation:
             (3, 2, 5, 7, (1, 0, 1, 0, 1), 1),
         ]
         for n, d, l, r2, ell, step in cases:
-            assert impl.tensor_sum_bcd(n, d, l, r2, ell, step) == \
+            assert kernel.tensor_sum_bcd(n, d, l, r2, ell, step) == \
                 literal_tensor_sum_bcd(n, d, l, r2, ell, step)
 
-    def test_a_small_grid(self, impl):
+    def test_a_small_grid(self):
         for n in (2, 3):
             for l in range(5):
                 for ell in product(range(n + 2), repeat=max(l, 1)):
                     if sum(ell) > n + 1:
                         continue
-                    assert impl.tensor_sum_a(n, l, ell) == \
+                    assert kernel.tensor_sum_a(n, l, ell) == \
                         literal_tensor_sum_a(n, l, ell), (n, l, ell)
 
-    def test_negative_l_is_zero(self, impl):
-        assert impl.tensor_sum_bcd(3, 2, -1, 4, (), 2) == 0
-        assert impl.tensor_sum_bcd(3, 2, -2, 4, (), 1) == 0
-        assert impl.tensor_sum_a(3, -1, ()) == 0
+    def test_negative_l_is_zero(self):
+        assert kernel.tensor_sum_bcd(3, 2, -1, 4, (), 2) == 0
+        assert kernel.tensor_sum_bcd(3, 2, -2, 4, (), 1) == 0
+        assert kernel.tensor_sum_a(3, -1, ()) == 0
 
-    def test_l_zero_reduces_to_single_binomial(self, impl):
+    def test_l_zero_reduces_to_single_binomial(self):
         # with no partitions in play the sum collapses to the depth binomial
         for n, d in [(2, 1), (3, 2), (4, 3)]:
             for r2 in range(0, 10):
-                assert impl.tensor_sum_bcd(n, d, 0, r2, (), 1) == \
+                assert kernel.tensor_sum_bcd(n, d, 0, r2, (), 1) == \
                     binom(r2 // 2 + d, d)
-        assert impl.tensor_sum_a(3, 0, ()) == 1
-
-
-@pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")
-class TestBackendsIdentical:
-    def test_bcd_backends_agree(self):
-        for n in (2, 3, 4):
-            for d in (n - 1, n - 2):
-                if d < 1:
-                    continue
-                for l in range(5):
-                    for r2 in range(-2, 9):
-                        for ell in product(range(3), repeat=max(l, 1)):
-                            if sum(ell) > n:
-                                continue
-                            for step in (1, 2):
-                                assert _kernel_py.tensor_sum_bcd(
-                                    n, d, l, r2, ell, step
-                                ) == _kernel_c.tensor_sum_bcd(n, d, l, r2, ell, step)
-
-    def test_a_backends_agree(self):
-        for n in (2, 3, 4):
-            for l in range(5):
-                for ell in product(range(3), repeat=max(l, 1)):
-                    if sum(ell) > n + 1:
-                        continue
-                    assert _kernel_py.tensor_sum_a(n, l, ell) == \
-                        _kernel_c.tensor_sum_a(n, l, ell)
+        assert kernel.tensor_sum_a(3, 0, ()) == 1
 
     def test_big_values_stay_exact(self):
-        # far beyond 64-bit: both backends must return the same big integer
-        a = _kernel_py.tensor_sum_bcd(6, 5, 2, 10 ** 7, (1, 1), 2)
-        b = _kernel_c.tensor_sum_bcd(6, 5, 2, 10 ** 7, (1, 1), 2)
-        assert a == b
-        assert a > 2 ** 64
-
-
-def test_selected_backend_exports():
-    from bivar import kernel
-
-    assert kernel.BACKEND in ("pure", "compiled")
-    assert kernel.tensor_sum_bcd(2, 1, 1, 2, (2,), 2) == \
-        _kernel_py.tensor_sum_bcd(2, 1, 1, 2, (2,), 2)
+        # far beyond 64-bit: the sums are exact big integers
+        value = kernel.tensor_sum_bcd(6, 5, 2, 10 ** 7, (1, 1), 2)
+        assert value > 2 ** 64
+        assert value == literal_tensor_sum_bcd(6, 5, 2, 10 ** 7, (1, 1), 2)

@@ -3,6 +3,7 @@ fast paths, and the structural identities that tie them together."""
 
 import pytest
 
+from bivar import NotAnInteger
 from bivar.errors import InvalidHighestWeight, LengthMismatch, RankOutOfRange
 from bivar.multiplicity import (
     bivariate_mult,
@@ -14,6 +15,7 @@ from bivar.multiplicity import (
     zero_weight_mult,
 )
 from bivar.root_systems import (
+    AlgebraSpec,
     algebra,
     dominant_representative,
     highest_weight,
@@ -21,6 +23,7 @@ from bivar.root_systems import (
     orbit,
     weight_stats,
 )
+from bivar.oracles import kostka_count
 from bivar.weight_tables import candidate_dominants
 
 B2, B3 = algebra("B", 2), algebra("B", 3)
@@ -142,6 +145,20 @@ class TestBivariate:
             bivariate_mult(B2, 1, 2, (0, 0))
         with pytest.raises(InvalidHighestWeight):
             tensor_mult(C2, -1, 0, (0, 0))
+
+    @pytest.mark.parametrize("call", [
+        lambda: bivariate_mult(B3, 3, 1, (1.5, 0, 0)),
+        lambda: bivariate_mult(B3, 3, 1, ("1", 0, 0)),
+        lambda: algebra("B", 2.7),
+        lambda: bivariate_mult(B3, 2.5, 1, (1, 0, 0)),
+        lambda: kostka_count((2.7, 1), (2, 1)),
+        lambda: bivariate_mult(AlgebraSpec("B", 3.0), 3, 1, (1, 0, 0)),
+    ], ids=["float-coordinate", "string-coordinate", "float-rank", "float-k",
+            "float-shape", "float-spec-rank"])
+    def test_non_integer_input_rejected(self, call):
+        # neither truncated to an int nor parsed from a string
+        with pytest.raises(NotAnInteger):
+            call()
 
 
 class TestZeroWeight:

@@ -101,20 +101,6 @@ class TestBuildTable:
             diagram = freudenthal_diagram(spec, highest_weight(spec, k, l))
             assert got == diagram.entries
 
-    def test_deterministic_across_workers(self):
-        base = build_table(C3, 4, 2, workers=1)
-        for workers in (2, 4):
-            assert build_table(C3, 4, 2, workers=workers).rows == base.rows
-
-    def test_env_worker_default(self, monkeypatch):
-        monkeypatch.setenv("BIVAR_THREADS", "3")
-        table = build_table(C2, 1, 1)
-        assert table.meta["workers"] == 3
-
-    def test_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            build_table(C2, 1, 1, workers=0)
-
 
 class TestDimensionAudit:
     def test_examples(self):
