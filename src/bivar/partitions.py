@@ -1,20 +1,15 @@
-"""Integer partitions and the nested index sets of the multiplicity sums.
+"""Integer partitions and the enumerators of the multiplicity sums.
 
 All enumeration here is exact big-integer combinatorics: partitions of N
-into at most n parts, their part-count profiles, the triangular (beta,
-alpha) index arrays that the tensor sums run over, the zero-padded
-binomial convention, and the count of lattice points on a one-norm
-sphere.
+into at most n parts, the bounded rows that make up the triangular beta
+arrays of the tensor sums, the zero-padded binomial convention, and the
+count of lattice points on a one-norm sphere.
 
-Streams are lazy generators; the full beta x alpha product is never
-materialized.
+Streams are lazy generators.
 """
 
-from itertools import product
 from math import comb
-from typing import Iterator, Sequence, Tuple
-
-Triangular = Tuple[Tuple[int, ...], ...]
+from typing import Iterator, Tuple
 
 
 def binom(b: int, a: int) -> int:
@@ -63,16 +58,6 @@ def partitions_le_length(total: int, max_parts: int) -> Iterator[Tuple[int, ...]
             tail -= v
 
 
-def part_counts(q: Sequence[int]) -> Tuple[int, ...]:
-    """Profile vector (s_1, ..., s_N) with s_j = #{i : q_i = j}, N = sum(q)."""
-    total = sum(q)
-    s = [0] * total
-    for part in q:
-        if part > 0:
-            s[part - 1] += 1
-    return tuple(s)
-
-
 def rows_bounded(length: int, cap: int) -> Iterator[Tuple[int, ...]]:
     """Yield every non-negative integer tuple of ``length`` with sum <= ``cap``.
 
@@ -86,38 +71,6 @@ def rows_bounded(length: int, cap: int) -> Iterator[Tuple[int, ...]]:
     for first in range(cap + 1):
         for rest in rows_bounded(length - 1, cap - first):
             yield (first,) + rest
-
-
-def beta_indices(q: Sequence[int]) -> Iterator[Triangular]:
-    """Yield the triangular beta arrays attached to partition ``q``.
-
-    Row j (1 <= j <= N, N = sum(q)) holds j non-negative entries whose sum
-    is bounded by the number of parts of ``q`` equal to j; rows for values
-    that do not occur in ``q`` are therefore all-zero but still present,
-    so the triangle shape depends only on N. Odometer order: later rows
-    spin fastest, entries within a row ascend lexicographically.
-    """
-    counts = part_counts(q)
-    total = len(counts)
-    row_options = [tuple(rows_bounded(j, counts[j - 1])) for j in range(1, total + 1)]
-    yield from product(*row_options)
-
-
-def alpha_indices(beta: Triangular) -> Iterator[Triangular]:
-    """Yield every alpha with 0 <= alpha_t^j <= beta_t^j cell by cell.
-
-    The all-zero beta (of any shape, including the empty one) yields
-    exactly one alpha.
-    """
-    shape = [len(row) for row in beta]
-    ranges = [range(b + 1) for row in beta for b in row]
-    for flat in product(*ranges):
-        out = []
-        pos = 0
-        for ln in shape:
-            out.append(tuple(flat[pos:pos + ln]))
-            pos += ln
-        yield tuple(out)
 
 
 def count_one_norm_sphere(n: int, total: int) -> int:

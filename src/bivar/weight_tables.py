@@ -49,8 +49,10 @@ class MultiplicityTable:
 
     Rows are lexicographically sorted (weight, multiplicity) pairs with
     every multiplicity positive. ``meta`` carries provenance (engine
-    version, kernel backend, elapsed seconds, creation timestamp) and
-    never takes part in comparisons or serialization.
+    version, kernel backend, elapsed seconds, creation timestamp) and,
+    for :func:`build_table`, the hits and misses of the kernel's block
+    cache during the build. It never takes part in comparisons or
+    serialization.
     """
 
     spec: AlgebraSpec
@@ -92,6 +94,7 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
     validate(spec)
     k, l = check_highest_weight(k, l)
     started = time.perf_counter()
+    cache_before = kernel.block_poly.cache_info()
     rows: List[Row] = []
     for mu in candidate_dominants(spec, k, l):
         m = bivariate_mult(spec, k, l, mu)
@@ -104,11 +107,14 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
         else:
             rows.extend((w, m) for w in orbit(spec, mu))
     rows.sort()
+    cache_after = kernel.block_poly.cache_info()
     meta = {
         "engine": ENGINE_VERSION,
         "backend": kernel.BACKEND,
         "elapsed_s": time.perf_counter() - started,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "block_cache_hits": cache_after.hits - cache_before.hits,
+        "block_cache_misses": cache_after.misses - cache_before.misses,
     }
     return MultiplicityTable(spec, k, l, dominant_only, tuple(rows), meta)
 

@@ -1,24 +1,25 @@
 """The kernel against a literal re-evaluation built on the index streams.
 
-The reference evaluator below walks the partition / beta / alpha streams
-from bivar.partitions and multiplies the displayed binomial expression
-term by term, where the kernel regroups the alpha sum into a polynomial
-in the depth. Both share the partition and beta-row enumerators, so
-agreement here pins down the regrouping; independence of the enumerators
-comes from the Freudenthal, convolution and Kostka oracles, which
-re-derive the multiplicities without them.
+The reference evaluator below walks the partitions of bivar.partitions
+and the beta / alpha arrays of the test-side index_sets module, and
+multiplies the displayed binomial expression term by term. The kernel
+instead sums the alpha arrays into one polynomial per block, caches it,
+and builds it row by row from the top beta row down, dropping every
+completion below a zero factor. Both share the partition and beta-row
+enumerators, so agreement here pins down the regrouping, the pruning and
+the cache key; independence of the enumerators comes from the
+Freudenthal, convolution and Kostka oracles, which re-derive the
+multiplicities without them.
 """
 
 from itertools import product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bivar import kernel
-from bivar.partitions import (
-    alpha_indices,
-    beta_indices,
-    binom,
-    part_counts,
-    partitions_le_length,
-)
+from bivar.partitions import binom, partitions_le_length
+from index_sets import alpha_indices, beta_indices, part_counts
 
 
 def literal_tensor_sum_bcd(n, d, l, r2, ell, step):
@@ -127,3 +128,33 @@ class TestAgainstLiteralEvaluation:
         value = kernel.tensor_sum_bcd(6, 5, 2, 10 ** 7, (1, 1), 2)
         assert value > 2 ** 64
         assert value == literal_tensor_sum_bcd(6, 5, 2, 10 ** 7, (1, 1), 2)
+
+
+@st.composite
+def bcd_calls(draw):
+    n = draw(st.integers(2, 5))
+    d = draw(st.sampled_from([n - 1, n - 2] if n >= 3 else [n - 1]))
+    l = draw(st.integers(0, 6))
+    r2 = draw(st.integers(-2, 16))
+    ell, left = [], n
+    for _ in range(max(l, 1)):
+        ell.append(draw(st.integers(0, left)))
+        left -= ell[-1]
+    return n, d, l, r2, tuple(draw(st.permutations(ell))), draw(st.sampled_from([1, 2]))
+
+
+@given(bcd_calls())
+@settings(max_examples=150, deadline=None)
+def test_bcd_matches_literal_cold_and_warm(call):
+    n, d, l, r2, ell, step = call
+    expected = literal_tensor_sum_bcd(n, d, l, r2, ell, step)
+    kernel.block_poly.cache_clear()
+    assert kernel.tensor_sum_bcd(*call) == expected
+    # refill every block of the call from other calls, largest l first and
+    # at another degree and depth, which the cache key leaves out
+    kernel.block_poly.cache_clear()
+    for other in range(l, -1, -1):
+        kernel.tensor_sum_bcd(n, 2 * n - 3 - d, other, r2 + 3, ell, 1)
+    misses = kernel.block_poly.cache_info().misses
+    assert kernel.tensor_sum_bcd(*call) == expected
+    assert kernel.block_poly.cache_info().misses == misses

@@ -2,6 +2,7 @@
 
 import pytest
 
+from bivar import kernel
 from bivar.errors import InvalidHighestWeight
 from bivar.oracles import freudenthal_diagram
 from bivar.root_systems import (
@@ -100,6 +101,17 @@ class TestBuildTable:
             got = {canonical_weight(spec, mu): m for mu, m in table.rows}
             diagram = freudenthal_diagram(spec, highest_weight(spec, k, l))
             assert got == diagram.entries
+
+    def test_block_cache_counters(self):
+        kernel.block_poly.cache_clear()
+        first = build_table(C3, 4, 3, dominant_only=True)
+        second = build_table(C3, 4, 3, dominant_only=True)
+        assert second == first
+        assert first.meta["block_cache_misses"] > 0
+        # the second build finds every block the first one computed
+        assert second.meta["block_cache_misses"] == 0
+        assert second.meta["block_cache_hits"] == \
+            first.meta["block_cache_hits"] + first.meta["block_cache_misses"]
 
 
 class TestDimensionAudit:
