@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``mult`` (one weight), ``table`` (full or dominant-only
-weight table as JSON or CSV), ``verify`` (re-derive multiplicities
-through the independent oracles over a grid and compare exactly), and
-``bench`` (timing records for the bivariate and Freudenthal engines).
+weight table as JSON or CSV) and ``verify`` (re-derive multiplicities
+through the independent oracles over a grid and compare exactly).
+Timings come from the benchmark in ``perfbench/``, not from this
+command.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 I/O
 failure. Multiplicities serialize as decimal strings so consumers never
@@ -12,24 +13,22 @@ need native big integers.
 
 import argparse
 import json
-import platform
 import sys
-import time
-from statistics import median
 from typing import List, Optional, Sequence, Tuple
 
-from . import __version__, kernel
+from . import __version__
 from .errors import BivarError
 from .multiplicity import bivariate_mult, tensor_mult
 from .oracles import convolution_mult, freudenthal_diagram, kostka_count, tensor_conv_mult
-from .root_systems import algebra, canonical_weight, check_weight, highest_weight
-from .weight_tables import (
-    MultiplicityTable,
-    build_table,
-    candidate_dominants,
-    dimension_audit,
-    freudenthal_table,
+from .root_systems import (
+    algebra,
+    canonical_weight,
+    check_highest_weight,
+    check_weight,
+    highest_weight,
+    weight_length,
 )
+from .weight_tables import MultiplicityTable, build_table, candidate_dominants, dimension_audit
 
 
 # ---------------------------------------------------------------------------
@@ -53,19 +52,21 @@ def table_to_json(table: MultiplicityTable) -> str:
 def table_from_json(text: str) -> MultiplicityTable:
     obj = json.loads(text)
     spec = algebra(obj["family"], obj["rank"])
+    k, l = check_highest_weight(obj["k"], obj["l"])
+    dominant_only = obj["dominant_only"]
+    if not isinstance(dominant_only, bool):
+        raise ValueError(f"dominant_only must be true or false, got {dominant_only!r}")
     rows = []
     for r in obj["rows"]:
         mult = int(r["mult"])
         if mult <= 0:
             raise ValueError(f"row {r['mu']!r}: multiplicity must be positive, got {mult}")
         rows.append((check_weight(spec, r["mu"]), mult))
-    return MultiplicityTable(spec, obj["k"], obj["l"], obj["dominant_only"], tuple(rows))
+    return MultiplicityTable(spec, k, l, dominant_only, tuple(rows))
 
 
 def table_to_csv(table: MultiplicityTable) -> str:
-    width = len(table.rows[0][0]) if table.rows else (
-        table.spec.rank + 1 if table.spec.family == "A" else table.spec.rank)
-    header = ",".join(f"mu_{i + 1}" for i in range(width)) + ",mult"
+    header = ",".join(f"mu_{i + 1}" for i in range(weight_length(table.spec))) + ",mult"
     lines = [header]
     for mu, m in table.rows:
         lines.append(",".join(str(a) for a in mu) + "," + str(m))
@@ -129,6 +130,10 @@ def _grid_specs(families, ranks):
                 out.append(algebra(fam, n))
             except BivarError:
                 continue  # skip rank/family combos below the validity bound
+    if not out:
+        raise ValueError(
+            f"empty verification grid: no valid algebra among families "
+            f"{','.join(families)} at ranks {','.join(map(str, ranks))}")
     return out
 
 
@@ -185,98 +190,6 @@ def run_verification(families, ranks, maxsum, oracle) -> Tuple[int, List[str]]:
 
 
 # ---------------------------------------------------------------------------
-# benchmarking
-
-
-BENCH_HEADER = "family,rank,k,l,engine,mode,rows,median_s,repeats,engine_version,host"
-
-
-def _time_once(fn) -> Tuple[float, object]:
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
-
-
-def bench_point(spec, k, l, engine: str, mode: str, repeats: int):
-    """One timing record; returns (csv_line, last_result)."""
-    if mode == "single_weight":
-        mu = highest_weight(spec, k, l)
-
-        def task():
-            if engine == "bivariate":
-                return bivariate_mult(spec, k, l, mu)
-            return freudenthal_diagram(spec, mu).entries[canonical_weight(spec, mu)]
-    elif mode in ("full_table", "dominant_table"):
-        dominant = mode == "dominant_table"
-
-        def task():
-            if engine == "bivariate":
-                return build_table(spec, k, l, dominant_only=dominant)
-            return freudenthal_table(spec, k, l, dominant_only=dominant)
-    else:
-        raise ValueError(f"unknown bench mode {mode!r}")
-
-    times = []
-    result = None
-    for _ in range(repeats):
-        elapsed, result = _time_once(task)
-        times.append(elapsed)
-    rows = len(result.rows) if isinstance(result, MultiplicityTable) else 1
-    host = f"{platform.python_implementation()}-{platform.python_version()}"
-    line = (
-        f"{spec.family},{spec.rank},{k},{l},{engine},{mode},{rows},"
-        f"{median(times):.6f},{repeats},{__version__}+{kernel.BACKEND},{host}"
-    )
-    return line, result
-
-
-_TABLE1_GRID = [
-    ("B", 2, 5, 3), ("B", 3, 5, 3),
-    ("C", 2, 5, 3), ("C", 3, 5, 3),
-    ("D", 3, 5, 3),
-]
-
-_TABLE2_GRID = [("D", 4, 14 - l, l) for l in range(8)]
-
-
-def _parse_bench_grid(raw: str):
-    points = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        bits = chunk.split(":")
-        if len(bits) != 4:
-            raise ValueError(f"bad grid point {chunk!r}; expected FAMILY:RANK:K:L")
-        points.append((bits[0].upper(), int(bits[1]), int(bits[2]), int(bits[3])))
-    if not points:
-        raise ValueError("empty bench grid")
-    return points
-
-
-def run_bench(suite: str, repeats: int, grid: str, mode: str) -> List[str]:
-    if suite == "table1":
-        points = _TABLE1_GRID
-        modes = ["full_table"]
-    elif suite == "table2":
-        points = _TABLE2_GRID
-        modes = ["full_table"]
-    elif suite == "custom":
-        points = _parse_bench_grid(grid)
-        modes = [mode]
-    else:
-        raise ValueError(f"unknown suite {suite!r}; use table1, table2 or custom")
-    lines = [BENCH_HEADER]
-    for fam, n, k, l in points:
-        spec = algebra(fam, n)
-        for m in modes:
-            for engine in ("bivariate", "freudenthal"):
-                line, _ = bench_point(spec, k, l, engine, m, repeats)
-                lines.append(line)
-    return lines
-
-
-# ---------------------------------------------------------------------------
 # argument handling
 
 
@@ -321,15 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--oracle", default="all",
                           choices=["freudenthal", "convolution", "kostka", "all"])
 
-    p_bench = sub.add_parser("bench", help="timing comparison of both engines")
-    p_bench.add_argument("--suite", default="table2",
-                         choices=["table1", "table2", "custom"])
-    p_bench.add_argument("--repeat", type=int, default=1)
-    p_bench.add_argument("--grid", default="",
-                         help="custom suite points as FAMILY:RANK:K:L[,...]")
-    p_bench.add_argument("--mode", default="full_table",
-                         choices=["single_weight", "full_table", "dominant_table"])
-    p_bench.add_argument("--out", default="-")
     return parser
 
 
@@ -353,11 +257,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        families, ranks, maxsum = _parse_grid(args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    families, ranks, maxsum = _parse_grid(args.grid)
     if args.oracle == "kostka" and any(f != "A" for f in families):
         print("error: the kostka oracle is defined for family A only", file=sys.stderr)
         return 2
@@ -368,21 +268,6 @@ def cmd_verify(args) -> int:
         print(f"FAIL: {len(mismatches)} mismatches out of {checked} comparisons")
         return 1
     print(f"ok: {checked} comparisons, no mismatches")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    try:
-        lines = run_bench(args.suite, max(args.repeat, 1), args.grid, args.mode)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = "\n".join(lines) + "\n"
-    try:
-        _write_out(text, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 
@@ -397,7 +282,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "mult": cmd_mult,
         "table": cmd_table,
         "verify": cmd_verify,
-        "bench": cmd_bench,
     }
     try:
         return handlers[args.command](args)

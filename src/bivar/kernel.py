@@ -26,8 +26,8 @@ from math import comb
 
 from .partitions import binom, partitions_le_length, rows_bounded
 
-# Recorded in MultiplicityTable.meta and the ``bivar bench`` CSV so that
-# timings name the kernel that produced them.
+# Recorded in MultiplicityTable.meta and in the benchmark's provenance
+# (perfbench/run.py), which refuses to compare runs of different kernels.
 BACKEND = "pure"
 
 # Bound on the number of cached block polynomials. The benchmark's whole

@@ -25,6 +25,26 @@ from .root_systems import (
 )
 
 
+def _degree(family: str, n: int) -> int:
+    # binomial degree of the single-row counts: n - 1 for B and C, n - 2 for D
+    return n - 2 if family == "D" else n - 1
+
+
+def _bcd_args(spec: AlgebraSpec, k: int, l: int, mu):
+    """Arguments (n, d, r2, ell, step) of the B/C/D tensor sums for ``mu``.
+
+    None when every term is 0: the doubled depth r2 is negative, or odd
+    for C and D.
+    """
+    norm, ell = weight_stats(spec, mu, l)
+    r2 = k + l - norm
+    fam = spec.family
+    if r2 < 0 or (fam != "B" and r2 % 2):
+        return None
+    n = spec.rank
+    return n, _degree(fam, n), r2, ell, 1 if fam == "B" else 2
+
+
 def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
     """Multiplicity of ``mu`` in the representation with highest weight k*e1.
 
@@ -39,11 +59,9 @@ def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
     if fam == "A":
         return 1 if normalize_a_to_sum(mu, k) is not None else 0
     r2 = k - one_norm(mu)
-    if fam == "B":
-        return binom(r2 // 2 + n - 1, n - 1)
-    if r2 < 0 or r2 % 2:
+    if fam != "B" and (r2 < 0 or r2 % 2):
         return 0
-    d = n - 1 if fam == "C" else n - 2
+    d = _degree(fam, n)
     return binom(r2 // 2 + d, d)
 
 
@@ -70,16 +88,11 @@ def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
         if rep is None:
             return 0
         return kernel.tensor_sum_a(n, l, _level_counts(rep, l))
-    norm, ell = weight_stats(spec, mu, l)
-    r2 = k + l - norm
-    if r2 < 0:
+    args = _bcd_args(spec, k, l, mu)
+    if args is None:
         return 0
-    if fam == "B":
-        return kernel.tensor_sum_bcd(n, n - 1, l, r2, ell, 1)
-    if r2 % 2:
-        return 0
-    d = n - 1 if fam == "C" else n - 2
-    return kernel.tensor_sum_bcd(n, d, l, r2, ell, 2)
+    n, d, r2, ell, step = args
+    return kernel.tensor_sum_bcd(n, d, l, r2, ell, step)
 
 
 def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
@@ -96,17 +109,10 @@ def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
         ell = _level_counts(rep, l)
         return kernel.tensor_sum_a(n, l, ell) - kernel.tensor_sum_a(n, l - 1, ell)
 
-    norm, ell = weight_stats(spec, mu, l)
-    r2 = k + l - norm
-    if r2 < 0:
+    args = _bcd_args(spec, k, l, mu)
+    if args is None:
         return 0
-    if fam == "B":
-        d, step = n - 1, 1
-    else:
-        if r2 % 2:
-            return 0
-        d = n - 1 if fam == "C" else n - 2
-        step = 2
+    n, d, r2, ell, step = args
     # virtual-ring combination: the four tensor factors at depths r, r, r-1, r-1
     return (
         kernel.tensor_sum_bcd(n, d, l, r2, ell, step)
@@ -144,7 +150,7 @@ def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
         else:
             # C uses the D-style correction at rank n+1 and degree n-1
             m = n + 1 if fam == "C" else n
-            d = n - 1 if fam == "C" else n - 2
+            d = _degree(fam, n)
             if (upper + l) % 2 == 0:
                 factor = Fraction(l - upper + m - 2, l - upper + 2 * m - 4)
             else:
@@ -173,8 +179,8 @@ def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
     r2 = k + 1 - norm
     if r2 < 0:
         return 0
+    d = _degree(fam, n)
     if fam == "B":
-        d = n - 1
         return (
             binom((r2 - 1) // 2 + d, d)
             + (n + ell0) * binom((r2 - 2) // 2 + d, d)
@@ -185,7 +191,6 @@ def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
     if r2 % 2:
         return 0
     r = r2 // 2
-    d = n - 1 if fam == "C" else n - 2
     return (n + ell0 - 1) * binom(r - 1 + d, d) + (n - ell0 - 1) * binom(r + d, d)
 
 

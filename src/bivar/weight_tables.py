@@ -9,10 +9,10 @@ weight (a_1, ..., -a_n) alongside (a_1, ..., a_n).
 
 :func:`freudenthal_table` is the classical alternative engine: it walks
 the whole weight system level by level, computing every multiplicity
-through Freudenthal's recursion with no Weyl-group reduction. It exists
-for benchmarking against :func:`build_table` and as an end-to-end
-cross-check; the per-dominant-weight recursion lives in
-:mod:`bivar.oracles`.
+through Freudenthal's recursion with no Weyl-group reduction. It is the
+baseline of performance gate 8b in the acceptance tests (:func:`build_table`
+at least 10x faster) and a reference that tests compare tables against;
+the per-dominant-weight recursion lives in :mod:`bivar.oracles`.
 """
 
 import time
@@ -141,8 +141,7 @@ def freudenthal_table(spec: AlgebraSpec, k: int, l: int,
     subtracting simple roots and every candidate's multiplicity is
     evaluated by the recursion directly, one weight at a time, over the
     whole weight system (no orbit reduction). Deliberately the classical
-    formulation: this is the baseline engine the benchmark compares
-    against.
+    formulation: this is the baseline engine of performance gate 8b.
     """
     validate(spec)
     k, l = check_highest_weight(k, l)

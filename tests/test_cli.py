@@ -5,7 +5,7 @@ import json
 import pytest
 
 from bivar import cli
-from bivar.errors import LengthMismatch
+from bivar.errors import InvalidHighestWeight, LengthMismatch, NotAnInteger
 from bivar.root_systems import algebra
 from bivar.weight_tables import MultiplicityTable, build_table
 
@@ -80,15 +80,20 @@ class TestTable:
         parsed = cli.table_from_json(out)
         assert cli.table_to_json(parsed) == out
 
-    @pytest.mark.parametrize("row, error", [
-        ({"mu": [0, 0, 7], "mult": "1"}, LengthMismatch),
-        ({"mu": [0, 0], "mult": "-3"}, ValueError),
-    ], ids=["wrong-length", "negative-mult"])
-    def test_json_rejects_bad_rows(self, row, error):
-        text = json.dumps({"family": "B", "rank": 2, "k": 1, "l": 0,
-                           "dominant_only": True, "rows": [row]})
+    @pytest.mark.parametrize("row, header, error", [
+        ({"mu": [0, 0, 7], "mult": "1"}, {}, LengthMismatch),
+        ({"mu": [0, 0], "mult": "-3"}, {}, ValueError),
+        ({"mu": [0, 0], "mult": "1"}, {"k": "1"}, NotAnInteger),
+        ({"mu": [0, 0], "mult": "1"}, {"k": 0, "l": 1}, InvalidHighestWeight),
+        ({"mu": [0, 0], "mult": "1"}, {"dominant_only": "yes"}, ValueError),
+    ], ids=["wrong-length", "negative-mult", "string-k", "k-below-l",
+            "non-bool-dominant"])
+    def test_json_rejects_bad_rows(self, row, header, error):
+        obj = {"family": "B", "rank": 2, "k": 1, "l": 0, "dominant_only": True,
+               "rows": [row]}
+        obj.update(header)
         with pytest.raises(error):
-            cli.table_from_json(text)
+            cli.table_from_json(json.dumps(obj))
 
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(capsys, ["table", "--family", "C", "--rank", "2",
@@ -135,9 +140,16 @@ class TestVerify:
                                     "--grid", "families=A;ranks=2,3;maxsum=4"])
         assert code == 0
 
-    def test_bad_grid(self, capsys):
-        code, _, err = run(capsys, ["verify", "--grid", "depth=3"])
+    @pytest.mark.parametrize("grid", [
+        "depth=3",
+        "families=D;ranks=2",
+        "families=B,C;ranks=1;maxsum=3",
+    ], ids=["unknown-key", "no-valid-rank-D", "no-valid-rank-BC"])
+    def test_bad_grid(self, capsys, grid):
+        code, out, err = run(capsys, ["verify", "--grid", grid])
         assert code == 2
+        assert err.startswith("error: ")
+        assert "ok:" not in out
 
     def test_fault_injection_reports_mismatch(self, capsys, monkeypatch):
         real = cli.bivariate_mult
@@ -161,45 +173,9 @@ class TestVerify:
         assert code == 0
 
 
-class TestBench:
-    def test_custom_suite_records(self, capsys):
-        code, out, _ = run(capsys, ["bench", "--suite", "custom",
-                                    "--grid", "C:2:1:1", "--repeat", "2",
-                                    "--mode", "dominant_table"])
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == cli.BENCH_HEADER
-        assert len(lines) == 3  # both engines on one point
-        engines = {ln.split(",")[4] for ln in lines[1:]}
-        assert engines == {"bivariate", "freudenthal"}
-
-    def test_repeat_count_does_not_change_rows(self, capsys):
-        counts = []
-        for repeat in ("1", "3"):
-            code, out, _ = run(capsys, ["bench", "--suite", "custom",
-                                        "--grid", "B:2:1:1", "--repeat", repeat])
-            assert code == 0
-            counts.append(len(out.strip().splitlines()))
-        assert counts[0] == counts[1]
-
-    def test_invalid_suite_grid(self, capsys):
-        code, _, err = run(capsys, ["bench", "--suite", "custom", "--grid", "oops"])
-        assert code == 2
-
-    def test_instrumentation_is_observation_only(self):
-        spec = algebra("C", 2)
-        _, result = cli.bench_point(spec, 2, 1, "bivariate", "full_table", 1)
-        assert result.rows == build_table(spec, 2, 1).rows
-
-    def test_single_weight_mode(self, capsys):
-        code, out, _ = run(capsys, ["bench", "--suite", "custom",
-                                    "--grid", "D:3:2:1", "--mode", "single_weight"])
-        assert code == 0
-        assert len(out.strip().splitlines()) == 3
-
-
-def test_unknown_subcommand_is_usage_error(capsys):
-    assert cli.main(["frobnicate"]) == 2
+@pytest.mark.parametrize("argv", [["frobnicate"], ["bench"]], ids=["frobnicate", "bench"])
+def test_unknown_subcommand_is_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
 
 
 def test_mult_equals_table_rows(capsys):

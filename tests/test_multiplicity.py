@@ -2,6 +2,8 @@
 fast paths, and the structural identities that tie them together."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bivar import NotAnInteger
 from bivar.errors import InvalidHighestWeight, LengthMismatch, RankOutOfRange
@@ -23,7 +25,7 @@ from bivar.root_systems import (
     orbit,
     weight_stats,
 )
-from bivar.oracles import kostka_count, tensor_conv_mult
+from bivar.oracles import convolution_mult, kostka_count, tensor_conv_mult
 from bivar.weight_tables import candidate_dominants
 
 B2, B3 = algebra("B", 2), algebra("B", 3)
@@ -152,6 +154,18 @@ class TestBivariate:
             bivariate_mult(B2, 1, 2, (0, 0))
         with pytest.raises(InvalidHighestWeight):
             tensor_mult(C2, -1, 0, (0, 0))
+
+    # l <= 3 only: from l = 4 on the B/C/D sum is known to be wrong
+    # (test_matches_convolution_at_l4 pins it), so a larger l would fail here
+    # on that one defect rather than test anything new
+    @given(st.sampled_from([algebra(f, 4) for f in "ABCD"]), st.integers(0, 3),
+           st.integers(0, 7), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_convolution_random(self, spec, l, excess, data):
+        k = l + excess
+        mu = data.draw(st.sampled_from(
+            list(candidate_dominants(spec, k, l, parity_filter=False))))
+        assert bivariate_mult(spec, k, l, mu) == convolution_mult(spec, k, l, mu)
 
     @pytest.mark.parametrize("call", [
         lambda: bivariate_mult(B3, 3, 1, (1.5, 0, 0)),

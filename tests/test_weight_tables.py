@@ -1,6 +1,8 @@
 """Table assembly: candidates, orbit expansion, mirrors, audits, engines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bivar import kernel
 from bivar.errors import InvalidHighestWeight
@@ -130,6 +132,17 @@ class TestDimensionAudit:
                     table = build_table(spec, k, l, dominant_only=dominant)
                     computed, expected, ok = dimension_audit(table)
                     assert ok, (spec, k, l, dominant, computed, expected)
+
+    # l <= 3 only: from l = 4 on the B/C/D sum is known to be wrong and the
+    # audit fails (B3 k6 l4 totals 23376 against the Weyl dimension 23562)
+    @given(st.sampled_from([algebra(f, n) for f in "ABCD"
+                            for n in range(3 if f == "D" else 2, 8)]),
+           st.integers(0, 3), st.integers(0, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_random_dominant_tables(self, spec, l, excess):
+        table = build_table(spec, l + excess, l, dominant_only=True)
+        computed, expected, ok = dimension_audit(table)
+        assert ok, (spec, l + excess, l, computed, expected)
 
 
 class TestFreudenthalEngine:
