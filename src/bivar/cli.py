@@ -22,10 +22,13 @@ from .multiplicity import bivariate_mult, tensor_mult
 from .oracles import convolution_mult, freudenthal_diagram, kostka_count, tensor_conv_mult
 from .root_systems import (
     algebra,
+    as_integers,
     canonical_weight,
     check_highest_weight,
     check_weight,
     highest_weight,
+    is_dominant,
+    one_norm,
     weight_length,
 )
 from .weight_tables import MultiplicityTable, build_table, candidate_dominants, dimension_audit
@@ -37,16 +40,19 @@ from .weight_tables import MultiplicityTable, build_table, candidate_dominants, 
 
 def table_to_json(table: MultiplicityTable) -> str:
     computed, _expected, _ok = dimension_audit(table)
-    obj = {
+    head = json.dumps({
         "family": table.spec.family,
         "rank": table.spec.rank,
         "k": table.k,
         "l": table.l,
         "dominant_only": table.dominant_only,
-        "rows": [{"mu": list(mu), "mult": str(m)} for mu, m in table.rows],
-        "dimension": str(computed),
-    }
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    }, separators=(",", ":"))
+    # One %-template per table; for int rows the bytes are those of
+    # json.dumps({"mu": list(mu), "mult": str(m)}). %s, not %d, so a
+    # non-int value is written as str() writes it, never truncated.
+    row = '{"mu":[' + ",".join(["%s"] * weight_length(table.spec)) + '],"mult":"%s"}'
+    rows = ",".join([row % (*mu, m) for mu, m in table.rows])
+    return f'{head[:-1]},"rows":[{rows}],"dimension":{json.dumps(str(computed))}}}\n'
 
 
 def table_from_json(text: str) -> MultiplicityTable:
@@ -58,18 +64,33 @@ def table_from_json(text: str) -> MultiplicityTable:
         raise ValueError(f"dominant_only must be true or false, got {dominant_only!r}")
     rows = []
     for r in obj["rows"]:
-        mult = int(r["mult"])
+        mult = r["mult"]
+        # table_to_json writes decimal strings; any other value must be an int
+        if isinstance(mult, str):
+            mult = int(mult)
+        else:
+            (mult,) = as_integers((mult,), "multiplicity")
         if mult <= 0:
             raise ValueError(f"row {r['mu']!r}: multiplicity must be positive, got {mult}")
-        rows.append((check_weight(spec, r["mu"]), mult))
+        mu = check_weight(spec, r["mu"])
+        if spec.family == "A":
+            if min(mu) < 0 or sum(mu) != k + l:
+                raise ValueError(f"row {mu}: type A weights of k*e1 + l*e2 are "
+                                 f"non-negative and sum to k + l = {k + l}")
+        elif one_norm(mu) > k + l:
+            raise ValueError(f"row {mu}: one-norm exceeds k + l = {k + l}")
+        if dominant_only and not is_dominant(spec, mu):
+            raise ValueError(f"row {mu}: not dominant in a dominant-only table")
+        rows.append((mu, mult))
     return MultiplicityTable(spec, k, l, dominant_only, tuple(rows))
 
 
 def table_to_csv(table: MultiplicityTable) -> str:
-    header = ",".join(f"mu_{i + 1}" for i in range(weight_length(table.spec))) + ",mult"
+    width = weight_length(table.spec)
+    header = ",".join(f"mu_{i + 1}" for i in range(width)) + ",mult"
+    row = ",".join(["%s"] * (width + 1))
     lines = [header]
-    for mu, m in table.rows:
-        lines.append(",".join(str(a) for a in mu) + "," + str(m))
+    lines.extend([row % (*mu, m) for mu, m in table.rows])
     return "\n".join(lines) + "\n"
 
 

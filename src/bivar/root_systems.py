@@ -18,6 +18,7 @@ recursions, are available separately as :func:`weyl_canonical`.
 
 import operator
 from dataclasses import dataclass
+from itertools import product
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -221,11 +222,7 @@ def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
         return tuple(sorted(_distinct_permutations(coords)))
     out = []
     for perm in _distinct_permutations(coords):
-        hot = [i for i, a in enumerate(perm) if a]
-        signed = [perm]
-        for i in hot:
-            signed = [v[:i] + (sign * v[i],) + v[i + 1:] for v in signed for sign in (1, -1)]
-        out.extend(signed)
+        out.extend(product(*[(a, -a) if a else (0,) for a in perm]))
     return tuple(sorted(out))
 
 

@@ -17,6 +17,8 @@ the per-dominant-weight recursion lives in :mod:`bivar.oracles`.
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Dict, Iterator, List, Tuple
 
 from . import __version__, kernel
@@ -89,7 +91,9 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
                 dominant_only: bool = False) -> MultiplicityTable:
     """Evaluate the bivariate formula over all candidates and assemble rows.
 
-    Rows come out sorted, so the table depends only on its arguments.
+    Rows come out sorted, so the table depends only on its arguments. The
+    sort key is the weight alone: weights in a table are unique, so this
+    is the order of the (weight, multiplicity) pairs too.
     """
     validate(spec)
     k, l = check_highest_weight(k, l)
@@ -105,8 +109,8 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
             if spec.family == "D" and mu[-1] > 0:
                 rows.append((mu[:-1] + (-mu[-1],), m))
         else:
-            rows.extend((w, m) for w in orbit(spec, mu))
-    rows.sort()
+            rows.extend(zip(orbit(spec, mu), repeat(m)))
+    rows.sort(key=itemgetter(0))
     cache_after = kernel.block_poly.cache_info()
     meta = {
         "engine": ENGINE_VERSION,
@@ -124,7 +128,7 @@ def dimension_audit(table: MultiplicityTable) -> Tuple[int, int, bool]:
     if table.dominant_only:
         computed = sum(weyl_orbit_size(table.spec, mu) * m for mu, m in table.rows)
     else:
-        computed = sum(m for _, m in table.rows)
+        computed = sum([m for _, m in table.rows])
     expected = weyl_dimension(table.spec, table.k, table.l)
     return computed, expected, computed == expected
 

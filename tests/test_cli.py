@@ -6,14 +6,38 @@ import pytest
 
 from bivar import cli
 from bivar.errors import InvalidHighestWeight, LengthMismatch, NotAnInteger
-from bivar.root_systems import algebra
-from bivar.weight_tables import MultiplicityTable, build_table
+from bivar.root_systems import algebra, weight_length
+from bivar.weight_tables import MultiplicityTable, build_table, dimension_audit
 
 
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_json(table):
+    """The JSON writer as it was: one dict per row through json.dumps."""
+    computed, _expected, _ok = dimension_audit(table)
+    obj = {
+        "family": table.spec.family,
+        "rank": table.spec.rank,
+        "k": table.k,
+        "l": table.l,
+        "dominant_only": table.dominant_only,
+        "rows": [{"mu": list(mu), "mult": str(m)} for mu, m in table.rows],
+        "dimension": str(computed),
+    }
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def reference_csv(table):
+    """The CSV writer as it was: str() of each coordinate, one line per row."""
+    header = ",".join(f"mu_{i + 1}" for i in range(weight_length(table.spec))) + ",mult"
+    lines = [header]
+    for mu, m in table.rows:
+        lines.append(",".join(str(a) for a in mu) + "," + str(m))
+    return "\n".join(lines) + "\n"
 
 
 class TestMult:
@@ -86,14 +110,38 @@ class TestTable:
         ({"mu": [0, 0], "mult": "1"}, {"k": "1"}, NotAnInteger),
         ({"mu": [0, 0], "mult": "1"}, {"k": 0, "l": 1}, InvalidHighestWeight),
         ({"mu": [0, 0], "mult": "1"}, {"dominant_only": "yes"}, ValueError),
+        ({"mu": [0, 0], "mult": 1.5}, {}, NotAnInteger),
+        ({"mu": [5, 5], "mult": "5"}, {"dominant_only": False}, ValueError),
+        ({"mu": [0, 1], "mult": "1"}, {}, ValueError),
+        ({"mu": [2, 0, 0], "mult": "1"}, {"family": "A", "dominant_only": False}, ValueError),
+        ({"mu": [2, 0, -1], "mult": "1"}, {"family": "A", "dominant_only": False}, ValueError),
     ], ids=["wrong-length", "negative-mult", "string-k", "k-below-l",
-            "non-bool-dominant"])
+            "non-bool-dominant", "float-mult", "norm-above-k-plus-l", "not-dominant",
+            "a-wrong-sum", "a-negative-coordinate"])
     def test_json_rejects_bad_rows(self, row, header, error):
         obj = {"family": "B", "rank": 2, "k": 1, "l": 0, "dominant_only": True,
                "rows": [row]}
         obj.update(header)
         with pytest.raises(error):
             cli.table_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("dominant_only", [False, True], ids=["full", "dominant"])
+    @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+    def test_writers_match_reference_bytes(self, family, rank, dominant_only):
+        table = build_table(algebra(family, rank), 3, 2, dominant_only=dominant_only)
+        assert cli.table_to_json(table) == reference_json(table)
+        assert cli.table_to_csv(table) == reference_csv(table)
+        assert cli.table_from_json(cli.table_to_json(table)) == table
+
+    @pytest.mark.parametrize("rows", [
+        (((-2, 1), 10**30), ((0, -1), 1), ((3, 0), 7)),
+        (),
+        (((1, 0), 1.5),),
+    ], ids=["big-mult-negative-coords", "no-rows", "float-mult-not-truncated"])
+    def test_writers_match_reference_bytes_hand_built(self, rows):
+        table = MultiplicityTable(algebra("B", 2), 1, 0, False, rows)
+        assert cli.table_to_json(table) == reference_json(table)
+        assert cli.table_to_csv(table) == reference_csv(table)
 
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(capsys, ["table", "--family", "C", "--rank", "2",

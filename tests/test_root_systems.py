@@ -1,5 +1,7 @@
 """Algebra validation, weight statistics, orbits, dimension formula."""
 
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,3 +184,26 @@ def test_stats_invariant_under_signed_permutation(spec, data):
     )
     rep = dominant_representative(spec, mu)
     assert weight_stats(spec, mu, 4) == weight_stats(spec, rep, 4)
+
+
+@st.composite
+def dominant_weights(draw):
+    family = draw(st.sampled_from("ABCD"))
+    spec = algebra(family, draw(st.integers(3 if family == "D" else 2, 5)))
+    length = spec.rank + 1 if family == "A" else spec.rank
+    entries = draw(st.lists(st.integers(0, 4), min_size=length, max_size=length))
+    return spec, tuple(sorted(entries, reverse=True))
+
+
+@given(dominant_weights())
+@settings(max_examples=150, deadline=None)
+def test_orbit_matches_brute_force(case):
+    spec, mu = case
+    if spec.family == "A":
+        brute = set(permutations(mu))
+    else:
+        brute = {signed for perm in permutations(mu)
+                 for signed in product(*[(a, -a) for a in perm])}
+    got = orbit(spec, mu)
+    assert got == tuple(sorted(brute))
+    assert len(got) == orbit_size(spec, mu)
