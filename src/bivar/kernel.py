@@ -1,30 +1,29 @@
-"""Evaluation of the partition-indexed tensor weight sums.
+"""Evaluation of the tensor weight sums.
 
 The two tensor sums here carry the hot inner loop of every
-multiplicity: a sum over partitions, their triangular beta arrays and
-the alpha polynomial. The partitions, beta rows and binomials come from
-:mod:`bivar.partitions`, the same streams the literal reference
-evaluator in the tests walks. Everything is exact: loop bookkeeping is
-small ints, accumulated values are arbitrary precision.
+multiplicity. Everything is exact: loop bookkeeping is small ints,
+accumulated values are arbitrary precision.
 
 For B/C/D the sum splits into blocks N <= l. The degree d and the depth
-enter a block only through one binomial per power of the alpha
-polynomial; the rest, the block's summed alpha polynomial, depends on
-(n, N, ell[:N]) alone. :func:`block_poly` computes it once per key and
-keeps it in an LRU cache of at most ``BLOCK_CACHE_SIZE`` (8192) entries,
+enter a block only through one binomial per power of x in the block's
+overlap polynomial: coefficient m counts the nu in Z^n with one-norm N
+whose overlap with the weight is m. That polynomial depends on
+(n, N, ell[:N]) alone and is the y^N coefficient of a product with one
+factor per coordinate (:func:`block_poly`). It is computed once per key
+and kept in an LRU cache of at most ``BLOCK_CACHE_SIZE`` (8192) entries,
 so the four virtual-ring terms of one weight, and weights sharing a
-level-count prefix, reuse it. The candidate beta rows with their alpha
-factors sit in a second LRU cache of at most ``ROW_CACHE_SIZE`` (256)
-entries, keyed by (row length, row sum bound).
+level-count prefix, reuse it.
+
+For A the sum runs over the partitions of l from :mod:`bivar.partitions`
+and multiplies one slot-choice binomial per part size.
 
 The half-integral depth parameter ``r`` is passed as its doubled value
 ``r2`` so floors are plain integer division; no floats appear anywhere.
 """
 
 from functools import lru_cache
-from math import comb
 
-from .partitions import binom, partitions_le_length, rows_bounded
+from .partitions import binom, partitions_le_length
 
 # Recorded in MultiplicityTable.meta and in the benchmark's provenance
 # (perfbench/run.py), which refuses to compare runs of different kernels.
@@ -34,9 +33,6 @@ BACKEND = "pure"
 # query stream (ranks 3-7, l <= 8) fills 2,611 keys, about 0.5 MB, and
 # its largest dominant table 846.
 BLOCK_CACHE_SIZE = 8192
-# Bound on the number of cached beta-row tables. A row j holds at most
-# N // j units, so few keys occur: the same query stream fills 27.
-ROW_CACHE_SIZE = 256
 
 
 def tensor_sum_bcd(n, d, l, r2, ell, step):
@@ -65,95 +61,40 @@ def tensor_sum_bcd(n, d, l, r2, ell, step):
 
 @lru_cache(maxsize=BLOCK_CACHE_SIZE)
 def block_poly(n, big_n, ell):
-    """Summed alpha polynomial of block ``big_n`` of :func:`tensor_sum_bcd`.
+    """Overlap polynomial of block ``big_n`` of :func:`tensor_sum_bcd`.
 
-    Coefficient m sums, over the partitions q of N = ``big_n`` into at
-    most n parts and the beta arrays of q, the beta binomial product
-    times the number of alpha arrays of weighted sum m; the tuple has
-    N + 1 entries. ``ell`` is the tuple of the first N level counts.
-    Neither the degree d nor the depth enters, so one value serves every
-    call that shares (n, N, ell[:N]).
+    Let mu in Z^n have ``ell[t]`` coordinates of absolute value t for
+    each level t < N = ``big_n``, and its other coordinates at level N or
+    above. Coefficient m counts the nu in Z^n with one-norm N whose
+    overlap with mu is m, where the overlap sums min(|mu_i|, |nu_i|) over
+    the coordinates on which mu_i and nu_i have the same sign; the tuple
+    has N + 1 entries. Neither the degree d nor the depth enters, so one
+    value serves every call that shares (n, N, ell[:N]).
 
-    The beta rows are chosen from row N down to row 1. Every factor of
-    row j reads only the rows above it, through three sums over them:
-    the entries on each weight diagonal (cell (h, c), with 0-based column
-    c, has alpha weight h - c), the entries in each column, and the
-    spill, the part counts left out of their rows. So each row's factor
-    is taken once per choice of the rows above, and a zero factor drops
-    every completion below it.
+    The block is the y^N coefficient of a product with one factor per
+    coordinate, f_a(x, y) = 1 + sum_{b >= 1} y^b (1 + x^min(a, b)) for a
+    coordinate at level a (levels of N and above all act as a = N): a
+    coordinate with |nu_i| = b > 0 takes either sign, and on the side of
+    mu_i it adds min(a, b) to the overlap. The product is truncated at
+    degree N in y and multiplied in one factor at a time.
     """
-    pre_ell = [0] * (big_n + 1)
-    for j in range(1, big_n + 1):
-        pre_ell[j] = pre_ell[j - 1] + ell[j - 1]
-    acc = [0] * (big_n + 1)
-    diag = [0] * (big_n + 1)
-    col = [0] * (big_n + 1)
-
-    def descend(s, j, spill, poly):
-        if j == 0:
-            for m, c in enumerate(poly):
-                acc[m] += c
-            return
-        # the bounds of row j's binomials; a negative one zeroes them all,
-        # and from here on every binomial has non-negative arguments
-        first = n - pre_ell[j] - sum(diag[j:])
-        spilled = ell[0] - spill
-        caps = [ell[j - c] - col[c + 1] for c in range(1, j)]
-        if first < 0 or spilled < 0 or min(caps, default=0) < 0:
-            return
-        for row, free, terms in _row_options(j, s[j]):
-            if row[0] > first:
-                break
-            f = comb(first, row[0]) * comb(spilled, free) << free
-            for c in range(1, j):
-                if not f:
-                    break
-                f *= comb(caps[c - 1], row[c])
-            if not f:
-                continue
-            nxt = [0] * (big_n + 1)
-            for m, p in enumerate(poly):
-                if p:
-                    p *= f
-                    for e, k in terms:
-                        nxt[m + e] += p * k
-            for c, b in enumerate(row):
-                diag[j - c] += b
-                col[c] += b
-            descend(s, j - 1, spill + free, nxt)
-            for c, b in enumerate(row):
-                diag[j - c] -= b
-                col[c] -= b
-
-    unit = (1,) + (0,) * big_n
-    for q in partitions_le_length(big_n, n):
-        # s[j] = number of parts of q equal to j; the zero padding of q
-        # lands in s[0], which nothing reads
-        s = [0] * (big_n + 1)
-        for part in q:
-            s[part] += 1
-        descend(s, big_n, 0, unit)
-    return tuple(acc)
-
-
-@lru_cache(maxsize=ROW_CACHE_SIZE)
-def _row_options(j, cap):
-    # every candidate beta row j with entries summing to at most cap, in
-    # the order of rows_bounded (first entry ascending), as (row, units
-    # left out of the row, alpha factor): the alpha factor is the product
-    # of (1 + x^(j-c))^row[c], given as (exponent, coefficient) pairs
-    found = []
-    for row in rows_bounded(j, cap):
-        terms = {0: 1}
-        for c, b in enumerate(row):
-            w = j - c
-            nxt = {}
-            for e, k in terms.items():
-                for a in range(b + 1):
-                    nxt[e + w * a] = nxt.get(e + w * a, 0) + k * comb(b, a)
-            terms = nxt
-        found.append((row, cap - sum(row), tuple(terms.items())))
-    return tuple(found)
+    levels = [a for a, count in enumerate(ell) for _ in range(count)]
+    levels += [big_n] * (n - len(levels))
+    # rows[s][m]: ways for the coordinates so far to reach one-norm s with
+    # overlap m; the overlap never exceeds the one-norm
+    rows = [[1] + [0] * big_n] + [[0] * (big_n + 1) for _ in range(big_n)]
+    for a in levels:
+        nxt = [row[:] for row in rows]
+        for s in range(1, big_n + 1):
+            out = nxt[s]
+            for b in range(1, s + 1):
+                shift = min(a, b)
+                for m, c in enumerate(rows[s - b]):
+                    if c:
+                        out[m] += c
+                        out[m + shift] += c
+        rows = nxt
+    return tuple(rows[big_n])
 
 
 def tensor_sum_a(n, l, ell):

@@ -1,9 +1,8 @@
-"""Integer partitions and the enumerators of the multiplicity sums.
+"""Integer partitions, the zero-padded binomial and one-norm sphere counts.
 
 All enumeration here is exact big-integer combinatorics: partitions of N
-into at most n parts, the bounded rows that make up the triangular beta
-arrays of the tensor sums, the zero-padded binomial convention, and the
-count of lattice points on a one-norm sphere.
+into at most n parts, the zero-padded binomial convention, and the count
+of lattice points on a one-norm sphere.
 
 Streams are lazy generators.
 """
@@ -56,21 +55,6 @@ def partitions_le_length(total: int, max_parts: int) -> Iterator[Tuple[int, ...]
             v = cap if tail > cap else tail
             parts[j] = v
             tail -= v
-
-
-def rows_bounded(length: int, cap: int) -> Iterator[Tuple[int, ...]]:
-    """Yield every non-negative integer tuple of ``length`` with sum <= ``cap``.
-
-    These are the candidate beta rows: row j of a beta array has j entries
-    summing to at most s_j. Tuples come out lexicographically ascending;
-    ``length == 0`` yields the single empty tuple.
-    """
-    if length == 0:
-        yield ()
-        return
-    for first in range(cap + 1):
-        for rest in rows_bounded(length - 1, cap - first):
-            yield (first,) + rest
 
 
 def count_one_norm_sphere(n: int, total: int) -> int:

@@ -3,15 +3,29 @@
 The literal evaluator in ``test_kernel.py`` walks, for each partition q,
 the part-count profile of q, its triangular beta arrays and, for each
 beta, its alpha arrays, exactly as the displayed formula indexes them.
-The kernel never materializes these sets, so they live with the tests.
+The kernel does not use these sets, so they live with the tests,
+together with the bounded rows the beta arrays are made of.
 """
 
 from itertools import product
 from typing import Iterator, Sequence, Tuple
 
-from bivar.partitions import rows_bounded
-
 Triangular = Tuple[Tuple[int, ...], ...]
+
+
+def rows_bounded(length: int, cap: int) -> Iterator[Tuple[int, ...]]:
+    """Yield every non-negative integer tuple of ``length`` with sum <= ``cap``.
+
+    These are the candidate beta rows: row j of a beta array has j entries
+    summing to at most s_j. Tuples come out lexicographically ascending;
+    ``length == 0`` yields the single empty tuple.
+    """
+    if length == 0:
+        yield ()
+        return
+    for first in range(cap + 1):
+        for rest in rows_bounded(length - 1, cap - first):
+            yield (first,) + rest
 
 
 def part_counts(q: Sequence[int]) -> Tuple[int, ...]:

@@ -66,6 +66,27 @@ def test_criterion_01_oracle_equivalence():
           f"({elapsed:.1f}s)")
 
 
+def test_criterion_01b_oracle_equivalence_large_l():
+    # criterion 1's k + l <= 6 never reaches l = 4, the first l whose blocks
+    # see a coordinate at a level t with 2 <= t <= N - 2
+    specs = [algebra(f, n) for f, ranks in
+             [("B", (2, 3, 4)), ("C", (2, 3, 4)), ("D", (3, 4, 5))] for n in ranks]
+    compared = 0
+    for spec in specs:
+        max_total = {4: 10, 5: 8}.get(spec.rank)
+        for l in range(4, 8):
+            for k in range(l, l + 3):
+                if max_total is not None and k + l > max_total:
+                    continue
+                diagram = freudenthal_diagram(spec, highest_weight(spec, k, l))
+                table = build_table(spec, k, l, dominant_only=True)
+                got = {canonical_weight(spec, mu): m for mu, m in table.rows}
+                assert got == diagram.entries, (spec, k, l)
+                compared += len(diagram.entries)
+    print(f"PASS criterion 1b: formula == Freudenthal on {compared} dominant "
+          f"weights of B2-B4, C2-C4, D3-D5, l 4-7, k l..l+2")
+
+
 def test_criterion_02_convolution_equivalence():
     specs = [s for s in GRID_SPECS if s.rank <= 3]
     compared = 0

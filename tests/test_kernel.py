@@ -1,17 +1,22 @@
-"""The kernel against a literal re-evaluation built on the index streams.
+"""The kernel against two independent re-evaluations of its sums.
 
-The reference evaluator below walks the partitions of bivar.partitions
-and the beta / alpha arrays of the test-side index_sets module, and
-multiplies the displayed binomial expression term by term. The kernel
-instead sums the alpha arrays into one polynomial per block, caches it,
-and builds it row by row from the top beta row down, dropping every
-completion below a zero factor. Both share the partition and beta-row
-enumerators, so agreement here pins down the regrouping, the pruning and
-the cache key; independence of the enumerators comes from the
-Freudenthal, convolution and Kostka oracles, which re-derive the
-multiplicities without them.
+The B/C/D blocks are checked against a brute-force count: build a weight
+mu from the level counts, walk every nu on each one-norm sphere, bucket
+them by their overlap with mu, and apply the same outer binomials as
+:func:`bivar.kernel.tensor_sum_bcd`. This holds for every l.
+
+The literal evaluator below walks the partitions of bivar.partitions and
+the beta / alpha arrays of the test-side index_sets module, and
+multiplies the displayed binomial expression term by term. Its blocks
+equal the brute-force ones for N <= 3 and differ on some blocks with
+N >= 4, where a coordinate sits at a level t with 2 <= t <= N - 2
+(n = 2, N = 4, ell = (0, 0, 1, 0) gives (4, 2, 3, 2, 3) against the
+count's (5, 2, 4, 2, 3)); the transcription fault is not yet found. So
+it is compared with the kernel only at l <= 3. Type A is compared with
+it at every l tried, where it agrees with the convolution oracle too.
 """
 
+from functools import lru_cache
 from itertools import product
 
 from hypothesis import given, settings
@@ -62,6 +67,50 @@ def literal_tensor_sum_bcd(n, d, l, r2, ell, step):
     return total
 
 
+@lru_cache(maxsize=None)
+def one_norm_sphere(n, total):
+    """Every nu in Z^n with one-norm ``total``, as a tuple."""
+    if n == 0:
+        return ((),) if total == 0 else ()
+    return tuple((a,) + rest
+                 for a in range(-total, total + 1)
+                 for rest in one_norm_sphere(n - 1, total - abs(a)))
+
+
+def overlap(mu, nu):
+    return sum(min(abs(a), abs(b)) for a, b in zip(mu, nu) if a * b > 0)
+
+
+def brute_block(mu, big_n):
+    """Counts of the nu on the one-norm-N sphere by their overlap with mu."""
+    counts = [0] * (big_n + 1)
+    for nu in one_norm_sphere(len(mu), big_n):
+        counts[overlap(mu, nu)] += 1
+    return tuple(counts)
+
+
+def weight_from_levels(n, ell, top):
+    """A weight with ell[t] coordinates at level t and the rest at ``top``."""
+    mu = [t for t, count in enumerate(ell) for _ in range(count)]
+    return tuple(mu + [top] * (n - len(mu)))
+
+
+def brute_tensor_sum_bcd(n, d, l, r2, ell, step):
+    if l < 0:
+        return 0
+    # against a nu of one-norm N <= l, a coordinate at level l counts like
+    # one at level N: it covers any |nu_i| on its side in full
+    mu = weight_from_levels(n, ell[:l], l)
+    total = 0
+    start = l % 2 if step == 2 else 0
+    for big_n in range(start, l + 1, step):
+        t1 = binom((l - big_n) // 2 + d, d)
+        base = (r2 - l - big_n) // 2
+        total += t1 * sum(c * binom(base + m + d, d)
+                          for m, c in enumerate(brute_block(mu, big_n)))
+    return total
+
+
 def literal_tensor_sum_a(n, l, ell):
     if l < 0:
         return 0
@@ -91,6 +140,7 @@ class TestAgainstLiteralEvaluation:
                                 assert got == expected, (n, d, l, r2, ell, step)
 
     def test_bcd_bigger_spot_checks(self):
+        # l 4-6, beyond the reach of the literal evaluator
         cases = [
             (4, 3, 5, 9, (1, 1, 0, 2, 0), 1),
             (4, 2, 6, 12, (0, 2, 1, 0, 1, 0), 2),
@@ -99,7 +149,7 @@ class TestAgainstLiteralEvaluation:
         ]
         for n, d, l, r2, ell, step in cases:
             assert kernel.tensor_sum_bcd(n, d, l, r2, ell, step) == \
-                literal_tensor_sum_bcd(n, d, l, r2, ell, step)
+                brute_tensor_sum_bcd(n, d, l, r2, ell, step)
 
     def test_a_small_grid(self):
         for n in (2, 3):
@@ -145,9 +195,9 @@ def bcd_calls(draw):
 
 @given(bcd_calls())
 @settings(max_examples=150, deadline=None)
-def test_bcd_matches_literal_cold_and_warm(call):
+def test_bcd_matches_brute_force_cold_and_warm(call):
     n, d, l, r2, ell, step = call
-    expected = literal_tensor_sum_bcd(n, d, l, r2, ell, step)
+    expected = brute_tensor_sum_bcd(n, d, l, r2, ell, step)
     kernel.block_poly.cache_clear()
     assert kernel.tensor_sum_bcd(*call) == expected
     # refill every block of the call from other calls, largest l first and
@@ -158,3 +208,16 @@ def test_bcd_matches_literal_cold_and_warm(call):
     misses = kernel.block_poly.cache_info().misses
     assert kernel.tensor_sum_bcd(*call) == expected
     assert kernel.block_poly.cache_info().misses == misses
+
+
+def test_block_poly_matches_overlap_buckets():
+    checked = 0
+    for n in range(1, 6):
+        for big_n in range(7):
+            for ell in product(range(n + 1), repeat=big_n):
+                if sum(ell) > n:
+                    continue
+                expected = brute_block(weight_from_levels(n, ell, big_n), big_n)
+                assert kernel.block_poly(n, big_n, ell) == expected, (n, big_n, ell)
+                checked += 1
+    assert checked == 1708

@@ -69,12 +69,11 @@ class TestTensorMult:
     def test_one_norm_bound(self):
         assert tensor_mult(D3, 2, 2, (3, 3, 0)) == 0
 
-    @pytest.mark.xfail(strict=True, reason="the B/C/D tensor sum is wrong from l = 4 on "
-                       "(ROADMAP open item); it agrees with convolution for l <= 3")
     def test_matches_convolution_at_l4(self):
-        # tensor_mult gives 545 where convolution gives 552, and so
-        # bivariate_mult gives 91 where convolution_mult gives 98
+        # convolution gives 552 for the tensor product and 98 for the
+        # irreducible representation
         assert tensor_mult(B3, 6, 4, (2, 0, 0)) == tensor_conv_mult(B3, 6, 4, (2, 0, 0))
+        assert bivariate_mult(B3, 6, 4, (2, 0, 0)) == convolution_mult(B3, 6, 4, (2, 0, 0))
 
     def test_convolution_identity_with_single_rows(self):
         # m_tensor(k, l) must equal the convolution of single-row values
@@ -155,10 +154,7 @@ class TestBivariate:
         with pytest.raises(InvalidHighestWeight):
             tensor_mult(C2, -1, 0, (0, 0))
 
-    # l <= 3 only: from l = 4 on the B/C/D sum is known to be wrong
-    # (test_matches_convolution_at_l4 pins it), so a larger l would fail here
-    # on that one defect rather than test anything new
-    @given(st.sampled_from([algebra(f, 4) for f in "ABCD"]), st.integers(0, 3),
+    @given(st.sampled_from([algebra(f, 4) for f in "ABCD"]), st.integers(0, 6),
            st.integers(0, 7), st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_convolution_random(self, spec, l, excess, data):
