@@ -21,6 +21,7 @@ from .errors import (
     NotDominant,
     RankOutOfRange,
     ShapeContentMismatch,
+    UnsupportedFamily,
 )
 from .multiplicity import (
     bivariate_mult,
@@ -60,6 +61,7 @@ __all__ = [
     "NotDominant",
     "RankOutOfRange",
     "ShapeContentMismatch",
+    "UnsupportedFamily",
     "WeightDiagram",
     "algebra",
     "bivariate_mult",

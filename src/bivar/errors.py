@@ -25,5 +25,9 @@ class ShapeContentMismatch(BivarError):
     """Tableau content does not fill the shape."""
 
 
+class UnsupportedFamily(BivarError, ValueError):
+    """The operation has no formula for this algebra family."""
+
+
 class NotAnInteger(BivarError, TypeError):
     """An input that must be an integer is a float, a string or another non-int."""

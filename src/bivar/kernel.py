@@ -9,9 +9,11 @@ enter a block only through one binomial per power of x in the block's
 overlap polynomial: coefficient m counts the nu in Z^n with one-norm N
 whose overlap with the weight is m. That polynomial depends on
 (n, N, ell[:N]) alone and is the y^N coefficient of a product with one
-factor per coordinate (:func:`block_poly`). It is computed once per key
-and kept in an LRU cache of at most ``BLOCK_CACHE_SIZE`` (8192) entries,
-so the four virtual-ring terms of one weight, and weights sharing a
+factor per coordinate (:func:`block_poly`). The product is packed into
+one big integer, with slots wide enough that no coefficient carries, so
+each factor costs one integer multiply. It is computed once per key and
+kept in an LRU cache of at most ``BLOCK_CACHE_SIZE`` (8192) entries, so
+the four virtual-ring terms of one weight, and weights sharing a
 level-count prefix, reuse it.
 
 For A the sum runs over the partitions of l from :mod:`bivar.partitions`
@@ -23,7 +25,7 @@ The half-integral depth parameter ``r`` is passed as its doubled value
 
 from functools import lru_cache
 
-from .partitions import binom, partitions_le_length
+from .partitions import binom, count_one_norm_sphere, partitions_le_length
 
 # Recorded in MultiplicityTable.meta and in the benchmark's provenance
 # (perfbench/run.py), which refuses to compare runs of different kernels.
@@ -75,26 +77,36 @@ def block_poly(n, big_n, ell):
     coordinate, f_a(x, y) = 1 + sum_{b >= 1} y^b (1 + x^min(a, b)) for a
     coordinate at level a (levels of N and above all act as a = N): a
     coordinate with |nu_i| = b > 0 takes either sign, and on the side of
-    mu_i it adds min(a, b) to the overlap. The product is truncated at
-    degree N in y and multiplied in one factor at a time.
+    mu_i it adds min(a, b) to the overlap.
+
+    The product is packed into one integer (Kronecker substitution):
+    x = 2**bits and y = 2**width with width = (N + 1) * bits, so each
+    factor is one big-integer multiply, truncated to y-degree <= N by a
+    mask. No slot carries: a coefficient of the truncated product counts
+    some of the points of one-norm s <= N in Z^f, f the number of factors
+    multiplied so far, so it is at most the one-norm-N sphere count over
+    all the factors, which is below 2**bits; and a term of y-degree s has
+    x-degree <= s <= N, inside its own slot. Whatever spills past y^N
+    only adds to the bits that the mask drops.
     """
-    levels = [a for a, count in enumerate(ell) for _ in range(count)]
-    levels += [big_n] * (n - len(levels))
-    # rows[s][m]: ways for the coordinates so far to reach one-norm s with
-    # overlap m; the overlap never exceeds the one-norm
-    rows = [[1] + [0] * big_n] + [[0] * (big_n + 1) for _ in range(big_n)]
-    for a in levels:
-        nxt = [row[:] for row in rows]
-        for s in range(1, big_n + 1):
-            out = nxt[s]
-            for b in range(1, s + 1):
-                shift = min(a, b)
-                for m, c in enumerate(rows[s - b]):
-                    if c:
-                        out[m] += c
-                        out[m + shift] += c
-        rows = nxt
-    return tuple(rows[big_n])
+    placed = sum(ell)
+    # (level a, number of factors f_a): the coordinates not in ell sit at N
+    groups = [*enumerate(ell), (big_n, n - placed)]
+    bits = count_one_norm_sphere(max(n, placed), big_n).bit_length()
+    width = (big_n + 1) * bits
+    mask = (1 << (big_n + 1) * width) - 1
+    packed = 1
+    for a, count in groups:
+        if count <= 0:
+            continue
+        factor = 1
+        for b in range(1, big_n + 1):
+            factor += (1 + (1 << min(a, b) * bits)) << b * width
+        for _ in range(count):
+            packed = packed * factor & mask
+    top = packed >> big_n * width
+    digit = (1 << bits) - 1
+    return tuple(top >> m * bits & digit for m in range(big_n + 1))
 
 
 def tensor_sum_a(n, l, ell):

@@ -12,6 +12,7 @@ the depth (k + l - |mu|)/2 is genuinely half-integral for family B.
 from fractions import Fraction
 
 from . import kernel
+from .errors import UnsupportedFamily
 from .partitions import binom, count_one_norm_sphere
 from .root_systems import (
     AlgebraSpec,
@@ -129,7 +130,7 @@ def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
     n = spec.rank
     fam = spec.family
     if fam == "A":
-        raise ValueError("the zero-weight closed form covers families B, C, D only")
+        raise UnsupportedFamily("the zero-weight closed form covers families B, C, D only")
     if fam != "B" and (k + l) % 2:
         return 0
     total = Fraction(0)

@@ -59,4 +59,7 @@ def partitions_le_length(total: int, max_parts: int) -> Iterator[Tuple[int, ...]
 
 def count_one_norm_sphere(n: int, total: int) -> int:
     """Number of integer vectors in Z^n with one-norm exactly ``total``."""
+    if n == 0:
+        # the empty vector; the sum below reads C(total - 1, -1) = 0
+        return int(total == 0)
     return sum(binom(n, t) * binom(total - t + n - 1, n - 1) for t in range(n + 1))

@@ -1,9 +1,13 @@
-"""The kernel against two independent re-evaluations of its sums.
+"""The kernel against independent re-evaluations of its sums.
 
 The B/C/D blocks are checked against a brute-force count: build a weight
 mu from the level counts, walk every nu on each one-norm sphere, bucket
 them by their overlap with mu, and apply the same outer binomials as
-:func:`bivar.kernel.tensor_sum_bcd`. This holds for every l.
+:func:`bivar.kernel.tensor_sum_bcd`. This holds for every l. The packed
+product of :func:`bivar.kernel.block_poly` is also checked against the
+same generating-function product multiplied out one coefficient at a
+time (``stepped_block_poly``), on a full grid of small keys and on keys
+whose coefficients need more than 64 bits.
 
 The literal evaluator below walks the partitions of bivar.partitions and
 the beta / alpha arrays of the test-side index_sets module, and
@@ -19,11 +23,12 @@ it at every l tried, where it agrees with the convolution oracle too.
 from functools import lru_cache
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bivar import kernel
-from bivar.partitions import binom, partitions_le_length
+from bivar.partitions import binom, count_one_norm_sphere, partitions_le_length
 from index_sets import alpha_indices, beta_indices, part_counts
 
 
@@ -87,6 +92,37 @@ def brute_block(mu, big_n):
     for nu in one_norm_sphere(len(mu), big_n):
         counts[overlap(mu, nu)] += 1
     return tuple(counts)
+
+
+def stepped_block_poly(n, big_n, ell):
+    """y^N coefficient of the product of the f_a, one factor at a time."""
+    levels = [a for a, count in enumerate(ell) for _ in range(count)]
+    levels += [big_n] * (n - len(levels))
+    # rows[s][m]: ways for the coordinates so far to reach one-norm s with
+    # overlap m; the overlap never exceeds the one-norm
+    rows = [[1] + [0] * big_n] + [[0] * (big_n + 1) for _ in range(big_n)]
+    for a in levels:
+        nxt = [row[:] for row in rows]
+        for s in range(1, big_n + 1):
+            out = nxt[s]
+            for b in range(1, s + 1):
+                shift = min(a, b)
+                for m, c in enumerate(rows[s - b]):
+                    if c:
+                        out[m] += c
+                        out[m + shift] += c
+        rows = nxt
+    return tuple(rows[big_n])
+
+
+def level_counts(n, big_n):
+    """Every ell of length ``big_n`` with entries summing to at most n."""
+    if big_n == 0:
+        yield ()
+        return
+    for first in range(n + 1):
+        for rest in level_counts(n - first, big_n - 1):
+            yield (first,) + rest
 
 
 def weight_from_levels(n, ell, top):
@@ -214,10 +250,47 @@ def test_block_poly_matches_overlap_buckets():
     checked = 0
     for n in range(1, 6):
         for big_n in range(7):
-            for ell in product(range(n + 1), repeat=big_n):
-                if sum(ell) > n:
-                    continue
+            for ell in level_counts(n, big_n):
                 expected = brute_block(weight_from_levels(n, ell, big_n), big_n)
                 assert kernel.block_poly(n, big_n, ell) == expected, (n, big_n, ell)
                 checked += 1
     assert checked == 1708
+
+
+def test_block_poly_matches_stepped_product():
+    checked = 0
+    for n in range(8):
+        for big_n in range(8):
+            for ell in level_counts(n, big_n):
+                assert kernel.block_poly.__wrapped__(n, big_n, ell) == \
+                    stepped_block_poly(n, big_n, ell), (n, big_n, ell)
+                checked += 1
+    assert checked == 12869
+
+
+@pytest.mark.parametrize("n, big_n, ell", [
+    (40, 20, (0,) * 20),
+    (40, 20, (1, 0, 2, 0, 1) + (0,) * 10 + (3, 0, 0, 1, 0)),
+    (50, 17, (0,) * 17),
+    (50, 17, (0, 4) + (1,) * 15),
+    (60, 16, (0,) * 16),
+    (60, 16, (5, 0, 0, 7) + (2,) * 12),
+])
+def test_block_poly_wide_slots(n, big_n, ell):
+    # the sphere count, which bounds every coefficient, needs over 64 bits
+    assert count_one_norm_sphere(max(n, sum(ell)), big_n) > 2 ** 64
+    assert kernel.block_poly.__wrapped__(n, big_n, ell) == \
+        stepped_block_poly(n, big_n, ell)
+
+
+@pytest.mark.parametrize("n, big_n, ell", [
+    (1, 2, (3, 3)),
+    (3, 4, (2, 1, 2, 1)),
+    (2, 6, (0, 5, 0, 0, 4, 0)),
+])
+def test_block_poly_more_levels_than_rank(n, big_n, ell):
+    # sum(ell) > n: every level in ell is still one factor, so the slots
+    # must be wide enough for sum(ell) coordinates, not n
+    assert sum(ell) > n
+    assert kernel.block_poly.__wrapped__(n, big_n, ell) == \
+        stepped_block_poly(n, big_n, ell)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivar import NotAnInteger
+from bivar import BivarError, NotAnInteger
 from bivar.errors import InvalidHighestWeight, LengthMismatch, RankOutOfRange
 from bivar.multiplicity import (
     bivariate_mult,
@@ -199,8 +199,9 @@ class TestZeroWeight:
                         bivariate_mult(spec, k, l, zero), (spec, k, l)
 
     def test_family_a_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             zero_weight_mult(A2, 2, 0)
+        assert isinstance(caught.value, BivarError)
 
 
 class TestFastPaths:
@@ -241,6 +242,39 @@ class TestFastPaths:
             for k in range(2, 6):
                 for mu in candidate_dominants(spec, k, 2):
                     assert l2_mult_a(n, k, mu) == bivariate_mult(spec, k, 2, mu)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_match_bivariate_random(self, data):
+        path = data.draw(st.sampled_from(["l1", "l2_a", "l2_d", "zero"]))
+        family = {"l2_a": "A", "l2_d": "D"}.get(path) or \
+            data.draw(st.sampled_from("BCD" if path == "zero" else "ABCD"))
+        n = data.draw(st.integers(3 if family == "D" else 2, 7))
+        spec = algebra(family, n)
+        l = {"l1": 1, "l2_a": 2, "l2_d": 2}.get(path) or data.draw(st.integers(0, 8))
+        k = data.draw(st.integers(l, l + 10))
+        if path == "zero":
+            assert zero_weight_mult(spec, k, l) == \
+                bivariate_mult(spec, k, l, (0,) * n), (spec, k, l)
+            return
+        dominant = data.draw(st.sampled_from(
+            list(candidate_dominants(spec, k, l, parity_filter=False))))
+        mu = list(data.draw(st.permutations(dominant)))
+        if family == "A":
+            shift = data.draw(st.integers(-2, 2))
+            mu = [a + shift for a in mu]
+        else:
+            mu = [a * data.draw(st.sampled_from([1, -1])) for a in mu]
+        # a unit step off the candidate reaches weights outside the support
+        # and of the other parity
+        mu[data.draw(st.integers(0, len(mu) - 1))] += data.draw(st.integers(-1, 1))
+        if path == "l1":
+            fast = l1_mult(spec, k, mu)
+        elif path == "l2_a":
+            fast = l2_mult_a(n, k, mu)
+        else:
+            fast = l2_mult_d(n, k, mu)
+        assert fast == bivariate_mult(spec, k, l, mu), (path, spec, k, mu)
 
     def test_preconditions(self):
         with pytest.raises(RankOutOfRange):

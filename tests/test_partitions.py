@@ -78,8 +78,9 @@ class TestOneNormSphere:
     def test_examples(self):
         assert count_one_norm_sphere(2, 1) == 4
         assert count_one_norm_sphere(2, 2) == 8
-        for n in range(1, 6):
+        for n in range(6):
             assert count_one_norm_sphere(n, 0) == 1
+        assert count_one_norm_sphere(0, 3) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_brute_force(self, n):
