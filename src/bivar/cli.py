@@ -14,6 +14,7 @@ need native big integers.
 import argparse
 import json
 import sys
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -29,6 +30,8 @@ from .root_systems import (
     highest_weight,
     is_dominant,
     one_norm,
+    orbit_lines,
+    orbit_size,
     weight_length,
 )
 from .weight_tables import MultiplicityTable, build_table, candidate_dominants, dimension_audit
@@ -38,41 +41,62 @@ from .weight_tables import MultiplicityTable, build_table, candidate_dominants, 
 # serialization
 
 
+def _json_document(spec, k: int, l: int, dominant_only: bool, rows: str,
+                   dimension: int) -> str:
+    """A JSON table around ``rows``, the row objects already joined by commas."""
+    head = json.dumps({
+        "family": spec.family,
+        "rank": spec.rank,
+        "k": k,
+        "l": l,
+        "dominant_only": dominant_only,
+    }, separators=(",", ":"))
+    return f'{head[:-1]},"rows":[{rows}],"dimension":{json.dumps(str(dimension))}}}\n'
+
+
+def _csv_document(spec, lines: str) -> str:
+    """A CSV table: the header, then ``lines`` (rows joined by newlines) if any."""
+    header = ",".join(f"mu_{i + 1}" for i in range(weight_length(spec))) + ",mult"
+    return f"{header}\n{lines}\n" if lines else header + "\n"
+
+
 def table_to_json(table: MultiplicityTable) -> str:
     computed, _expected, _ok = dimension_audit(table)
-    head = json.dumps({
-        "family": table.spec.family,
-        "rank": table.spec.rank,
-        "k": table.k,
-        "l": table.l,
-        "dominant_only": table.dominant_only,
-    }, separators=(",", ":"))
     # One %-template per table; for int rows the bytes are those of
     # json.dumps({"mu": list(mu), "mult": str(m)}). %s, not %d, so a
     # non-int value is written as str() writes it, never truncated.
     row = '{"mu":[' + ",".join(["%s"] * weight_length(table.spec)) + '],"mult":"%s"}'
     rows = ",".join([row % (*mu, m) for mu, m in table.rows])
-    return f'{head[:-1]},"rows":[{rows}],"dimension":{json.dumps(str(computed))}}}\n'
+    return _json_document(table.spec, table.k, table.l, table.dominant_only, rows, computed)
+
+
+def _field(obj, name: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    try:
+        return obj[name]
+    except KeyError:
+        raise ValueError(f"{where} has no {name!r} field") from None
 
 
 def table_from_json(text: str) -> MultiplicityTable:
     obj = json.loads(text)
-    spec = algebra(obj["family"], obj["rank"])
-    k, l = check_highest_weight(obj["k"], obj["l"])
-    dominant_only = obj["dominant_only"]
+    spec = algebra(_field(obj, "family", "table"), _field(obj, "rank", "table"))
+    k, l = check_highest_weight(_field(obj, "k", "table"), _field(obj, "l", "table"))
+    dominant_only = _field(obj, "dominant_only", "table")
     if not isinstance(dominant_only, bool):
         raise ValueError(f"dominant_only must be true or false, got {dominant_only!r}")
     rows = []
-    for r in obj["rows"]:
-        mult = r["mult"]
+    for r in _field(obj, "rows", "table"):
+        mult = _field(r, "mult", "row")
         # table_to_json writes decimal strings; any other value must be an int
         if isinstance(mult, str):
             mult = int(mult)
         else:
             (mult,) = as_integers((mult,), "multiplicity")
+        mu = check_weight(spec, _field(r, "mu", "row"))
         if mult <= 0:
-            raise ValueError(f"row {r['mu']!r}: multiplicity must be positive, got {mult}")
-        mu = check_weight(spec, r["mu"])
+            raise ValueError(f"row {mu}: multiplicity must be positive, got {mult}")
         if spec.family == "A":
             if min(mu) < 0 or sum(mu) != k + l:
                 raise ValueError(f"row {mu}: type A weights of k*e1 + l*e2 are "
@@ -82,16 +106,34 @@ def table_from_json(text: str) -> MultiplicityTable:
         if dominant_only and not is_dominant(spec, mu):
             raise ValueError(f"row {mu}: not dominant in a dominant-only table")
         rows.append((mu, mult))
+    # the order build_table gives, so a reordered file loads as the same table
+    rows.sort(key=itemgetter(0))
+    for (mu, _), (nu, _) in zip(rows, rows[1:]):
+        if mu == nu:
+            raise ValueError(f"row {mu}: weight appears more than once")
     return MultiplicityTable(spec, k, l, dominant_only, tuple(rows))
 
 
 def table_to_csv(table: MultiplicityTable) -> str:
-    width = weight_length(table.spec)
-    header = ",".join(f"mu_{i + 1}" for i in range(width)) + ",mult"
-    row = ",".join(["%s"] * (width + 1))
-    lines = [header]
-    lines.extend([row % (*mu, m) for mu, m in table.rows])
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%s"] * (weight_length(table.spec) + 1))
+    return _csv_document(table.spec, "\n".join([row % (*mu, m) for mu, m in table.rows]))
+
+
+def _full_table_text(table: MultiplicityTable, fmt: str) -> str:
+    """The full table's JSON or CSV text, written from a dominant-only ``table``.
+
+    The bytes equal ``table_to_json`` / ``table_to_csv`` of
+    ``build_table(spec, k, l)``; no full row is built, formatted or sorted.
+    """
+    spec = table.spec
+    # the D mirror rows (mu_n < 0) lie in the W_n orbits of their partners
+    rows = [(mu, m) for mu, m in table.rows if mu[-1] >= 0]
+    if fmt == "csv":
+        return _csv_document(spec, orbit_lines(spec, rows, str))
+    lines = orbit_lines(spec, rows, lambda m: f'],"mult":"{m}"}}')
+    body = '{"mu":[' + lines.replace(",]", "]").replace("\n", ',{"mu":[')
+    dimension = sum(orbit_size(spec, mu) * m for mu, m in rows)
+    return _json_document(spec, table.k, table.l, False, body, dimension)
 
 
 def csv_rows(text: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
@@ -267,8 +309,13 @@ def cmd_mult(args) -> int:
 
 def cmd_table(args) -> int:
     spec = algebra(args.family, args.rank)
-    table = build_table(spec, args.k, args.l, dominant_only=args.dominant_only)
-    text = table_to_json(table) if args.format == "json" else table_to_csv(table)
+    table = build_table(spec, args.k, args.l, dominant_only=True)
+    if not args.dominant_only:
+        text = _full_table_text(table, args.format)
+    elif args.format == "json":
+        text = table_to_json(table)
+    else:
+        text = table_to_csv(table)
     try:
         _write_out(text, args.out)
     except OSError as exc:

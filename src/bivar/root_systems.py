@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidHighestWeight,
@@ -207,6 +207,16 @@ def _distinct_permutations(items: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
         current[i + 1:] = sorted(current[i + 1:], reverse=True)
 
 
+def _orbit_representative(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
+    """``mu`` as an int tuple, raising unless it is the sorted representative
+    that :func:`orbit` expands (B/C/D: also non-negative)."""
+    coords = check_weight(spec, mu)
+    decreasing = all(coords[i] >= coords[i + 1] for i in range(len(coords) - 1))
+    if not decreasing or (spec.family != "A" and coords[-1] < 0):
+        raise NotDominant(f"weight {coords} is not a sorted non-negative representative")
+    return coords
+
+
 def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
     """Full orbit of a dominant weight, sorted lexicographically.
 
@@ -214,16 +224,58 @@ def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
     A: all permutations of the normalized coordinates. Duplicates from
     zero or repeated coordinates are never produced twice.
     """
-    coords = check_weight(spec, mu)
-    decreasing = all(coords[i] >= coords[i + 1] for i in range(len(coords) - 1))
-    if not decreasing or (spec.family != "A" and coords[-1] < 0):
-        raise NotDominant(f"weight {coords} is not a sorted non-negative representative")
+    coords = _orbit_representative(spec, mu)
     if spec.family == "A":
         return tuple(sorted(_distinct_permutations(coords)))
     out = []
     for perm in _distinct_permutations(coords):
         out.extend(product(*[(a, -a) if a else (0,) for a in perm]))
     return tuple(sorted(out))
+
+
+def orbit_lines(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
+                tail: Callable[[object], str]) -> str:
+    """Text of every orbit of the dominant ``rows``, one line per weight.
+
+    ``rows`` holds (mu, m) pairs, each mu a representative that
+    :func:`orbit` accepts and no two alike. Each weight w of the orbit
+    of mu gets the line ``"w_1,...,w_n," + tail(m)``, where ``tail(m)``
+    holds no newline. The lines come in
+    lexicographic order of w over all the orbits together, the order of
+    the :func:`orbit` outputs merged and sorted, and are joined by
+    newlines with none at the end ("" for no rows).
+
+    Below a prefix w_1..w_j the text depends only on the multiset of
+    |w_1|..|w_j| (family A: of the values themselves), so it is built
+    once per multiset: from the rows' own multisets, whose text is
+    their tail, down to the empty one. Each text puts ``v,`` in front of
+    every line of its child's text with one ``str.replace``; v runs from
+    -max up to max for B/C/D and upward for A.
+    """
+    signed = spec.family != "A"
+    level = {}  # multiset, as an ascending tuple -> text of what may follow it
+    for mu, m in rows:
+        coords = _orbit_representative(spec, mu)
+        key = coords[::-1]
+        if key in level:
+            raise ValueError(f"weight {coords} appears twice")
+        level[key] = tail(m)
+    if not level:
+        return ""
+    for _ in range(weight_length(spec)):
+        children = {}
+        for key, text in level.items():
+            for i, a in enumerate(key):
+                if i == 0 or key[i - 1] != a:
+                    children.setdefault(key[:i] + key[i + 1:], {})[a] = text
+        level = {}
+        for key, kids in children.items():
+            order = sorted(kids.items())
+            if signed:
+                order = [(-a, text) for a, text in reversed(order) if a] + order
+            level[key] = "\n".join([f"{v}," + text.replace("\n", f"\n{v},")
+                                    for v, text in order])
+    return level[()]
 
 
 def _perm_count(values: Sequence[int]) -> int:

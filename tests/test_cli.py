@@ -1,13 +1,26 @@
 """Command-line surface: flags, exit codes, serialization, verification."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bivar import cli
 from bivar.errors import InvalidHighestWeight, LengthMismatch, NotAnInteger
+from bivar.partitions import count_one_norm_sphere
 from bivar.root_systems import algebra, weight_length
 from bivar.weight_tables import MultiplicityTable, build_table, dimension_audit
+
+
+MISSING = object()  # a header value that deletes the field
 
 
 def run(capsys, argv):
@@ -38,6 +51,27 @@ def reference_csv(table):
     for mu, m in table.rows:
         lines.append(",".join(str(a) for a in mu) + "," + str(m))
     return "\n".join(lines) + "\n"
+
+
+def support_size(family, rank, total):
+    """How many lattice points can be weights of a table with k + l = total:
+    the one-norm ball of that radius (B/C/D), or the compositions of total
+    into rank + 1 parts (A)."""
+    if family == "A":
+        return comb(total + rank, rank)
+    return sum(count_one_norm_sphere(rank, t) for t in range(total + 1))
+
+
+@st.composite
+def full_table_points(draw, max_weights=25000):
+    """(family, rank, k, l, format) with l <= 6 and k <= l + 4, k + l capped
+    so that the support holds at most ``max_weights`` points."""
+    family = draw(st.sampled_from("ABCD"))
+    rank = draw(st.integers(3 if family == "D" else 2, 6))
+    cap = max(t for t in range(17) if support_size(family, rank, t) <= max_weights)
+    l = draw(st.integers(0, min(6, cap // 2)))
+    k = draw(st.integers(l, min(l + 4, cap - l)))
+    return family, rank, k, l, draw(st.sampled_from(["json", "csv"]))
 
 
 class TestMult:
@@ -104,26 +138,50 @@ class TestTable:
         parsed = cli.table_from_json(out)
         assert cli.table_to_json(parsed) == out
 
-    @pytest.mark.parametrize("row, header, error", [
-        ({"mu": [0, 0, 7], "mult": "1"}, {}, LengthMismatch),
-        ({"mu": [0, 0], "mult": "-3"}, {}, ValueError),
-        ({"mu": [0, 0], "mult": "1"}, {"k": "1"}, NotAnInteger),
-        ({"mu": [0, 0], "mult": "1"}, {"k": 0, "l": 1}, InvalidHighestWeight),
-        ({"mu": [0, 0], "mult": "1"}, {"dominant_only": "yes"}, ValueError),
-        ({"mu": [0, 0], "mult": 1.5}, {}, NotAnInteger),
-        ({"mu": [5, 5], "mult": "5"}, {"dominant_only": False}, ValueError),
-        ({"mu": [0, 1], "mult": "1"}, {}, ValueError),
-        ({"mu": [2, 0, 0], "mult": "1"}, {"family": "A", "dominant_only": False}, ValueError),
-        ({"mu": [2, 0, -1], "mult": "1"}, {"family": "A", "dominant_only": False}, ValueError),
+    @pytest.mark.parametrize("rows, header, error", [
+        ([{"mu": [0, 0, 7], "mult": "1"}], {}, LengthMismatch),
+        ([{"mu": [0, 0], "mult": "-3"}], {}, ValueError),
+        ([{"mu": [0, 0], "mult": "1"}], {"k": "1"}, NotAnInteger),
+        ([{"mu": [0, 0], "mult": "1"}], {"k": 0, "l": 1}, InvalidHighestWeight),
+        ([{"mu": [0, 0], "mult": "1"}], {"dominant_only": "yes"}, ValueError),
+        ([{"mu": [0, 0], "mult": 1.5}], {}, NotAnInteger),
+        ([{"mu": [5, 5], "mult": "5"}], {"dominant_only": False}, ValueError),
+        ([{"mu": [0, 1], "mult": "1"}], {}, ValueError),
+        ([{"mu": [2, 0, 0], "mult": "1"}], {"family": "A", "dominant_only": False}, ValueError),
+        ([{"mu": [2, 0, -1], "mult": "1"}], {"family": "A", "dominant_only": False}, ValueError),
+        # a full B2 k1 l0 table with (1, 0) twice and (0, -1) missing: its
+        # multiplicities still add up to the dimension 5
+        ([{"mu": mu, "mult": "1"} for mu in ([1, 0], [1, 0], [0, 0], [-1, 0], [0, 1])],
+         {"dominant_only": False}, ValueError),
+        ([{"mu": [0, 0], "mult": "1"}], {"rank": MISSING}, ValueError),
+        ([{"mu": [0, 0]}], {}, ValueError),
     ], ids=["wrong-length", "negative-mult", "string-k", "k-below-l",
             "non-bool-dominant", "float-mult", "norm-above-k-plus-l", "not-dominant",
-            "a-wrong-sum", "a-negative-coordinate"])
-    def test_json_rejects_bad_rows(self, row, header, error):
+            "a-wrong-sum", "a-negative-coordinate", "duplicate-weight",
+            "missing-header-field", "missing-row-field"])
+    def test_json_rejects_bad_rows(self, rows, header, error):
         obj = {"family": "B", "rank": 2, "k": 1, "l": 0, "dominant_only": True,
-               "rows": [row]}
+               "rows": rows}
         obj.update(header)
+        obj = {key: value for key, value in obj.items() if value is not MISSING}
         with pytest.raises(error):
             cli.table_from_json(json.dumps(obj))
+
+    def test_json_missing_field_is_named(self):
+        obj = {"family": "B", "k": 1, "l": 0, "dominant_only": True,
+               "rows": [{"mu": [0, 0], "mult": "1"}]}
+        with pytest.raises(ValueError, match="'rank'"):
+            cli.table_from_json(json.dumps(obj))
+        obj.update(rank=2, rows=[{"mu": [0, 0]}])
+        with pytest.raises(ValueError, match="'mult'"):
+            cli.table_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("dominant_only", [False, True], ids=["full", "dominant"])
+    def test_json_reordered_rows_round_trip(self, dominant_only):
+        table = build_table(algebra("D", 3), 2, 1, dominant_only=dominant_only)
+        obj = json.loads(cli.table_to_json(table))
+        obj["rows"].reverse()
+        assert cli.table_from_json(json.dumps(obj)) == table
 
     @pytest.mark.parametrize("dominant_only", [False, True], ids=["full", "dominant"])
     @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
@@ -142,6 +200,20 @@ class TestTable:
         table = MultiplicityTable(algebra("B", 2), 1, 0, False, rows)
         assert cli.table_to_json(table) == reference_json(table)
         assert cli.table_to_csv(table) == reference_csv(table)
+
+    @given(full_table_points())
+    @example(("B", 3, 0, 0, "json"))
+    @example(("D", 3, 0, 0, "csv"))
+    @settings(max_examples=100, deadline=None)
+    def test_full_table_bytes_match_reference(self, point):
+        family, rank, k, l, fmt = point
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["table", "--family", family, "--rank", str(rank),
+                             "--k", str(k), "--l", str(l), "--format", fmt])
+        assert code == 0
+        full = build_table(algebra(family, rank), k, l)
+        assert out.getvalue() == (reference_json(full) if fmt == "json" else reference_csv(full))
 
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(capsys, ["table", "--family", "C", "--rank", "2",
@@ -237,3 +309,24 @@ def test_mult_equals_table_rows(capsys):
                                     "--mu=" + ",".join(str(a) for a in mu)])
         assert code == 0
         assert int(out.strip()) == m
+
+
+def run_module(argv):
+    """``python -m bivar`` in a child process, with ``src`` on its path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bivar", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point(capsys):
+    argv = ["table", "--family", "D", "--rank", "4", "--k", "3", "--l", "2",
+            "--format", "csv"]
+    child = run_module(argv)
+    code, out, _ = run(capsys, argv)
+    assert (child.returncode, code) == (0, 0)
+    assert child.stdout == out
+    usage = run_module(["table", "--family", "B"])
+    assert usage.returncode == 2
+    assert "required" in usage.stderr

@@ -13,6 +13,7 @@ from bivar.root_systems import (
     dominant_representative,
     is_dominant,
     orbit,
+    orbit_lines,
     orbit_size,
     weight_stats,
     weyl_canonical,
@@ -124,6 +125,14 @@ class TestOrbit:
             assert len(members) == orbit_size(spec, rep)
             assert group % len(members) == 0
 
+    def test_orbit_lines_rejects_bad_rows(self):
+        spec = algebra("D", 3)
+        with pytest.raises(NotDominant):
+            orbit_lines(spec, [((2, 1, -1), 1)], str)
+        with pytest.raises(ValueError):
+            orbit_lines(spec, [((2, 1, 0), 1), ((2, 1, 0), 2)], str)
+        assert orbit_lines(spec, [], str) == ""
+
     def test_weyl_orbit_size_d_mirror_split(self):
         spec = algebra("D", 3)
         assert orbit_size(spec, (2, 1, 1)) == 2 * weyl_orbit_size(spec, (2, 1, 1))
@@ -207,3 +216,12 @@ def test_orbit_matches_brute_force(case):
     got = orbit(spec, mu)
     assert got == tuple(sorted(brute))
     assert len(got) == orbit_size(spec, mu)
+
+
+@given(dominant_weights(), st.integers(1, 10**30))
+@settings(max_examples=150, deadline=None)
+def test_orbit_lines_match_orbit(case, m):
+    spec, mu = case
+    lines = orbit_lines(spec, [(mu, m)], str).split("\n")
+    # equal lists: the same weights, each once, in the same order
+    assert lines == [",".join(map(str, w)) + f",{m}" for w in orbit(spec, mu)]
