@@ -2,7 +2,7 @@
 with highest weight k*e1 + l*e2.
 
 The formula engine (:mod:`bivar.multiplicity`) answers single-weight
-queries directly from partition-indexed sums; :mod:`bivar.weight_tables`
+queries directly from closed tensor sums; :mod:`bivar.weight_tables`
 assembles whole weight tables; :mod:`bivar.oracles` re-derives every
 value through independent routes (Freudenthal recursion, tensor
 convolution, tableau counting) for verification. The hot sums run in

@@ -13,6 +13,7 @@ need native big integers.
 
 import argparse
 import json
+import re
 import sys
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
@@ -31,7 +32,6 @@ from .root_systems import (
     is_dominant,
     one_norm,
     orbit_lines,
-    orbit_size,
     weight_length,
 )
 from .weight_tables import MultiplicityTable, build_table, candidate_dominants, dimension_audit
@@ -70,6 +70,14 @@ def table_to_json(table: MultiplicityTable) -> str:
     return _json_document(table.spec, table.k, table.l, table.dominant_only, rows, computed)
 
 
+def integer(text: str) -> int:
+    """An optional '-' and ASCII digits as an int; ValueError on any other text,
+    such as the '_', '+', spaces or non-ASCII digits that ``int()`` takes."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _field(obj, name: str, where: str):
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object, got {obj!r}")
@@ -91,7 +99,7 @@ def table_from_json(text: str) -> MultiplicityTable:
         mult = _field(r, "mult", "row")
         # table_to_json writes decimal strings; any other value must be an int
         if isinstance(mult, str):
-            mult = int(mult)
+            mult = integer(mult)
         else:
             (mult,) = as_integers((mult,), "multiplicity")
         mu = check_weight(spec, _field(r, "mu", "row"))
@@ -132,8 +140,7 @@ def _full_table_text(table: MultiplicityTable, fmt: str) -> str:
         return _csv_document(spec, orbit_lines(spec, rows, str))
     lines = orbit_lines(spec, rows, lambda m: f'],"mult":"{m}"}}')
     body = '{"mu":[' + lines.replace(",]", "]").replace("\n", ',{"mu":[')
-    dimension = sum(orbit_size(spec, mu) * m for mu, m in rows)
-    return _json_document(spec, table.k, table.l, False, body, dimension)
+    return _json_document(spec, table.k, table.l, False, body, dimension_audit(table)[0])
 
 
 def csv_rows(text: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
@@ -141,7 +148,7 @@ def csv_rows(text: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        rows.append((tuple(int(p) for p in parts[:-1]), int(parts[-1])))
+        rows.append((tuple(integer(p) for p in parts[:-1]), integer(parts[-1])))
     return tuple(rows)
 
 
@@ -175,9 +182,9 @@ def _parse_grid(raw: str):
                 if any(f not in "ABCD" or len(f) != 1 for f in families):
                     raise ValueError(f"bad families list {value!r}")
             elif key == "ranks":
-                ranks = [int(v) for v in value.split(",")]
+                ranks = [integer(v.strip()) for v in value.split(",")]
             elif key == "maxsum":
-                maxsum = int(value)
+                maxsum = integer(value.strip())
             else:
                 raise ValueError(f"unknown grid key {key!r}")
     if maxsum < 0 or not ranks or not families:
@@ -258,7 +265,7 @@ def run_verification(families, ranks, maxsum, oracle) -> Tuple[int, List[str]]:
 
 def _parse_mu(raw: str) -> Tuple[int, ...]:
     try:
-        return tuple(int(part) for part in raw.split(","))
+        return tuple(integer(part) for part in raw.split(","))
     except ValueError:
         raise BivarError(f"bad weight vector {raw!r}; expected comma-separated integers")
 
@@ -274,9 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--family", required=True, choices=["A", "B", "C", "D"])
-        p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--k", required=True, type=int)
-        p.add_argument("--l", required=True, type=int)
+        p.add_argument("--rank", required=True, type=integer)
+        p.add_argument("--k", required=True, type=integer)
+        p.add_argument("--l", required=True, type=integer)
 
     p_mult = sub.add_parser("mult", help="multiplicity of a single weight")
     common(p_mult)

@@ -16,8 +16,10 @@ kept in an LRU cache of at most ``BLOCK_CACHE_SIZE`` (8192) entries, so
 the four virtual-ring terms of one weight, and weights sharing a
 level-count prefix, reuse it.
 
-For A the sum runs over the partitions of l from :mod:`bivar.partitions`
-and multiplies one slot-choice binomial per part size.
+For A the sum is the y^l coefficient of a product with one factor per
+coordinate, 1 + y + ... + y^min(a, l) for a coordinate at level a. Below
+y^(l+1) it equals prod_{t<l} (1 - y^(t+1))^ell[t] * (1 - y)^-(n+1), so
+l + 1 coefficients and one binomial for each of them suffice.
 
 The half-integral depth parameter ``r`` is passed as its doubled value
 ``r2`` so floors are plain integer division; no floats appear anywhere.
@@ -25,7 +27,7 @@ The half-integral depth parameter ``r`` is passed as its doubled value
 
 from functools import lru_cache
 
-from .partitions import binom, count_one_norm_sphere, partitions_le_length
+from .partitions import binom, count_one_norm_sphere
 
 # Recorded in MultiplicityTable.meta and in the benchmark's provenance
 # (perfbench/run.py), which refuses to compare runs of different kernels.
@@ -112,27 +114,16 @@ def block_poly(n, big_n, ell):
 def tensor_sum_a(n, l, ell):
     """Tensor weight sum for family A (rank n, so n + 1 coordinates).
 
-    Sums over partitions of l into at most n + 1 parts the product of
-    slot-choice binomials; iterates nothing for negative l and returns 1
-    at l = 0 (empty product).
+    ell: level counts (l_0, ..., l_{l-1}) as for :func:`tensor_sum_bcd`.
+    Returns 0 for negative l and 1 at l = 0.
     """
     if l < 0:
         return 0
-    m = n + 1
-    pre_ell = [0] * (l + 1)
-    for j in range(1, l + 1):
-        pre_ell[j] = pre_ell[j - 1] + ell[j - 1]
-    total = 0
-    for q in partitions_le_length(l, m):
-        s = [0] * (l + 1)
-        for part in q:
-            s[part] += 1
-        suffix = 0
-        prod = 1
-        for j in range(l, 0, -1):
-            prod *= binom(m - pre_ell[j] - suffix, s[j])
-            if prod == 0:
-                break
-            suffix += s[j]
-        total += prod
-    return total
+    # prod_t (1 - y^(t+1))^ell[t] to y-degree l; (1 - y)^-(n+1) has y^s
+    # coefficient C(s + n, n)
+    c = [1] + [0] * l
+    for t, count in enumerate(ell[:l]):
+        for _ in range(count):
+            for j in range(l, t, -1):
+                c[j] -= c[j - t - 1]
+    return sum(cj * binom(l - j + n, n) for j, cj in enumerate(c) if cj)

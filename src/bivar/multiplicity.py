@@ -1,9 +1,9 @@
 """Weight multiplicity formulas for highest weights k*e1 + l*e2.
 
 The general entry point is :func:`bivariate_mult`. For families B, C, D
-it combines four partition-indexed tensor sums (evaluated by
-:mod:`bivar.kernel`); for family A it combines two. Closed-form fast
-paths cover the single-row case, l = 0/1/2 and the zero weight.
+it combines four tensor sums (evaluated by :mod:`bivar.kernel`); for
+family A it combines two. Closed-form fast paths cover the single-row
+case, l = 0/1/2 and the zero weight.
 
 Depth arguments are carried as doubled integers (``r2``), never floats:
 the depth (k + l - |mu|)/2 is genuinely half-integral for family B.

@@ -322,15 +322,16 @@ def kostka_count(shape, content) -> int:
     """Number of semistandard tableaux of the given shape and content.
 
     Rows weakly increase, columns strictly increase; entry i appears
-    content[i-1] times. Raises ShapeContentMismatch when the content does
-    not fill the shape exactly.
+    content[i-1] times. Raises ShapeContentMismatch unless the shape is a
+    partition (zero rows may trail) and the content fills it exactly.
     """
-    shape = tuple(a for a in as_integers(shape, "shape rows") if a > 0)
+    shape = as_integers(shape, "shape rows")
     content = as_integers(content, "content entries")
     if any(c < 0 for c in content):
         raise ShapeContentMismatch("content entries must be non-negative")
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-        raise ShapeContentMismatch("shape rows must be weakly decreasing")
+    if min(shape, default=0) < 0 or any(a < b for a, b in zip(shape, shape[1:])):
+        raise ShapeContentMismatch("shape rows must be non-negative and weakly decreasing")
+    shape = tuple(a for a in shape if a > 0)  # drop the trailing zero rows
     if sum(content) != sum(shape):
         raise ShapeContentMismatch(
             f"content sums to {sum(content)} but the shape holds {sum(shape)} boxes"

@@ -25,8 +25,8 @@ def partitions_le_length(total: int, max_parts: int) -> Iterator[Tuple[int, ...]
     """Yield the partitions of ``total`` with at most ``max_parts`` parts.
 
     Tuples are zero-padded to length ``max_parts`` and come out in
-    reverse-lexicographic order. A negative ``total`` yields nothing
-    (callers pass l-1, l-2 blindly); ``total == 0`` yields the single
+    reverse-lexicographic order. By convention a negative ``total`` has
+    no partitions and yields nothing; ``total == 0`` yields the single
     all-zero partition.
     """
     if total < 0:

@@ -105,6 +105,19 @@ class TestMult:
         assert code == 2
         assert "k >= l" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--k", "1", "--l", "0", "--mu=1_0,0"],
+        ["--k", "1_0", "--l", "0", "--mu=0,0"],
+        ["--k", "1", "--l", " 0", "--mu=0,0"],
+        ["--k", "\u0661", "--l", "0", "--mu=0,0"],
+    ], ids=["underscore-mu", "underscore-k", "space-l", "non-ascii-k"])
+    def test_integer_text_is_strict(self, capsys, flags):
+        # int() would accept each of these; C2 k1 l0 at (10, 0) has multiplicity 0
+        code, out, err = run(capsys, ["mult", "--family", "C", "--rank", "2", *flags])
+        assert code == 2
+        assert out == ""
+        assert err
+
 
 class TestTable:
     def test_csv_rows(self, capsys):
@@ -155,10 +168,16 @@ class TestTable:
          {"dominant_only": False}, ValueError),
         ([{"mu": [0, 0], "mult": "1"}], {"rank": MISSING}, ValueError),
         ([{"mu": [0, 0]}], {}, ValueError),
+        # int() would read these as 1
+        ([{"mu": [0, 0], "mult": "0_1"}], {}, ValueError),
+        ([{"mu": [0, 0], "mult": " 1"}], {}, ValueError),
+        ([{"mu": [0, 0], "mult": "+1"}], {}, ValueError),
+        ([{"mu": [0, 0], "mult": "\u0661"}], {}, ValueError),
     ], ids=["wrong-length", "negative-mult", "string-k", "k-below-l",
             "non-bool-dominant", "float-mult", "norm-above-k-plus-l", "not-dominant",
             "a-wrong-sum", "a-negative-coordinate", "duplicate-weight",
-            "missing-header-field", "missing-row-field"])
+            "missing-header-field", "missing-row-field", "underscore-mult",
+            "space-mult", "plus-mult", "non-ascii-mult"])
     def test_json_rejects_bad_rows(self, rows, header, error):
         obj = {"family": "B", "rank": 2, "k": 1, "l": 0, "dominant_only": True,
                "rows": rows}
@@ -222,6 +241,8 @@ class TestTable:
         rows = cli.csv_rows(out)
         rebuilt = MultiplicityTable(algebra("C", 2), 2, 1, False, rows)
         assert cli.table_to_csv(rebuilt) == out
+        with pytest.raises(ValueError):
+            cli.csv_rows("mu_1,mu_2,mult\n1_0,0,1\n")
 
     def test_out_file_and_io_error(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
@@ -264,7 +285,8 @@ class TestVerify:
         "depth=3",
         "families=D;ranks=2",
         "families=B,C;ranks=1;maxsum=3",
-    ], ids=["unknown-key", "no-valid-rank-D", "no-valid-rank-BC"])
+        "families=A;ranks=\u0663;maxsum=1",
+    ], ids=["unknown-key", "no-valid-rank-D", "no-valid-rank-BC", "non-ascii-rank"])
     def test_bad_grid(self, capsys, grid):
         code, out, err = run(capsys, ["verify", "--grid", grid])
         assert code == 2

@@ -16,8 +16,11 @@ equal the brute-force ones for N <= 3 and differ on some blocks with
 N >= 4, where a coordinate sits at a level t with 2 <= t <= N - 2
 (n = 2, N = 4, ell = (0, 0, 1, 0) gives (4, 2, 3, 2, 3) against the
 count's (5, 2, 4, 2, 3)); the transcription fault is not yet found. So
-it is compared with the kernel only at l <= 3. Type A is compared with
-it at every l tried, where it agrees with the convolution oracle too.
+it is compared with the kernel only at l <= 3.
+
+For type A the reference is the partition-indexed sum, one slot-choice
+binomial per part size (``literal_tensor_sum_a``); the kernel's truncated
+product is compared with it on every key with rank 2-5 and l <= 6.
 """
 
 from functools import lru_cache
@@ -188,8 +191,8 @@ class TestAgainstLiteralEvaluation:
                 brute_tensor_sum_bcd(n, d, l, r2, ell, step)
 
     def test_a_small_grid(self):
-        for n in (2, 3):
-            for l in range(5):
+        for n in range(2, 6):
+            for l in range(7):
                 for ell in product(range(n + 2), repeat=max(l, 1)):
                     if sum(ell) > n + 1:
                         continue
@@ -202,7 +205,7 @@ class TestAgainstLiteralEvaluation:
         assert kernel.tensor_sum_a(3, -1, ()) == 0
 
     def test_l_zero_reduces_to_single_binomial(self):
-        # with no partitions in play the sum collapses to the depth binomial
+        # only block N = 0 is left, so the sum collapses to the depth binomial
         for n, d in [(2, 1), (3, 2), (4, 3)]:
             for r2 in range(0, 10):
                 assert kernel.tensor_sum_bcd(n, d, 0, r2, (), 1) == \

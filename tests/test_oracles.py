@@ -119,6 +119,14 @@ class TestKostka:
             kostka_count((2, 1), (1, 1, 1, 1))
         with pytest.raises(ShapeContentMismatch):
             kostka_count((2, 1), (-1, 4))
+        # the shape is checked as given, before its zero rows are dropped
+        with pytest.raises(ShapeContentMismatch):
+            kostka_count((2, -1), (1, 1))
+        with pytest.raises(ShapeContentMismatch):
+            kostka_count((2, 0, -3), (2,))
+        with pytest.raises(ShapeContentMismatch):
+            kostka_count((1, 0, 1), (1, 1))
+        assert kostka_count((2, 1, 0, 0), (1, 1, 1)) == 2
 
     def test_matches_bivariate_for_type_a(self):
         for n in (2, 3):
