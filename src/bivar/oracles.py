@@ -19,7 +19,7 @@ so no rationals appear in the inner loops.
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .errors import NotDominant, ShapeContentMismatch
 from .partitions import partitions_le_length
@@ -83,6 +83,24 @@ class _Geometry:
         if self.spec.family == "A":
             return 4 * (self.spec.rank + 1) ** 2 * value
         return 4 * value
+
+    def freudenthal_sum(self, mu: Weight, lookup: Callable[[Weight], Optional[int]]) -> int:
+        """sum_{a>0} sum_{t>=1} m(mu+ta) <mu+ta, a>, scaled like :meth:`pairing`.
+
+        m is ``lookup``; each root's run over t stops at the first weight
+        where it gives 0 or None.
+        """
+        acc = 0
+        for idx, root in enumerate(self.roots):
+            t = 1
+            while True:
+                nu = tuple(a + t * c for a, c in zip(mu, root))
+                m_up = lookup(nu)
+                if not m_up:
+                    break
+                acc += m_up * self.pairing(nu, idx)
+                t += 1
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +203,7 @@ def freudenthal_diagram(spec: AlgebraSpec, lam) -> WeightDiagram:
         if level == 0:
             entries[canonical_weight(spec, mu)] = 1
             continue
-        acc = 0
-        for idx, root in enumerate(geo.roots):
-            t = 1
-            while True:
-                nu = tuple(a + t * c for a, c in zip(mu, root))
-                m_up = entries.get(weyl_canonical(spec, nu), 0)
-                if m_up == 0:
-                    break
-                acc += m_up * geo.pairing(nu, idx)
-                t += 1
+        acc = geo.freudenthal_sum(mu, lambda nu: entries.get(weyl_canonical(spec, nu)))
         denom = lam_norm - geo.norm_shifted(mu)
         if denom <= 0:
             raise AssertionError("non-positive Freudenthal denominator: ordering bug")

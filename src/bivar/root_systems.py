@@ -18,9 +18,8 @@ recursions, are available separately as :func:`weyl_canonical`.
 
 import operator
 from dataclasses import dataclass
-from itertools import product
 from math import factorial
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidHighestWeight,
@@ -126,6 +125,7 @@ def weight_stats(spec: AlgebraSpec, mu: Sequence[int], l: int) -> Tuple[int, Tup
     values are taken after normalizing the minimum coordinate to 0, so
     they are plain values.
     """
+    (l,) = as_integers((l,), "l")
     coords = canonical_weight(spec, mu)
     counts = [0] * max(l, 0)
     for a in coords:
@@ -184,29 +184,6 @@ def is_dominant(spec: AlgebraSpec, mu: Sequence[int]) -> bool:
     return coords[-1] >= 0
 
 
-def _distinct_permutations(items: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    # multiset permutations, lexicographically descending from the sorted input
-    pool = sorted(items, reverse=True)
-    n = len(pool)
-    if n == 0:
-        yield ()
-        return
-    current = list(pool)
-    while True:
-        yield tuple(current)
-        # next permutation in descending lex order
-        i = n - 2
-        while i >= 0 and current[i] <= current[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while current[j] >= current[i]:
-            j -= 1
-        current[i], current[j] = current[j], current[i]
-        current[i + 1:] = sorted(current[i + 1:], reverse=True)
-
-
 def _orbit_representative(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
     """``mu`` as an int tuple, raising unless it is the sorted representative
     that :func:`orbit` expands (B/C/D: also non-negative)."""
@@ -217,6 +194,49 @@ def _orbit_representative(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
     return coords
 
 
+def _expand_orbits(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
+                   leaf: Callable[[object], list],
+                   prefix: Callable[[int, list], list]) -> list:
+    """Every orbit of the dominant ``rows`` (as for :func:`orbit_lines`) in lexicographic order.
+
+    Below a prefix w_1..w_j what may follow depends only on the multiset
+    of |w_1|..|w_j| (family A: of the values themselves), so it is built
+    once per multiset: from the rows' own multisets, which hold
+    ``leaf(m)``, down to the empty one, whose list is returned. A
+    multiset's list joins ``prefix(v, child)`` for v from -max up to max
+    (B/C/D) or upward (A), child being the list of the multiset with one
+    |v| more.
+    """
+    validate(spec)
+    signed = spec.family != "A"
+    level = {}  # multiset, as an ascending tuple -> list of what may follow it
+    for mu, m in rows:
+        coords = _orbit_representative(spec, mu)
+        key = coords[::-1]
+        if key in level:
+            raise ValueError(f"weight {coords} appears twice")
+        level[key] = leaf(m)
+    for _ in range(weight_length(spec)):
+        children = {}
+        for key, value in level.items():
+            for i, a in enumerate(key):
+                if i == 0 or key[i - 1] != a:
+                    children.setdefault(key[:i] + key[i + 1:], {})[a] = value
+        level = {}
+        for key, kids in children.items():
+            order = sorted(kids.items())
+            if signed:
+                order = [(-a, value) for a, value in reversed(order) if a] + order
+            joined = level[key] = []
+            for v, value in order:
+                joined += prefix(v, value)
+    return level.get((), [])  # no rows: no multiset ever reaches ()
+
+
+def _prefix_tuples(v: int, tails: list) -> list:
+    return [(v,) + w for w in tails]
+
+
 def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
     """Full orbit of a dominant weight, sorted lexicographically.
 
@@ -224,13 +244,7 @@ def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
     A: all permutations of the normalized coordinates. Duplicates from
     zero or repeated coordinates are never produced twice.
     """
-    coords = _orbit_representative(spec, mu)
-    if spec.family == "A":
-        return tuple(sorted(_distinct_permutations(coords)))
-    out = []
-    for perm in _distinct_permutations(coords):
-        out.extend(product(*[(a, -a) if a else (0,) for a in perm]))
-    return tuple(sorted(out))
+    return tuple(_expand_orbits(spec, [(mu, None)], lambda m: [()], _prefix_tuples))
 
 
 def orbit_lines(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
@@ -245,37 +259,15 @@ def orbit_lines(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
     the :func:`orbit` outputs merged and sorted, and are joined by
     newlines with none at the end ("" for no rows).
 
-    Below a prefix w_1..w_j the text depends only on the multiset of
-    |w_1|..|w_j| (family A: of the values themselves), so it is built
-    once per multiset: from the rows' own multisets, whose text is
-    their tail, down to the empty one. Each text puts ``v,`` in front of
-    every line of its child's text with one ``str.replace``; v runs from
-    -max up to max for B/C/D and upward for A.
+    Each multiset's text is kept with a newline before every line, so
+    putting ``v,`` in front of all its lines is one ``str.replace``.
     """
-    signed = spec.family != "A"
-    level = {}  # multiset, as an ascending tuple -> text of what may follow it
-    for mu, m in rows:
-        coords = _orbit_representative(spec, mu)
-        key = coords[::-1]
-        if key in level:
-            raise ValueError(f"weight {coords} appears twice")
-        level[key] = tail(m)
-    if not level:
-        return ""
-    for _ in range(weight_length(spec)):
-        children = {}
-        for key, text in level.items():
-            for i, a in enumerate(key):
-                if i == 0 or key[i - 1] != a:
-                    children.setdefault(key[:i] + key[i + 1:], {})[a] = text
-        level = {}
-        for key, kids in children.items():
-            order = sorted(kids.items())
-            if signed:
-                order = [(-a, text) for a, text in reversed(order) if a] + order
-            level[key] = "\n".join([f"{v}," + text.replace("\n", f"\n{v},")
-                                    for v, text in order])
-    return level[()]
+    texts = _expand_orbits(
+        spec, rows, lambda m: ["\n" + tail(m)],
+        lambda v, child: ["".join(child).replace("\n", f"\n{v},")])
+    if texts:
+        texts[0] = texts[0][1:]  # slicing the joined text instead would copy all of it
+    return "".join(texts)
 
 
 def _perm_count(values: Sequence[int]) -> int:
@@ -290,6 +282,7 @@ def _perm_count(values: Sequence[int]) -> int:
 
 def orbit_size(spec: AlgebraSpec, mu: Sequence[int]) -> int:
     """Size of the orbit produced by :func:`orbit`, computed without enumeration."""
+    validate(spec)
     coords = canonical_weight(spec, mu)
     if spec.family == "A":
         return _perm_count(coords)

@@ -3,9 +3,12 @@
 :func:`build_table` follows the candidate-enumeration algorithm: list
 every weakly decreasing non-negative vector of one-norm at most k + l
 (the candidate set over-approximates the weight support and relies on
-the formula returning 0 to prune), evaluate each candidate, then expand
-orbits or, in dominant-only mode for family D, emit the extra mirror
-weight (a_1, ..., -a_n) alongside (a_1, ..., a_n).
+the formula returning 0 to prune) and evaluate each candidate. A full
+table then expands the orbits of the kept candidates all at once, in
+lexicographic order, with the walk that ``root_systems.orbit`` and
+``root_systems.orbit_lines`` use too; a dominant-only table for family
+D emits the extra mirror weight (a_1, ..., -a_n) alongside
+(a_1, ..., a_n) and sorts.
 
 :func:`freudenthal_table` is the classical alternative engine: it walks
 the whole weight system level by level, computing every multiplicity
@@ -17,9 +20,8 @@ the per-dominant-weight recursion lives in :mod:`bivar.oracles`.
 
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import itemgetter
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 from . import __version__, kernel
 from .multiplicity import bivariate_mult
@@ -27,12 +29,13 @@ from .oracles import _Geometry
 from .partitions import partitions_le_length
 from .root_systems import (
     AlgebraSpec,
+    _expand_orbits,
+    _prefix_tuples,
     canonical_weight,
     check_highest_weight,
     highest_weight,
     is_dominant,
     normalize_a_to_sum,
-    orbit,
     simple_roots,
     validate,
     weyl_dimension,
@@ -91,26 +94,26 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
                 dominant_only: bool = False) -> MultiplicityTable:
     """Evaluate the bivariate formula over all candidates and assemble rows.
 
-    Rows come out sorted, so the table depends only on its arguments. The
-    sort key is the weight alone: weights in a table are unique, so this
-    is the order of the (weight, multiplicity) pairs too.
+    Rows come out sorted by weight, so the table depends only on its
+    arguments; weights in a table are unique, so this is the order of
+    the (weight, multiplicity) pairs too. A full table gets its rows in
+    that order straight from the orbit walk of :mod:`bivar.root_systems`,
+    with no sort.
     """
     validate(spec)
     k, l = check_highest_weight(k, l)
     started = time.perf_counter()
     cache_before = kernel.block_poly.cache_info()
-    rows: List[Row] = []
-    for mu in candidate_dominants(spec, k, l):
-        m = bivariate_mult(spec, k, l, mu)
-        if m == 0:
-            continue
-        if dominant_only:
-            rows.append((mu, m))
-            if spec.family == "D" and mu[-1] > 0:
-                rows.append((mu[:-1] + (-mu[-1],), m))
-        else:
-            rows.extend(zip(orbit(spec, mu), repeat(m)))
-    rows.sort(key=itemgetter(0))
+    dominant = [(mu, m) for mu in candidate_dominants(spec, k, l)
+                if (m := bivariate_mult(spec, k, l, mu))]
+    if dominant_only:
+        mirrors = [(mu[:-1] + (-mu[-1],), m) for mu, m in dominant
+                   if spec.family == "D" and mu[-1] > 0]
+        rows = sorted(dominant + mirrors, key=itemgetter(0))
+    else:
+        # each weight carries its multiplicity as a last entry through the walk
+        rows = [(w[:-1], w[-1]) for w in
+                _expand_orbits(spec, dominant, lambda m: [(m,)], _prefix_tuples)]
     cache_after = kernel.block_poly.cache_info()
     meta = {
         "engine": ENGINE_VERSION,
@@ -157,6 +160,7 @@ def freudenthal_table(spec: AlgebraSpec, k: int, l: int,
     canon = (lambda w: canonical_weight(spec, w)) if spec.family == "A" else (lambda w: w)
 
     mult: Dict[Weight, int] = {canon(lam): 1}
+    lookup = (lambda w: mult.get(canon(w))) if spec.family == "A" else mult.get
     frontier = [canon(lam)]
     while frontier:
         candidates = sorted(
@@ -167,16 +171,7 @@ def freudenthal_table(spec: AlgebraSpec, k: int, l: int,
         for cand in candidates:
             if cand in mult:
                 continue
-            acc = 0
-            for idx, root in enumerate(geo.roots):
-                t = 1
-                while True:
-                    nu = tuple(a + t * c for a, c in zip(cand, root))
-                    m_up = mult.get(canon(nu), 0)
-                    if m_up == 0:
-                        break
-                    acc += m_up * geo.pairing(nu, idx)
-                    t += 1
+            acc = geo.freudenthal_sum(cand, lookup)
             if acc == 0:
                 continue
             denom = lam_norm - geo.norm_shifted(cand)

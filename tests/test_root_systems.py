@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivar.errors import InvalidHighestWeight, LengthMismatch, NotDominant, RankOutOfRange
+from bivar.errors import (
+    InvalidHighestWeight,
+    LengthMismatch,
+    NotAnInteger,
+    NotDominant,
+    RankOutOfRange,
+)
 from bivar.root_systems import (
+    AlgebraSpec,
     algebra,
     canonical_weight,
     dominant_representative,
@@ -41,6 +48,19 @@ class TestValidate:
         with pytest.raises(RankOutOfRange):
             algebra("E", 8)
 
+    @pytest.mark.parametrize("spec,mu,error", [
+        (AlgebraSpec("Q", 3), (1, 0, 0), RankOutOfRange),
+        (AlgebraSpec("D", 2), (1, 0), RankOutOfRange),
+        (AlgebraSpec("B", 3.0), (1, 0, 0), NotAnInteger),
+    ], ids=["unknown-family", "rank-too-low", "float-rank"])
+    def test_orbit_functions_validate_spec(self, spec, mu, error):
+        with pytest.raises(error):
+            orbit(spec, mu)
+        with pytest.raises(error):
+            orbit_lines(spec, [(mu, 1)], str)
+        with pytest.raises(error):
+            orbit_size(spec, mu)
+
 
 class TestWeightStats:
     def test_examples(self):
@@ -51,6 +71,10 @@ class TestWeightStats:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             weight_stats(algebra("C", 3), (1, 2), 1)
+
+    def test_level_must_be_an_integer(self):
+        with pytest.raises(NotAnInteger):
+            weight_stats(algebra("B", 3), (1, 0, 0), 2.0)
 
     def test_bounds(self):
         norm, ell = weight_stats(algebra("B", 4), (3, -2, 2, 0), 3)
@@ -195,33 +219,40 @@ def test_stats_invariant_under_signed_permutation(spec, data):
     assert weight_stats(spec, mu, 4) == weight_stats(spec, rep, 4)
 
 
+def brute_orbit(spec, mu):
+    """The orbit as a set: every permutation, with every sign choice for B/C/D."""
+    if spec.family == "A":
+        return set(permutations(mu))
+    return {signed for perm in permutations(mu)
+            for signed in product(*[(a, -a) for a in perm])}
+
+
 @st.composite
-def dominant_weights(draw):
+def dominant_rows(draw, max_rows):
+    """A spec and 1..max_rows distinct sorted non-negative weights for it."""
     family = draw(st.sampled_from("ABCD"))
     spec = algebra(family, draw(st.integers(3 if family == "D" else 2, 5)))
     length = spec.rank + 1 if family == "A" else spec.rank
-    entries = draw(st.lists(st.integers(0, 4), min_size=length, max_size=length))
-    return spec, tuple(sorted(entries, reverse=True))
+    weight = st.lists(st.integers(0, 4), min_size=length, max_size=length).map(
+        lambda entries: tuple(sorted(entries, reverse=True)))
+    return spec, draw(st.lists(weight, min_size=1, max_size=max_rows, unique=True))
 
 
-@given(dominant_weights())
+@given(dominant_rows(max_rows=1))
 @settings(max_examples=150, deadline=None)
 def test_orbit_matches_brute_force(case):
-    spec, mu = case
-    if spec.family == "A":
-        brute = set(permutations(mu))
-    else:
-        brute = {signed for perm in permutations(mu)
-                 for signed in product(*[(a, -a) for a in perm])}
+    spec, (mu,) = case
     got = orbit(spec, mu)
-    assert got == tuple(sorted(brute))
+    assert got == tuple(sorted(brute_orbit(spec, mu)))
     assert len(got) == orbit_size(spec, mu)
 
 
-@given(dominant_weights(), st.integers(1, 10**30))
+@given(dominant_rows(max_rows=4), st.data())
 @settings(max_examples=150, deadline=None)
-def test_orbit_lines_match_orbit(case, m):
-    spec, mu = case
-    lines = orbit_lines(spec, [(mu, m)], str).split("\n")
-    # equal lists: the same weights, each once, in the same order
-    assert lines == [",".join(map(str, w)) + f",{m}" for w in orbit(spec, mu)]
+def test_orbit_lines_match_brute_force(case, data):
+    spec, mus = case
+    rows = [(mu, data.draw(st.integers(1, 10**30), label=f"m{i}")) for i, mu in enumerate(mus)]
+    lines = orbit_lines(spec, rows, str).split("\n")
+    # the orbits are disjoint: every weight once, all orbits merged in lexicographic order
+    want = sorted((w, m) for mu, m in rows for w in brute_orbit(spec, mu))
+    assert lines == [",".join(map(str, w)) + f",{m}" for w, m in want]

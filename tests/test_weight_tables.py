@@ -1,8 +1,10 @@
 """Table assembly: candidates, orbit expansion, mirrors, audits, engines."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from test_root_systems import brute_orbit
 
 from bivar import kernel
 from bivar.errors import InvalidHighestWeight
@@ -12,7 +14,6 @@ from bivar.root_systems import (
     canonical_weight,
     highest_weight,
     one_norm,
-    orbit,
 )
 from bivar.weight_tables import (
     build_table,
@@ -69,18 +70,21 @@ class TestBuildTable:
         assert len(set(mus)) == len(mus)
         assert all(m > 0 for _, m in table.rows)
 
-    def test_full_is_union_of_dominant_orbits(self):
-        for spec, k, l in [(B2, 2, 1), (C2, 2, 2), (D3, 2, 1), (A2, 3, 1)]:
-            full = dict(build_table(spec, k, l).rows)
-            dom = build_table(spec, k, l, dominant_only=True)
-            expanded = {}
-            for mu, m in dom.rows:
-                key = mu
-                if spec.family == "D" and mu[-1] < 0:
-                    continue  # mirror rows share the orbit of their partner
-                for w in orbit(spec, key):
-                    expanded[w] = m
-            assert expanded == full
+    @given(st.sampled_from([algebra(f, n) for f in "ABCD"
+                            for n in range(3 if f == "D" else 2, 5)]),
+           st.integers(0, 4), st.integers(0, 4))
+    @example(B2, 1, 1)
+    @example(C2, 2, 0)
+    @example(D3, 1, 1)
+    @example(A2, 1, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_full_is_union_of_dominant_orbits(self, spec, l, excess):
+        k = l + excess
+        dom = build_table(spec, k, l, dominant_only=True)
+        # mirror rows (D, mu_n < 0) lie in the orbit of their partner
+        want = sorted((w, m) for mu, m in dom.rows if mu[-1] >= 0
+                      for w in brute_orbit(spec, mu))
+        assert build_table(spec, k, l).rows == tuple(want)
 
     def test_d_mirror_rows(self):
         table = build_table(D3, 2, 2, dominant_only=True)
