@@ -4,17 +4,11 @@ The two tensor sums here carry the hot inner loop of every
 multiplicity. Everything is exact: loop bookkeeping is small ints,
 accumulated values are arbitrary precision.
 
-For B/C/D the sum splits into blocks N <= l. The degree d and the depth
-enter a block only through one binomial per power of x in the block's
-overlap polynomial: coefficient m counts the nu in Z^n with one-norm N
-whose overlap with the weight is m. That polynomial depends on
-(n, N, ell[:N]) alone and is the y^N coefficient of a product with one
-factor per coordinate (:func:`block_poly`). The product is packed into
-one big integer, with slots wide enough that no coefficient carries, so
-each factor costs one integer multiply. It is computed once per key and
-kept in an LRU cache of at most ``BLOCK_CACHE_SIZE`` (8192) entries, so
-the four virtual-ring terms of one weight, and weights sharing a
-level-count prefix, reuse it.
+For B/C/D the sum splits into blocks N <= l, the slots of one packed
+product per weight (:func:`overlap_product`). One more multiply folds the
+four tensor sums of the virtual-ring combination into one vector C, mult =
+sum_j C_j binom(r2 // 2 + j + d, d). C depends on the depth only through
+the parity of r2; an LRU cache of ``FOLD_CACHE_SIZE`` entries keeps it.
 
 For A the sum is the y^l coefficient of a product with one factor per
 coordinate, 1 + y + ... + y^min(a, l) for a coordinate at level a. Below
@@ -26,17 +20,16 @@ The half-integral depth parameter ``r`` is passed as its doubled value
 """
 
 from functools import lru_cache
+from math import comb
 
-from .partitions import binom, count_one_norm_sphere
+from .partitions import binom
 
 # Recorded in MultiplicityTable.meta and in the benchmark's provenance
 # (perfbench/run.py), which refuses to compare runs of different kernels.
 BACKEND = "pure"
 
-# Bound on the number of cached block polynomials. The benchmark's whole
-# query stream (ranks 3-7, l <= 8) fills 2,611 keys, about 0.5 MB, and
-# its largest dominant table 846.
-BLOCK_CACHE_SIZE = 8192
+# Bound on the cached folded vectors; the benchmark's query stream fills 2,134.
+FOLD_CACHE_SIZE = 8192
 
 
 def tensor_sum_bcd(n, d, l, r2, ell, step):
@@ -50,65 +43,96 @@ def tensor_sum_bcd(n, d, l, r2, ell, step):
     """
     if l < 0:
         return 0
-    total = 0
-    start = l % 2 if step == 2 else 0
-    for upper in range(start, l + 1, step):
-        t1 = binom((l - upper) // 2 + d, d)
-        base = (r2 - l - upper) // 2
-        block = 0
-        for m, c in enumerate(block_poly(n, upper, tuple(ell[:upper]))):
-            if c:
-                block += c * binom(base + m + d, d)
-        total += t1 * block
-    return total
+    return _evaluate(_fold(n, d, l, ell, step, r2 % 2, False), d, l, r2)
 
 
-@lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def block_poly(n, big_n, ell):
-    """Overlap polynomial of block ``big_n`` of :func:`tensor_sum_bcd`.
+def bivariate_sum_bcd(n, d, l, r2, ell, step):
+    """tensor_sum_bcd at (l, r2) - (l - 1, r2) - (l - 1, r2 - 2) + (l - 2, r2 - 2)."""
+    return _evaluate(fold_bcd(n, d, l, tuple(ell[:l]), step, r2 % 2), d, l, r2)
 
-    Let mu in Z^n have ``ell[t]`` coordinates of absolute value t for
-    each level t < N = ``big_n``, and its other coordinates at level N or
-    above. Coefficient m counts the nu in Z^n with one-norm N whose
-    overlap with mu is m, where the overlap sums min(|mu_i|, |nu_i|) over
-    the coordinates on which mu_i and nu_i have the same sign; the tuple
-    has N + 1 entries. Neither the degree d nor the depth enters, so one
-    value serves every call that shares (n, N, ell[:N]).
 
-    The block is the y^N coefficient of a product with one factor per
-    coordinate, f_a(x, y) = 1 + sum_{b >= 1} y^b (1 + x^min(a, b)) for a
-    coordinate at level a (levels of N and above all act as a = N): a
-    coordinate with |nu_i| = b > 0 takes either sign, and on the side of
-    mu_i it adds min(a, b) to the overlap.
+@lru_cache(maxsize=FOLD_CACHE_SIZE)
+def fold_bcd(n, d, l, ell, step, parity):
+    """C of :func:`bivariate_sum_bcd` for r2 of this parity: entry i
+    multiplies binom(r2 // 2 + i - l + d, d)."""
+    return _fold(n, d, l, ell, step, parity, True)
 
-    The product is packed into one integer (Kronecker substitution):
-    x = 2**bits and y = 2**width with width = (N + 1) * bits, so each
-    factor is one big-integer multiply, truncated to y-degree <= N by a
-    mask. No slot carries: a coefficient of the truncated product counts
-    some of the points of one-norm s <= N in Z^f, f the number of factors
-    multiplied so far, so it is at most the one-norm-N sphere count over
-    all the factors, which is below 2**bits; and a term of y-degree s has
-    x-degree <= s <= N, inside its own slot. Whatever spills past y^N
-    only adds to the bits that the mask drops.
+
+def _fold(n, d, l, ell, step, parity, virtual):
+    # Coefficient m of block N enters the sum at (L, r2) times binom((r2 - L -
+    # N) // 2 + m + d, d) C((L - N) // 2 + d, d). Over j = L - N, the outer
+    # binomials times x^((parity + j) // 2) are the y^j coefficients of K =
+    # (1 + y, or 1 + x y for odd r2, at step 1) (1 - x y^2)^-(d + 1); so C_i is
+    # the y^l x^i coefficient of F K, or of F K (1 - y)(1 - x y) for the four
+    # virtual-ring terms
+    outers = [comb(h + d, d) for h in range(l // 2 + 1)]
+    # digits hold a sign and every coefficient to y^l, at most sum_N 4 outers[(l
+    # - N) // 2] E_N, where E_N = 2^min(f, N) C(f + N - 1, N) bounds block N
+    f = max(n, sum(ell[:l]), 1)
+    bound, entries = 0, 1
+    for big_n in range(l + 1):
+        bound += outers[(l - big_n) // 2] * entries << min(f, big_n)
+        entries = entries * (f + big_n) // (big_n + 1)
+    packed, bits = overlap_product(n, l, ell, (8 * bound).bit_length())
+    width = (l + 1) * bits
+    k = sum(outer << h * (2 * width + bits) for h, outer in enumerate(outers))
+    if step == 1:
+        k += k << width + parity * bits
+    if virtual:  # times 1 - y - x y + x y^2
+        k -= (k << width) + (k << width + bits) - (k << 2 * width + bits)
+    half = ((1 << (l + 1) * width) - 1) // ((1 << bits) - 1) << bits - 1  # no borrows
+    top = packed * k + half >> l * width
+    return tuple((top >> i * bits & (1 << bits) - 1) - (1 << bits - 1)
+                 for i in range(l + 1))
+
+
+def _evaluate(coeffs, d, l, r2):
+    start = r2 // 2 - l + d
+    return sum(c * comb(t, d) for t, c in enumerate(coeffs, start) if c and t >= 0)
+
+
+def overlap_product(n, l, ell, bits=None):
+    """Overlap polynomials of the blocks N <= l of :func:`tensor_sum_bcd`.
+
+    Let mu have ``ell[t]`` coordinates at level (absolute value) t < l and
+    the others at level l or above, f = max(n, sum(ell[:l])) in all. The
+    result is (packed, bits), and the ``bits``-bit digit N (l + 1) + m of
+    ``packed`` counts the nu in Z^f of one-norm N whose overlap with mu,
+    the sum of min(|mu_i|, |nu_i|) where mu_i and nu_i share a sign, is m.
+
+    That is the y^N x^m coefficient of the product F of one factor per
+    coordinate, f_a = 1 + sum_{b >= 1} y^b (1 + x^min(a, b)) at level a
+    (levels of l and above act as a = l), truncated at y^l; block N needs
+    ell[:N] alone, as f_a and f_N agree up to y^N for a >= N. F is one
+    integer, x = 2**bits and y = 2**((l + 1) bits), each multiply masked to
+    y-degree <= l, each factor raised to its count by squaring. No digit
+    carries: one counts points of one-norm s <= l in Z^f, fewer than
+    E_l = 2^min(f, l) C(f + l - 1, l), whose bit length is the default
+    ``bits``, at x-degree <= s; what spills past y^l is masked off.
     """
-    placed = sum(ell)
-    # (level a, number of factors f_a): the coordinates not in ell sit at N
-    groups = [*enumerate(ell), (big_n, n - placed)]
-    bits = count_one_norm_sphere(max(n, placed), big_n).bit_length()
-    width = (big_n + 1) * bits
-    mask = (1 << (big_n + 1) * width) - 1
+    placed = sum(ell[:l])
+    f = max(n, placed, 1)
+    bits = bits or (comb(f + l - 1, l) << min(f, l)).bit_length()
+    width = (l + 1) * bits
+    mask = (1 << (l + 1) * width) - 1
+    # f_a = sum_{b <= l} y^b + sum_{1 <= b <= a} (x y)^b + x^a sum_{a < b <= l} y^b
+    ys = mask // ((1 << width) - 1)
+    diagonal = ((1 << (l + 1) * (width + bits)) - 1) // ((1 << width + bits) - 1) - 1
     packed = 1
-    for a, count in groups:
+    # (level a, number of factors f_a): the coordinates not in ell sit at l
+    for a, count in [*enumerate(ell[:l]), (l, n - placed)]:
         if count <= 0:
             continue
-        factor = 1
-        for b in range(1, big_n + 1):
-            factor += (1 + (1 << min(a, b) * bits)) << b * width
-        for _ in range(count):
-            packed = packed * factor & mask
-    top = packed >> big_n * width
-    digit = (1 << bits) - 1
-    return tuple(top >> m * bits & digit for m in range(big_n + 1))
+        factor = (ys + (diagonal & (2 << a * (width + bits)) - 1)
+                  + (ys >> (a + 1) * width << (a + 1) * width + a * bits))
+        while True:
+            if count & 1:
+                packed = packed * factor & mask
+            count >>= 1
+            if not count:
+                break
+            factor = factor * factor & mask
+    return packed, bits
 
 
 def tensor_sum_a(n, l, ell):

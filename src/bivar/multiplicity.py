@@ -115,12 +115,7 @@ def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
         return 0
     n, d, r2, ell, step = args
     # virtual-ring combination: the four tensor factors at depths r, r, r-1, r-1
-    return (
-        kernel.tensor_sum_bcd(n, d, l, r2, ell, step)
-        - kernel.tensor_sum_bcd(n, d, l - 1, r2, ell, step)
-        - kernel.tensor_sum_bcd(n, d, l - 1, r2 - 2, ell, step)
-        + kernel.tensor_sum_bcd(n, d, l - 2, r2 - 2, ell, step)
-    )
+    return kernel.bivariate_sum_bcd(n, d, l, r2, ell, step)
 
 
 def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:

@@ -241,8 +241,9 @@ def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
     """Full orbit of a dominant weight, sorted lexicographically.
 
     B/C/D: all signed permutations of the coordinates (group W_n);
-    A: all permutations of the normalized coordinates. Duplicates from
-    zero or repeated coordinates are never produced twice.
+    A: all permutations of the coordinates as given, all with the same
+    sum (pass :func:`canonical_weight` of mu for min-0 members).
+    Duplicates from zero or repeated coordinates are never produced twice.
     """
     return tuple(_expand_orbits(spec, [(mu, None)], lambda m: [()], _prefix_tuples))
 

@@ -55,9 +55,9 @@ class MultiplicityTable:
     Rows are lexicographically sorted (weight, multiplicity) pairs with
     every multiplicity positive. ``meta`` carries provenance (engine
     version, kernel backend, elapsed seconds, creation timestamp) and,
-    for :func:`build_table`, the hits and misses of the kernel's block
-    cache during the build. It never takes part in comparisons or
-    serialization.
+    for :func:`build_table`, the hits and misses of the kernel's fold
+    cache (:func:`bivar.kernel.fold_bcd`) during the build. It never
+    takes part in comparisons or serialization.
     """
 
     spec: AlgebraSpec
@@ -103,7 +103,7 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
     validate(spec)
     k, l = check_highest_weight(k, l)
     started = time.perf_counter()
-    cache_before = kernel.block_poly.cache_info()
+    cache_before = kernel.fold_bcd.cache_info()
     dominant = [(mu, m) for mu in candidate_dominants(spec, k, l)
                 if (m := bivariate_mult(spec, k, l, mu))]
     if dominant_only:
@@ -114,14 +114,14 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
         # each weight carries its multiplicity as a last entry through the walk
         rows = [(w[:-1], w[-1]) for w in
                 _expand_orbits(spec, dominant, lambda m: [(m,)], _prefix_tuples)]
-    cache_after = kernel.block_poly.cache_info()
+    cache_after = kernel.fold_bcd.cache_info()
     meta = {
         "engine": ENGINE_VERSION,
         "backend": kernel.BACKEND,
         "elapsed_s": time.perf_counter() - started,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "block_cache_hits": cache_after.hits - cache_before.hits,
-        "block_cache_misses": cache_after.misses - cache_before.misses,
+        "fold_cache_hits": cache_after.hits - cache_before.hits,
+        "fold_cache_misses": cache_after.misses - cache_before.misses,
     }
     return MultiplicityTable(spec, k, l, dominant_only, tuple(rows), meta)
 

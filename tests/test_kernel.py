@@ -3,11 +3,15 @@
 The B/C/D blocks are checked against a brute-force count: build a weight
 mu from the level counts, walk every nu on each one-norm sphere, bucket
 them by their overlap with mu, and apply the same outer binomials as
-:func:`bivar.kernel.tensor_sum_bcd`. This holds for every l. The packed
-product of :func:`bivar.kernel.block_poly` is also checked against the
-same generating-function product multiplied out one coefficient at a
-time (``stepped_block_poly``), on a full grid of small keys and on keys
-whose coefficients need more than 64 bits.
+:func:`bivar.kernel.tensor_sum_bcd`. This holds for every l. Slot N of
+the packed product of :func:`bivar.kernel.overlap_product` is checked
+against that count and against the same generating-function product
+multiplied out one coefficient at a time (``stepped_block_poly``), on a
+full grid of small keys and on keys whose coefficients need more than 64
+bits. The cached fold of :func:`bivar.kernel.bivariate_sum_bcd`, one
+more packed multiply, is checked against the four-term combination of
+brute-force sums, cold and warm, and on the wide keys against the same
+combination taken one block coefficient at a time.
 
 The literal evaluator below walks the partitions of bivar.partitions and
 the beta / alpha arrays of the test-side index_sets module, and
@@ -232,46 +236,78 @@ def bcd_calls(draw):
     return n, d, l, r2, tuple(draw(st.permutations(ell))), draw(st.sampled_from([1, 2]))
 
 
+def brute_bivariate_sum_bcd(n, d, l, r2, ell, step):
+    """The virtual-ring combination of four brute-force tensor sums."""
+    return (brute_tensor_sum_bcd(n, d, l, r2, ell, step)
+            - brute_tensor_sum_bcd(n, d, l - 1, r2, ell, step)
+            - brute_tensor_sum_bcd(n, d, l - 1, r2 - 2, ell, step)
+            + brute_tensor_sum_bcd(n, d, l - 2, r2 - 2, ell, step))
+
+
 @given(bcd_calls())
 @settings(max_examples=150, deadline=None)
-def test_bcd_matches_brute_force_cold_and_warm(call):
+def test_fold_matches_brute_force_cold_and_warm(call):
     n, d, l, r2, ell, step = call
-    expected = brute_tensor_sum_bcd(n, d, l, r2, ell, step)
-    kernel.block_poly.cache_clear()
-    assert kernel.tensor_sum_bcd(*call) == expected
-    # refill every block of the call from other calls, largest l first and
-    # at another degree and depth, which the cache key leaves out
-    kernel.block_poly.cache_clear()
-    for other in range(l, -1, -1):
-        kernel.tensor_sum_bcd(n, 2 * n - 3 - d, other, r2 + 3, ell, 1)
-    misses = kernel.block_poly.cache_info().misses
-    assert kernel.tensor_sum_bcd(*call) == expected
-    assert kernel.block_poly.cache_info().misses == misses
+    for depth in (r2, r2 + 1):
+        expected = brute_bivariate_sum_bcd(n, d, l, depth, ell, step)
+        kernel.fold_bcd.cache_clear()
+        assert kernel.bivariate_sum_bcd(n, d, l, depth, ell, step) == expected
+        # refill the cache from another depth of the same parity, which
+        # the key leaves out, and from the other parity
+        kernel.fold_bcd.cache_clear()
+        kernel.bivariate_sum_bcd(n, d, l, depth + 4, ell, step)
+        kernel.bivariate_sum_bcd(n, d, l, depth + 1, ell, step)
+        misses = kernel.fold_bcd.cache_info().misses
+        assert kernel.bivariate_sum_bcd(n, d, l, depth, ell, step) == expected
+        assert kernel.fold_bcd.cache_info().misses == misses
 
 
-def test_block_poly_matches_overlap_buckets():
+cached_brute_block = lru_cache(maxsize=None)(brute_block)
+cached_stepped_block_poly = lru_cache(maxsize=None)(stepped_block_poly)
+
+
+def product_slots(n, l, ell):
+    """The blocks N <= l of ``kernel.overlap_product``, unpacked."""
+    packed, bits = kernel.overlap_product(n, l, ell)
+    digit = (1 << bits) - 1
+    return [tuple(packed >> (big_n * (l + 1) + m) * bits & digit for m in range(big_n + 1))
+            for big_n in range(l + 1)]
+
+
+def assert_slots_are_blocks(n, l, ell, block):
+    """Slot N of the product is ``block(n, N, ell[:N])`` for every N <= l.
+
+    With sum(ell) > n the weight has sum(ell) coordinates, so the blocks
+    are taken at that rank.
+    """
+    slots = product_slots(n, l, ell)
+    rank = max(n, sum(ell))
+    for big_n, slot in enumerate(slots):
+        assert slot == block(rank, big_n, tuple(ell[:big_n])), (n, l, ell, big_n)
+    return len(slots)
+
+
+def test_product_slots_match_overlap_buckets():
     checked = 0
     for n in range(1, 6):
-        for big_n in range(7):
-            for ell in level_counts(n, big_n):
-                expected = brute_block(weight_from_levels(n, ell, big_n), big_n)
-                assert kernel.block_poly(n, big_n, ell) == expected, (n, big_n, ell)
-                checked += 1
-    assert checked == 1708
+        for l in range(7):
+            for ell in level_counts(n, l):
+                checked += assert_slots_are_blocks(
+                    n, l, ell, lambda n, big_n, head: cached_brute_block(
+                        weight_from_levels(n, head, big_n), big_n))
+    assert checked == 10268
 
 
-def test_block_poly_matches_stepped_product():
+def test_product_slots_match_stepped_product():
     checked = 0
     for n in range(8):
-        for big_n in range(8):
-            for ell in level_counts(n, big_n):
-                assert kernel.block_poly.__wrapped__(n, big_n, ell) == \
-                    stepped_block_poly(n, big_n, ell), (n, big_n, ell)
-                checked += 1
-    assert checked == 12869
+        for l in range(8):
+            for ell in level_counts(n, l):
+                checked += assert_slots_are_blocks(n, l, ell, cached_stepped_block_poly)
+    assert checked == 91520
 
 
-@pytest.mark.parametrize("n, big_n, ell", [
+@pytest.mark.parametrize("n, l, ell", [
     (40, 20, (0,) * 20),
     (40, 20, (1, 0, 2, 0, 1) + (0,) * 10 + (3, 0, 0, 1, 0)),
     (50, 17, (0,) * 17),
@@ -279,21 +315,31 @@ def test_block_poly_matches_stepped_product():
     (60, 16, (0,) * 16),
     (60, 16, (5, 0, 0, 7) + (2,) * 12),
 ])
-def test_block_poly_wide_slots(n, big_n, ell):
+def test_product_wide_slots(n, l, ell):
     # the sphere count, which bounds every coefficient, needs over 64 bits
-    assert count_one_norm_sphere(max(n, sum(ell)), big_n) > 2 ** 64
-    assert kernel.block_poly.__wrapped__(n, big_n, ell) == \
-        stepped_block_poly(n, big_n, ell)
+    assert count_one_norm_sphere(max(n, sum(ell)), l) > 2 ** 64
+    assert_slots_are_blocks(n, l, ell, stepped_block_poly)
+    # the packed fold against the same combination taken one block
+    # coefficient at a time
+    slots = product_slots(n, l, ell)
+    for d, step, parity in product((n - 1, n - 2), (1, 2), (0, 1)):
+        expected = [0] * (l + 1)
+        for big_l, shift, sign in ((l, 0, 1), (l - 1, 0, -1), (l - 1, -1, -1), (l - 2, -1, 1)):
+            for big_n in range(big_l % 2 if step == 2 else 0, big_l + 1, step):
+                outer = sign * binom((big_l - big_n) // 2 + d, d)
+                base = (parity - big_l - big_n) // 2 + shift + l
+                for m, c in enumerate(slots[big_n]):
+                    expected[base + m] += outer * c
+        assert kernel.fold_bcd(n, d, l, ell, step, parity) == tuple(expected)
 
 
-@pytest.mark.parametrize("n, big_n, ell", [
+@pytest.mark.parametrize("n, l, ell", [
     (1, 2, (3, 3)),
     (3, 4, (2, 1, 2, 1)),
     (2, 6, (0, 5, 0, 0, 4, 0)),
 ])
-def test_block_poly_more_levels_than_rank(n, big_n, ell):
+def test_product_more_levels_than_rank(n, l, ell):
     # sum(ell) > n: every level in ell is still one factor, so the slots
     # must be wide enough for sum(ell) coordinates, not n
     assert sum(ell) > n
-    assert kernel.block_poly.__wrapped__(n, big_n, ell) == \
-        stepped_block_poly(n, big_n, ell)
+    assert_slots_are_blocks(n, l, ell, stepped_block_poly)

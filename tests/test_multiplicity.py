@@ -276,6 +276,29 @@ class TestFastPaths:
             fast = l2_mult_d(n, k, mu)
         assert fast == bivariate_mult(spec, k, l, mu), (path, spec, k, mu)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_match_bivariate_high_rank(self, data):
+        # Freudenthal cannot reach ranks 20-200; the closed forms cost a few
+        # binomials at any rank, so they check the kernel there
+        path = data.draw(st.sampled_from(["zero", "l1", "l2_d"]))
+        family = "D" if path == "l2_d" else data.draw(st.sampled_from("BCD"))
+        n = data.draw(st.integers(20, 200))
+        spec = algebra(family, n)
+        l = {"l1": 1, "l2_d": 2}.get(path) or data.draw(st.integers(0, 10))
+        k = data.draw(st.integers(max(l, 1), l + 30))
+        if path == "zero":
+            assert zero_weight_mult(spec, k, l) == \
+                bivariate_mult(spec, k, l, (0,) * n), (spec, k, l)
+            return
+        # a sparse signed weight: a few small coordinates in random places
+        mu = [0] * n
+        places = data.draw(st.lists(st.integers(0, n - 1), max_size=8, unique=True))
+        for i in places:
+            mu[i] = data.draw(st.integers(1, 5)) * data.draw(st.sampled_from([1, -1]))
+        fast = l1_mult(spec, k, mu) if path == "l1" else l2_mult_d(n, k, mu)
+        assert fast == bivariate_mult(spec, k, l, mu), (path, spec, k, mu)
+
     def test_preconditions(self):
         with pytest.raises(RankOutOfRange):
             l2_mult_d(2, 4, (1, 1))

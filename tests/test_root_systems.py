@@ -135,6 +135,15 @@ class TestOrbit:
         got = orbit(algebra("D", 3), (2, 1, 0))
         assert got == tuple(sorted(got))
 
+    def test_type_a_permutes_coordinates_as_given(self):
+        # no shift to minimum 0: orbit_lines and full A tables rely on the
+        # members keeping the representative's sum k + l
+        a2 = algebra("A", 2)
+        assert orbit(a2, (3, 2, 1)) == (
+            (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
+        assert orbit(a2, (1, 0, -1)) == (
+            (-1, 0, 1), (-1, 1, 0), (0, -1, 1), (0, 1, -1), (1, -1, 0), (1, 0, -1))
+
     @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
     def test_size_matches_and_divides_group_order(self, spec):
         from math import factorial

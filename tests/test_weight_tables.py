@@ -108,16 +108,16 @@ class TestBuildTable:
             diagram = freudenthal_diagram(spec, highest_weight(spec, k, l))
             assert got == diagram.entries
 
-    def test_block_cache_counters(self):
-        kernel.block_poly.cache_clear()
+    def test_fold_cache_counters(self):
+        kernel.fold_bcd.cache_clear()
         first = build_table(C3, 4, 3, dominant_only=True)
         second = build_table(C3, 4, 3, dominant_only=True)
         assert second == first
-        assert first.meta["block_cache_misses"] > 0
-        # the second build finds every block the first one computed
-        assert second.meta["block_cache_misses"] == 0
-        assert second.meta["block_cache_hits"] == \
-            first.meta["block_cache_hits"] + first.meta["block_cache_misses"]
+        assert first.meta["fold_cache_misses"] > 0
+        # the second build finds every folded vector the first one computed
+        assert second.meta["fold_cache_misses"] == 0
+        assert second.meta["fold_cache_hits"] == \
+            first.meta["fold_cache_hits"] + first.meta["fold_cache_misses"]
 
 
 class TestDimensionAudit:
