@@ -7,8 +7,10 @@ accumulated values are arbitrary precision.
 For B/C/D the sum splits into blocks N <= l, the slots of one packed
 product per weight (:func:`overlap_product`). One more multiply folds the
 four tensor sums of the virtual-ring combination into one vector C, mult =
-sum_j C_j binom(r2 // 2 + j + d, d). C depends on the depth only through
-the parity of r2; an LRU cache of ``FOLD_CACHE_SIZE`` entries keeps it.
+sum_j C_j binom(r2 // 2 + j - l + d, d). C depends on the depth only through
+the parity of r2; an LRU cache of ``FOLD_CACHE_SIZE`` entries keeps it. A
+dominant table is one walk (:func:`dominant_rows_bcd`) that carries the
+product from coordinate to coordinate and folds each distinct one once.
 
 For A the sum is the y^l coefficient of a product with one factor per
 coordinate, 1 + y + ... + y^min(a, l) for a coordinate at level a. Below
@@ -21,6 +23,7 @@ The half-integral depth parameter ``r`` is passed as its doubled value
 
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .partitions import binom
 
@@ -59,36 +62,78 @@ def fold_bcd(n, d, l, ell, step, parity):
 
 
 def _fold(n, d, l, ell, step, parity, virtual):
+    bits = _bits(max(n, sum(ell[:l]), 1), d, l)
+    return _folder(d, l, bits, step, parity, virtual)(overlap_product(n, l, ell, bits)[0])
+
+
+def _bits(f, d, l):
+    # digits hold a sign and every coefficient to y^l, at most sum_N 4 binom((l
+    # - N) // 2 + d, d) E_N, where E_N = 2^min(f, N) C(f + N - 1, N) bounds block N
+    return (8 * sum(comb((l - big_n) // 2 + d, d) * comb(f + big_n - 1, big_n) << min(f, big_n)
+                    for big_n in range(l + 1))).bit_length()
+
+
+def _folder(d, l, bits, step, parity, virtual):
     # Coefficient m of block N enters the sum at (L, r2) times binom((r2 - L -
     # N) // 2 + m + d, d) C((L - N) // 2 + d, d). Over j = L - N, the outer
     # binomials times x^((parity + j) // 2) are the y^j coefficients of K =
     # (1 + y, or 1 + x y for odd r2, at step 1) (1 - x y^2)^-(d + 1); so C_i is
     # the y^l x^i coefficient of F K, or of F K (1 - y)(1 - x y) for the four
-    # virtual-ring terms
-    outers = [comb(h + d, d) for h in range(l // 2 + 1)]
-    # digits hold a sign and every coefficient to y^l, at most sum_N 4 outers[(l
-    # - N) // 2] E_N, where E_N = 2^min(f, N) C(f + N - 1, N) bounds block N
-    f = max(n, sum(ell[:l]), 1)
-    bound, entries = 0, 1
-    for big_n in range(l + 1):
-        bound += outers[(l - big_n) // 2] * entries << min(f, big_n)
-        entries = entries * (f + big_n) // (big_n + 1)
-    packed, bits = overlap_product(n, l, ell, (8 * bound).bit_length())
+    # virtual-ring terms. Returns the map from packed F to C.
     width = (l + 1) * bits
-    k = sum(outer << h * (2 * width + bits) for h, outer in enumerate(outers))
+    k = sum(comb(h + d, d) << h * (2 * width + bits) for h in range(l // 2 + 1))
     if step == 1:
         k += k << width + parity * bits
     if virtual:  # times 1 - y - x y + x y^2
         k -= (k << width) + (k << width + bits) - (k << 2 * width + bits)
     half = ((1 << (l + 1) * width) - 1) // ((1 << bits) - 1) << bits - 1  # no borrows
-    top = packed * k + half >> l * width
-    return tuple((top >> i * bits & (1 << bits) - 1) - (1 << bits - 1)
-                 for i in range(l + 1))
+
+    def fold(packed):
+        top = (packed * k + half >> l * width) & (1 << width) - 1
+        return tuple((top >> i * bits & (1 << bits) - 1) - (1 << bits - 1)
+                     for i in range(l + 1))
+    return fold
 
 
 def _evaluate(coeffs, d, l, r2):
     start = r2 // 2 - l + d
     return sum(c * comb(t, d) for t, c in enumerate(coeffs, start) if c and t >= 0)
+
+
+def dominant_rows_bcd(n, d, k, l, step):
+    """Rows (mu, m), m > 0, of the dominant weights of k e1 + l e2 for B/C/D,
+    unsorted, and the counts of candidates, kept rows and folds.
+
+    n, d, l, step as for :func:`tensor_sum_bcd`; k >= l >= 0 unchecked. Walks
+    weakly decreasing mu >= 0, mu_1 <= k (larger mu_1 gives 0), one-norm <= k
+    + l (even r2 at step 2) depth first, carrying F of :func:`overlap_product`:
+    one masked multiply per coordinate, by f_a at level a, and one by f_0^z for
+    z trailing zeros. C is folded once per distinct (F, r2 mod 2), in a dict.
+    """
+    bits = _bits(n, d, l)  # sum(ell) <= n, so these are fold_bcd's digits
+    mask = (1 << (l + 1) ** 2 * bits) - 1
+    # f_a of one coordinate at level a, and f_0^z of z trailing zeros
+    factors = [overlap_product(1, l, [0] * a + [1], bits)[0] for a in range(l + 1)]
+    zeros = [overlap_product(z, l, [z], bits)[0] for z in range(n + 1)]
+    fold = [_folder(d, l, bits, step, parity, True) for parity in (0, 1)]
+    # C_i meets binom(r2 // 2 - l + d + i, d) = binoms[r2 // 2 + i]
+    binoms = [comb(t, d) if t >= 0 else 0 for t in range(d - l, (k + l) // 2 + d + 1)]
+    folds, rows, candidates = {}, [], 0
+    stack = [((), 1, k, k + l)]  # prefix, its product, cap on what follows, r2
+    while stack:
+        prefix, packed, cap, r2 = stack.pop()
+        zero_count = n - len(prefix)
+        if step == 1 or r2 % 2 == 0:
+            candidates += 1
+            key = (packed * zeros[zero_count] & mask, r2 & 1)
+            if (coeffs := folds.get(key)) is None:
+                coeffs = folds[key] = fold[r2 & 1](key[0])
+            if m := sum(map(mul, coeffs, binoms[r2 // 2:])):
+                rows.append((prefix + (0,) * zero_count, m))
+        if zero_count:
+            stack += [(prefix + (a,), packed * factors[min(a, l)] & mask, a, r2 - a)
+                      for a in range(min(cap, r2), 0, -1)]
+    return rows, {"candidates": candidates, "kept": len(rows), "folds": len(folds)}
 
 
 def overlap_product(n, l, ell, bits=None):

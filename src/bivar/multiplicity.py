@@ -16,13 +16,13 @@ from .errors import UnsupportedFamily
 from .partitions import binom, count_one_norm_sphere
 from .root_systems import (
     AlgebraSpec,
+    _level_stats,
     algebra,
     check_highest_weight,
     check_weight,
     normalize_a_to_sum,
     one_norm,
     validate,
-    weight_stats,
 )
 
 
@@ -32,18 +32,17 @@ def _degree(family: str, n: int) -> int:
 
 
 def _bcd_args(spec: AlgebraSpec, k: int, l: int, mu):
-    """Arguments (n, d, r2, ell, step) of the B/C/D tensor sums for ``mu``.
+    """Arguments (n, d, r2, ell, step) of the B/C/D tensor sums for a checked ``mu``.
 
     None when every term is 0: the doubled depth r2 is negative, or odd
     for C and D.
     """
-    norm, ell = weight_stats(spec, mu, l)
+    norm, ell = _level_stats(mu, l)
     r2 = k + l - norm
-    fam = spec.family
-    if r2 < 0 or (fam != "B" and r2 % 2):
+    if r2 < 0 or (spec.family != "B" and r2 % 2):
         return None
     n = spec.rank
-    return n, _degree(fam, n), r2, ell, 1 if fam == "B" else 2
+    return n, _degree(spec.family, n), r2, ell, 1 if spec.family == "B" else 2
 
 
 def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
@@ -66,17 +65,6 @@ def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
     return binom(r2 // 2 + d, d)
 
 
-def _level_counts(rep, l: int):
-    # counts of coordinates equal to t, taken on the representative as given
-    # (for family A the formula wants the representative whose sum is k + l,
-    # which is generally not the shift-canonical one)
-    counts = [0] * max(l, 0)
-    for b in rep:
-        if 0 <= b < l:
-            counts[b] += 1
-    return tuple(counts)
-
-
 def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     """Multiplicity of ``mu`` in the tensor product pi_{k e1} (x) pi_{l e1}."""
     validate(spec)
@@ -88,7 +76,7 @@ def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
         rep = normalize_a_to_sum(mu, k + l)
         if rep is None:
             return 0
-        return kernel.tensor_sum_a(n, l, _level_counts(rep, l))
+        return kernel.tensor_sum_a(n, l, _level_stats(rep, l)[1])
     args = _bcd_args(spec, k, l, mu)
     if args is None:
         return 0
@@ -107,7 +95,8 @@ def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
         rep = normalize_a_to_sum(mu, k + l)
         if rep is None or max(rep) > k:
             return 0
-        ell = _level_counts(rep, l)
+        # counted on the representative whose sum is k + l, as the formula wants
+        ell = _level_stats(rep, l)[1]
         return kernel.tensor_sum_a(n, l, ell) - kernel.tensor_sum_a(n, l - 1, ell)
 
     args = _bcd_args(spec, k, l, mu)
@@ -171,7 +160,7 @@ def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
             return 0
         zeros = sum(1 for b in rep if b == 0)
         return n - zeros
-    norm, (ell0,) = weight_stats(spec, mu, 1)
+    norm, (ell0,) = _level_stats(mu, 1)
     r2 = k + 1 - norm
     if r2 < 0:
         return 0
@@ -199,7 +188,7 @@ def l2_mult_d(n: int, k: int, mu) -> int:
     if r2 < 0 or r2 % 2:
         return 0
     r = r2 // 2
-    _, (ell0, ell1) = weight_stats(spec, mu, 2)
+    _, (ell0, ell1) = _level_stats(mu, 2)
     open_pairs = binom(n - ell0, 2)
     return (
         binom(r + n - 4, n - 2) * (2 * ell0 * (n - 1) + open_pairs)

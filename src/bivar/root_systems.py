@@ -126,13 +126,13 @@ def weight_stats(spec: AlgebraSpec, mu: Sequence[int], l: int) -> Tuple[int, Tup
     they are plain values.
     """
     (l,) = as_integers((l,), "l")
-    coords = canonical_weight(spec, mu)
-    counts = [0] * max(l, 0)
-    for a in coords:
-        v = abs(a)
-        if v < l:
-            counts[v] += 1
-    return one_norm(coords), tuple(counts)
+    return _level_stats(canonical_weight(spec, mu), l)
+
+
+def _level_stats(coords: Weight, l: int) -> Tuple[int, Tuple[int, ...]]:
+    # weight_stats of checked coordinates, taken as given (A is not normalized)
+    levels = [abs(a) for a in coords]
+    return sum(levels), tuple(map(levels.count, range(l)))
 
 
 def dominant_representative(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
@@ -284,12 +284,7 @@ def _perm_count(values: Sequence[int]) -> int:
 def orbit_size(spec: AlgebraSpec, mu: Sequence[int]) -> int:
     """Size of the orbit produced by :func:`orbit`, computed without enumeration."""
     validate(spec)
-    coords = canonical_weight(spec, mu)
-    if spec.family == "A":
-        return _perm_count(coords)
-    body = [abs(a) for a in coords]
-    nonzero = sum(1 for a in body if a)
-    return _perm_count(body) << nonzero
+    return _orbit_size(spec.family, canonical_weight(spec, mu), False)
 
 
 def weyl_orbit_size(spec: AlgebraSpec, mu: Sequence[int]) -> int:
@@ -299,10 +294,18 @@ def weyl_orbit_size(spec: AlgebraSpec, mu: Sequence[int]) -> int:
     zero coordinate, whose hyperoctahedral orbit splits into the orbit of
     the weight and the orbit of its mirror.
     """
-    size = orbit_size(spec, mu)
-    if spec.family == "D" and all(a != 0 for a in check_weight(spec, mu)):
-        size //= 2
-    return size
+    validate(spec)
+    return _orbit_size(spec.family, canonical_weight(spec, mu), True)
+
+
+def _orbit_size(family: str, coords: Weight, weyl: bool) -> int:
+    # orbit_size (weyl_orbit_size if ``weyl``) of coordinates already checked
+    if family == "A":
+        return _perm_count(coords)
+    body = [abs(a) for a in coords]
+    nonzero = sum(1 for a in body if a)
+    size = _perm_count(body) << nonzero
+    return size // 2 if weyl and family == "D" and nonzero == len(body) else size
 
 
 def positive_roots(spec: AlgebraSpec) -> Tuple[Weight, ...]:

@@ -1,9 +1,9 @@
 """Full weight tables for the representations k*e1 + l*e2.
 
-:func:`build_table` follows the candidate-enumeration algorithm: list
-every weakly decreasing non-negative vector of one-norm at most k + l
-(the candidate set over-approximates the weight support and relies on
-the formula returning 0 to prune) and evaluate each candidate. A full
+:func:`build_table` follows the candidate-enumeration algorithm over the
+weakly decreasing non-negative vectors of one-norm at most k + l: B/C/D
+walk them in :func:`bivar.kernel.dominant_rows_bcd`, which carries the
+packed product, and A evaluates each of :func:`candidate_dominants`. A full
 table then expands the orbits of the kept candidates all at once, in
 lexicographic order, with the walk that ``root_systems.orbit`` and
 ``root_systems.orbit_lines`` use too; a dominant-only table for family
@@ -24,12 +24,13 @@ from operator import itemgetter
 from typing import Dict, Iterator, Tuple
 
 from . import __version__, kernel
-from .multiplicity import bivariate_mult
+from .multiplicity import _degree, bivariate_mult
 from .oracles import _Geometry
 from .partitions import partitions_le_length
 from .root_systems import (
     AlgebraSpec,
     _expand_orbits,
+    _orbit_size,
     _prefix_tuples,
     canonical_weight,
     check_highest_weight,
@@ -39,7 +40,6 @@ from .root_systems import (
     simple_roots,
     validate,
     weyl_dimension,
-    weyl_orbit_size,
 )
 
 Weight = Tuple[int, ...]
@@ -55,9 +55,9 @@ class MultiplicityTable:
     Rows are lexicographically sorted (weight, multiplicity) pairs with
     every multiplicity positive. ``meta`` carries provenance (engine
     version, kernel backend, elapsed seconds, creation timestamp) and,
-    for :func:`build_table`, the hits and misses of the kernel's fold
-    cache (:func:`bivar.kernel.fold_bcd`) during the build. It never
-    takes part in comparisons or serialization.
+    for :func:`build_table`, how many dominant candidates were evaluated,
+    kept and folded into a vector C (``candidates``, ``kept``, ``folds``;
+    no folds for A). It never takes part in comparisons or serialization.
     """
 
     spec: AlgebraSpec
@@ -92,7 +92,7 @@ def candidate_dominants(spec: AlgebraSpec, k: int, l: int,
 
 def build_table(spec: AlgebraSpec, k: int, l: int,
                 dominant_only: bool = False) -> MultiplicityTable:
-    """Evaluate the bivariate formula over all candidates and assemble rows.
+    """Evaluate the formula over the candidates, one walk for B/C/D, and assemble rows.
 
     Rows come out sorted by weight, so the table depends only on its
     arguments; weights in a table are unique, so this is the order of
@@ -103,9 +103,13 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
     validate(spec)
     k, l = check_highest_weight(k, l)
     started = time.perf_counter()
-    cache_before = kernel.fold_bcd.cache_info()
-    dominant = [(mu, m) for mu in candidate_dominants(spec, k, l)
-                if (m := bivariate_mult(spec, k, l, mu))]
+    if spec.family == "A":
+        candidates = list(candidate_dominants(spec, k, l))
+        dominant = [(mu, m) for mu in candidates if (m := bivariate_mult(spec, k, l, mu))]
+        counts = {"candidates": len(candidates), "kept": len(dominant), "folds": 0}
+    else:
+        dominant, counts = kernel.dominant_rows_bcd(
+            spec.rank, _degree(spec.family, spec.rank), k, l, 1 if spec.family == "B" else 2)
     if dominant_only:
         mirrors = [(mu[:-1] + (-mu[-1],), m) for mu, m in dominant
                    if spec.family == "D" and mu[-1] > 0]
@@ -114,14 +118,12 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
         # each weight carries its multiplicity as a last entry through the walk
         rows = [(w[:-1], w[-1]) for w in
                 _expand_orbits(spec, dominant, lambda m: [(m,)], _prefix_tuples)]
-    cache_after = kernel.fold_bcd.cache_info()
     meta = {
         "engine": ENGINE_VERSION,
         "backend": kernel.BACKEND,
         "elapsed_s": time.perf_counter() - started,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "fold_cache_hits": cache_after.hits - cache_before.hits,
-        "fold_cache_misses": cache_after.misses - cache_before.misses,
+        **counts,
     }
     return MultiplicityTable(spec, k, l, dominant_only, tuple(rows), meta)
 
@@ -129,7 +131,8 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
 def dimension_audit(table: MultiplicityTable) -> Tuple[int, int, bool]:
     """Compare the orbit-weighted multiplicity total with the Weyl dimension."""
     if table.dominant_only:
-        computed = sum(weyl_orbit_size(table.spec, mu) * m for mu, m in table.rows)
+        # weyl_dimension validates the spec, once for the whole table
+        computed = sum(_orbit_size(table.spec.family, mu, True) * m for mu, m in table.rows)
     else:
         computed = sum([m for _, m in table.rows])
     expected = weyl_dimension(table.spec, table.k, table.l)

@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, serialization, verification."""
 
+import hashlib
 import io
 import json
 import os
@@ -51,6 +52,18 @@ def reference_csv(table):
     for mu, m in table.rows:
         lines.append(",".join(str(a) for a in mu) + "," + str(m))
     return "\n".join(lines) + "\n"
+
+
+# SHA-256 of ``bivar table --dominant-only --format json`` at the benchmark's
+# dominant_tables points (family, rank, k, l)
+DOMINANT_DIGESTS = {
+    ("B", 5, 10, 6): "c93c6cd90d96e31bd9046d12bf9641d5790747a01534da5e7d524094c9b65095",
+    ("B", 6, 9, 6): "4cc38782d4ea13ee57cfa0b9ac469f9f72062842124974903391afe392adb836",
+    ("C", 3, 20, 8): "f1a7b77d306a6cf1905b017d3bbda5fc76002be08b4fd7ed229d751f2558a6a6",
+    ("C", 4, 10, 8): "6f4188a1c55c89c8fef7d41ff31d5cbf0bf6aeb8bee5a75bdc4c51d487557288",
+    ("D", 5, 16, 6): "abd9b87a50038aaa47f34a5156a080dd6c6c042d170febb05a3b3d94a4b40446",
+    ("D", 6, 12, 6): "7968ef0b585e34a365e35e0acd629ad72e7f602d4522167a1f7a90cf8cfe72f8",
+}
 
 
 def support_size(family, rank, total):
@@ -233,6 +246,16 @@ class TestTable:
         assert code == 0
         full = build_table(algebra(family, rank), k, l)
         assert out.getvalue() == (reference_json(full) if fmt == "json" else reference_csv(full))
+
+    @pytest.mark.parametrize("point", sorted(DOMINANT_DIGESTS),
+                             ids=lambda p: "%s%d_k%d_l%d" % p)
+    def test_dominant_table_bytes_pinned(self, capsys, point):
+        family, rank, k, l = point
+        code, out, _ = run(capsys, ["table", "--family", family, "--rank", str(rank),
+                                    "--k", str(k), "--l", str(l), "--dominant-only",
+                                    "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DOMINANT_DIGESTS[point]
 
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(capsys, ["table", "--family", "C", "--rank", "2",

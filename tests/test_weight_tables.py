@@ -8,6 +8,7 @@ from test_root_systems import brute_orbit
 
 from bivar import kernel
 from bivar.errors import InvalidHighestWeight
+from bivar.multiplicity import bivariate_mult
 from bivar.oracles import freudenthal_diagram
 from bivar.root_systems import (
     algebra,
@@ -108,16 +109,42 @@ class TestBuildTable:
             diagram = freudenthal_diagram(spec, highest_weight(spec, k, l))
             assert got == diagram.entries
 
-    def test_fold_cache_counters(self):
-        kernel.fold_bcd.cache_clear()
-        first = build_table(C3, 4, 3, dominant_only=True)
-        second = build_table(C3, 4, 3, dominant_only=True)
+    @pytest.mark.parametrize("spec,k,l", [(B2, 3, 3), (C3, 4, 3), (D3, 4, 2),
+                                          (algebra("D", 4), 5, 3)], ids=str)
+    def test_walk_counters(self, spec, k, l):
+        first = build_table(spec, k, l, dominant_only=True)
+        second = build_table(spec, k, l, dominant_only=True)
         assert second == first
-        assert first.meta["fold_cache_misses"] > 0
-        # the second build finds every folded vector the first one computed
-        assert second.meta["fold_cache_misses"] == 0
-        assert second.meta["fold_cache_hits"] == \
-            first.meta["fold_cache_hits"] + first.meta["fold_cache_misses"]
+        counts = [first.meta[c] for c in ("candidates", "kept", "folds")]
+        assert counts == [second.meta[c] for c in ("candidates", "kept", "folds")]
+        candidates, kept, folds = counts
+        assert 0 < folds <= candidates
+        # kept rows are the dominant weights; the D mirrors are added after
+        assert kept == sum(1 for mu, _ in first.rows if mu[-1] >= 0)
+
+    @given(st.sampled_from([algebra(f, n) for f in "BCD"
+                            for n in range(3 if f == "D" else 2, 8)]),
+           st.integers(0, 8), st.integers(0, 9))
+    @example(B2, 0, 0)
+    @example(algebra("C", 2), 1, 0)
+    @example(D3, 0, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_candidate_evaluation(self, spec, l, excess):
+        k = l + excess
+        kernel.fold_bcd.cache_clear()
+        want = [(mu, m) for mu in candidate_dominants(spec, k, l)
+                if (m := bivariate_mult(spec, k, l, mu))]
+        want += [(mu[:-1] + (-mu[-1],), m) for mu, m in want
+                 if spec.family == "D" and mu[-1] > 0]
+        assert build_table(spec, k, l, dominant_only=True).rows == tuple(sorted(want))
+
+    @pytest.mark.parametrize("spec,k,l", [(B2, 3, 2), (algebra("B", 4), 5, 4), (C3, 4, 3),
+                                          (D3, 4, 2), (algebra("D", 5), 3, 3)], ids=str)
+    def test_candidates_beyond_k_are_zero(self, spec, k, l):
+        beyond = [mu for mu in candidate_dominants(spec, k, l, parity_filter=False)
+                  if mu[0] > k]
+        assert beyond
+        assert all(bivariate_mult(spec, k, l, mu) == 0 for mu in beyond)
 
 
 class TestDimensionAudit:
