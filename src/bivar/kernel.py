@@ -8,9 +8,11 @@ For B/C/D the sum splits into blocks N <= l, the slots of one packed
 product per weight (:func:`overlap_product`). One more multiply folds the
 four tensor sums of the virtual-ring combination into one vector C, mult =
 sum_j C_j binom(r2 // 2 + j - l + d, d). C depends on the depth only through
-the parity of r2; an LRU cache of ``FOLD_CACHE_SIZE`` entries keeps it. A
-dominant table is one walk (:func:`dominant_rows_bcd`) that carries the
-product from coordinate to coordinate and folds each distinct one once.
+the parity of r2. The digit width, the factors of F and the fold maps see
+the weight only through f = max(n, sum(ell[:l])): they are built once per
+(f, d, l, step), cached, and read by every B/C/D sum. A dominant table is
+one walk (:func:`dominant_rows_bcd`) that carries the product from
+coordinate to coordinate and folds each distinct one once.
 
 For A the sum is the y^l coefficient of a product with one factor per
 coordinate, 1 + y + ... + y^min(a, l) for a coordinate at level a. Below
@@ -31,9 +33,6 @@ from .partitions import binom
 # (perfbench/run.py), which refuses to compare runs of different kernels.
 BACKEND = "pure"
 
-# Bound on the cached folded vectors; the benchmark's query stream fills 2,134.
-FOLD_CACHE_SIZE = 8192
-
 
 def tensor_sum_bcd(n, d, l, r2, ell, step):
     """Tensor weight sum for families B/C/D.
@@ -44,33 +43,40 @@ def tensor_sum_bcd(n, d, l, r2, ell, step):
     step: 1 sums over every N <= l, 2 restricts to N == l (mod 2).
     Returns 0 for negative l.
     """
-    if l < 0:
-        return 0
-    return _evaluate(_fold(n, d, l, ell, step, r2 % 2, False), d, l, r2)
+    return _evaluate(fold_bcd(n, d, l, ell, step, r2 % 2, False), d, l, r2)
 
 
 def bivariate_sum_bcd(n, d, l, r2, ell, step):
     """tensor_sum_bcd at (l, r2) - (l - 1, r2) - (l - 1, r2 - 2) + (l - 2, r2 - 2)."""
-    return _evaluate(fold_bcd(n, d, l, tuple(ell[:l]), step, r2 % 2), d, l, r2)
+    return _evaluate(fold_bcd(n, d, l, ell, step, r2 % 2), d, l, r2)
 
 
-@lru_cache(maxsize=FOLD_CACHE_SIZE)
-def fold_bcd(n, d, l, ell, step, parity):
-    """C of :func:`bivariate_sum_bcd` for r2 of this parity: entry i
-    multiplies binom(r2 // 2 + i - l + d, d)."""
-    return _fold(n, d, l, ell, step, parity, True)
+def fold_bcd(n, d, l, ell, step, parity, virtual=True):
+    """C of :func:`bivariate_sum_bcd` (:func:`tensor_sum_bcd` if not ``virtual``)
+    for r2 of this parity: C_i multiplies binom(r2 // 2 + i - l + d, d)."""
+    if l < 0:
+        return ()
+    _, mask, factors, maps = _packing(max(n, sum(ell[:l]), 1), d, l, step)
+    return maps[virtual][parity](_product(mask, factors, n, l, ell))
 
 
-def _fold(n, d, l, ell, step, parity, virtual):
-    bits = _bits(max(n, sum(ell[:l]), 1), d, l)
-    return _folder(d, l, bits, step, parity, virtual)(overlap_product(n, l, ell, bits)[0])
-
-
-def _bits(f, d, l):
-    # digits hold a sign and every coefficient to y^l, at most sum_N 4 binom((l
+@lru_cache(maxsize=None)
+def _packing(f, d, l, step):
+    # What a B/C/D sum over f coordinates needs besides the weight: digit width,
+    # mask to y-degree <= l, factors f_0..f_l and fold maps [virtual][r2 % 2].
+    # Digits hold a sign and every coefficient to y^l, at most sum_N 4 binom((l
     # - N) // 2 + d, d) E_N, where E_N = 2^min(f, N) C(f + N - 1, N) bounds block N
-    return (8 * sum(comb((l - big_n) // 2 + d, d) * comb(f + big_n - 1, big_n) << min(f, big_n)
+    bits = (8 * sum(comb((l - big_n) // 2 + d, d) * comb(f + big_n - 1, big_n) << min(f, big_n)
                     for big_n in range(l + 1))).bit_length()
+    width = (l + 1) * bits
+    mask = (1 << (l + 1) * width) - 1
+    # f_a = sum_{b <= l} y^b + sum_{1 <= b <= a} (x y)^b + x^a sum_{a < b <= l} y^b
+    ys = mask // ((1 << width) - 1)
+    diagonal = ((1 << (l + 1) * (width + bits)) - 1) // ((1 << width + bits) - 1) - 1
+    factors = [ys + (diagonal & (2 << a * (width + bits)) - 1)
+               + (ys >> (a + 1) * width << (a + 1) * width + a * bits) for a in range(l + 1)]
+    return bits, mask, factors, [[_folder(d, l, bits, step, parity, virtual)
+                                  for parity in (0, 1)] for virtual in (False, True)]
 
 
 def _folder(d, l, bits, step, parity, virtual):
@@ -110,12 +116,10 @@ def dominant_rows_bcd(n, d, k, l, step):
     one masked multiply per coordinate, by f_a at level a, and one by f_0^z for
     z trailing zeros. C is folded once per distinct (F, r2 mod 2), in a dict.
     """
-    bits = _bits(n, d, l)  # sum(ell) <= n, so these are fold_bcd's digits
-    mask = (1 << (l + 1) ** 2 * bits) - 1
-    # f_a of one coordinate at level a, and f_0^z of z trailing zeros
-    factors = [overlap_product(1, l, [0] * a + [1], bits)[0] for a in range(l + 1)]
-    zeros = [overlap_product(z, l, [z], bits)[0] for z in range(n + 1)]
-    fold = [_folder(d, l, bits, step, parity, True) for parity in (0, 1)]
+    _, mask, factors, maps = _packing(n, d, l, step)  # sum(ell) <= n: fold_bcd's packing
+    zeros = [1]  # f_0^z of z trailing zeros
+    for _ in range(n):
+        zeros.append(zeros[-1] * factors[0] & mask)
     # C_i meets binom(r2 // 2 - l + d + i, d) = binoms[r2 // 2 + i]
     binoms = [comb(t, d) if t >= 0 else 0 for t in range(d - l, (k + l) // 2 + d + 1)]
     folds, rows, candidates = {}, [], 0
@@ -127,7 +131,7 @@ def dominant_rows_bcd(n, d, k, l, step):
             candidates += 1
             key = (packed * zeros[zero_count] & mask, r2 & 1)
             if (coeffs := folds.get(key)) is None:
-                coeffs = folds[key] = fold[r2 & 1](key[0])
+                coeffs = folds[key] = maps[True][r2 & 1](key[0])
             if m := sum(map(mul, coeffs, binoms[r2 // 2:])):
                 rows.append((prefix + (0,) * zero_count, m))
         if zero_count:
@@ -136,11 +140,11 @@ def dominant_rows_bcd(n, d, k, l, step):
     return rows, {"candidates": candidates, "kept": len(rows), "folds": len(folds)}
 
 
-def overlap_product(n, l, ell, bits=None):
+def overlap_product(n, l, ell):
     """Overlap polynomials of the blocks N <= l of :func:`tensor_sum_bcd`.
 
     Let mu have ``ell[t]`` coordinates at level (absolute value) t < l and
-    the others at level l or above, f = max(n, sum(ell[:l])) in all. The
+    the others at level l or above, f = max(n, sum(ell[:l]), 1) in all. The
     result is (packed, bits), and the ``bits``-bit digit N (l + 1) + m of
     ``packed`` counts the nu in Z^f of one-norm N whose overlap with mu,
     the sum of min(|mu_i|, |nu_i|) where mu_i and nu_i share a sign, is m.
@@ -151,33 +155,27 @@ def overlap_product(n, l, ell, bits=None):
     ell[:N] alone, as f_a and f_N agree up to y^N for a >= N. F is one
     integer, x = 2**bits and y = 2**((l + 1) bits), each multiply masked to
     y-degree <= l, each factor raised to its count by squaring. No digit
-    carries: one counts points of one-norm s <= l in Z^f, fewer than
-    E_l = 2^min(f, l) C(f + l - 1, l), whose bit length is the default
-    ``bits``, at x-degree <= s; what spills past y^l is masked off.
+    carries: one counts points of one-norm s <= l in Z^f, fewer than E_s =
+    2^min(f, s) C(f + s - 1, s), at x-degree <= s, and ``bits``, the one
+    width of every B/C/D sum, is the bit length of 8 sum_{N <= l} C((l - N)
+    // 2 + d, d) E_N, here at d = 0; what spills past y^l is masked off.
     """
-    placed = sum(ell[:l])
-    f = max(n, placed, 1)
-    bits = bits or (comb(f + l - 1, l) << min(f, l)).bit_length()
-    width = (l + 1) * bits
-    mask = (1 << (l + 1) * width) - 1
-    # f_a = sum_{b <= l} y^b + sum_{1 <= b <= a} (x y)^b + x^a sum_{a < b <= l} y^b
-    ys = mask // ((1 << width) - 1)
-    diagonal = ((1 << (l + 1) * (width + bits)) - 1) // ((1 << width + bits) - 1) - 1
+    bits, mask, factors, _ = _packing(max(n, sum(ell[:l]), 1), 0, l, 1)
+    return _product(mask, factors, n, l, ell), bits
+
+
+def _product(mask, factors, n, l, ell):
     packed = 1
     # (level a, number of factors f_a): the coordinates not in ell sit at l
-    for a, count in [*enumerate(ell[:l]), (l, n - placed)]:
-        if count <= 0:
-            continue
-        factor = (ys + (diagonal & (2 << a * (width + bits)) - 1)
-                  + (ys >> (a + 1) * width << (a + 1) * width + a * bits))
-        while True:
+    for a, count in [*enumerate(ell[:l]), (l, n - sum(ell[:l]))]:
+        factor = factors[a]
+        while count > 0:
             if count & 1:
                 packed = packed * factor & mask
             count >>= 1
-            if not count:
-                break
-            factor = factor * factor & mask
-    return packed, bits
+            if count:
+                factor = factor * factor & mask
+    return packed
 
 
 def tensor_sum_a(n, l, ell):

@@ -8,10 +8,12 @@ the packed product of :func:`bivar.kernel.overlap_product` is checked
 against that count and against the same generating-function product
 multiplied out one coefficient at a time (``stepped_block_poly``), on a
 full grid of small keys and on keys whose coefficients need more than 64
-bits. The cached fold of :func:`bivar.kernel.bivariate_sum_bcd`, one
-more packed multiply, is checked against the four-term combination of
-brute-force sums, cold and warm, and on the wide keys against the same
-combination taken one block coefficient at a time.
+bits. The fold of :func:`bivar.kernel.bivariate_sum_bcd`, one more
+packed multiply, is checked against the four-term combination of
+brute-force sums with the cached packing cold and warm, and on the wide
+keys against the same combination taken one block coefficient at a time.
+The packing's cache key is checked by interleaving families that share
+all but one of (f, d, l, step).
 
 The literal evaluator below walks the partitions of bivar.partitions and
 the beta / alpha arrays of the test-side index_sets module, and
@@ -28,14 +30,17 @@ product is compared with it on every key with rank 2-5 and l <= 6.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bivar import kernel
+from bivar.multiplicity import bivariate_mult, tensor_mult
 from bivar.partitions import binom, count_one_norm_sphere, partitions_le_length
+from bivar.root_systems import algebra
+from bivar.weight_tables import candidate_dominants
 from index_sets import alpha_indices, beta_indices, part_counts
 
 
@@ -207,6 +212,9 @@ class TestAgainstLiteralEvaluation:
         assert kernel.tensor_sum_bcd(3, 2, -1, 4, (), 2) == 0
         assert kernel.tensor_sum_bcd(3, 2, -2, 4, (), 1) == 0
         assert kernel.tensor_sum_a(3, -1, ()) == 0
+        # all four tensor sums of the combination sit at negative l
+        assert kernel.bivariate_sum_bcd(3, 2, -1, 0, (), 1) == 0
+        assert kernel.bivariate_sum_bcd(3, 2, -2, 4, (), 2) == 0
 
     def test_l_zero_reduces_to_single_binomial(self):
         # only block N = 0 is left, so the sum collapses to the depth binomial
@@ -250,16 +258,51 @@ def test_fold_matches_brute_force_cold_and_warm(call):
     n, d, l, r2, ell, step = call
     for depth in (r2, r2 + 1):
         expected = brute_bivariate_sum_bcd(n, d, l, depth, ell, step)
-        kernel.fold_bcd.cache_clear()
+        kernel._packing.cache_clear()
         assert kernel.bivariate_sum_bcd(n, d, l, depth, ell, step) == expected
-        # refill the cache from another depth of the same parity, which
-        # the key leaves out, and from the other parity
-        kernel.fold_bcd.cache_clear()
+        # refill the packing from another depth of the same parity and from
+        # the other parity; the warm call then builds no new packing
+        kernel._packing.cache_clear()
         kernel.bivariate_sum_bcd(n, d, l, depth + 4, ell, step)
         kernel.bivariate_sum_bcd(n, d, l, depth + 1, ell, step)
-        misses = kernel.fold_bcd.cache_info().misses
+        misses = kernel._packing.cache_info().misses
         assert kernel.bivariate_sum_bcd(n, d, l, depth, ell, step) == expected
-        assert kernel.fold_bcd.cache_info().misses == misses
+        assert kernel._packing.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_packing_key_separates_families(n):
+    # B_n and D_n share (f, l) but not d, B_n and C_n share (f, d, l) but not
+    # step, C_n and D_(n+1) share (d, l, step) but not f: interleaved in one
+    # process, each value must be the one a cleared packing cache gives
+    specs = [algebra("B", n), algebra("C", n), algebra("D", n), algebra("D", n + 1)]
+    calls = []
+    for l in range(7):
+        weights = [list(candidate_dominants(spec, l + 2, l))[::3] for spec in specs]
+        for row in zip_longest(*weights):
+            calls += [(mult, spec, l, mu) for spec, mu in zip(specs, row) if mu
+                      for mult in (bivariate_mult, tensor_mult)]
+    warm = [mult(spec, l + 2, l, mu) for mult, spec, l, mu in calls]
+    assert any(warm)
+    for (mult, spec, l, mu), value in zip(calls, warm):
+        kernel._packing.cache_clear()
+        assert mult(spec, l + 2, l, mu) == value, (mult.__name__, spec, l, mu)
+
+
+@pytest.mark.parametrize("n, l, ell", [
+    (1, 2, (3, 3)),
+    (3, 4, (2, 1, 2, 1)),
+    (2, 6, (0, 5, 0, 0, 4, 0)),
+])
+def test_packing_key_holds_f(n, l, ell):
+    # sum(ell) > n: f = sum(ell) sets the digit width, so the packing built
+    # for the same (n, d, l, step) at f = n must not serve this call
+    for d, step, parity in product((1, 2), (1, 2), (0, 1)):
+        kernel._packing.cache_clear()
+        cold = kernel.fold_bcd(n, d, l, ell, step, parity)
+        kernel._packing.cache_clear()
+        kernel.fold_bcd(n, d, l, (0,) * l, step, parity)
+        assert kernel.fold_bcd(n, d, l, ell, step, parity) == cold, (d, step, parity)
 
 
 cached_brute_block = lru_cache(maxsize=None)(brute_block)

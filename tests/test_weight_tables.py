@@ -131,7 +131,7 @@ class TestBuildTable:
     @settings(max_examples=60, deadline=None)
     def test_walk_matches_candidate_evaluation(self, spec, l, excess):
         k = l + excess
-        kernel.fold_bcd.cache_clear()
+        kernel._packing.cache_clear()
         want = [(mu, m) for mu in candidate_dominants(spec, k, l)
                 if (m := bivariate_mult(spec, k, l, mu))]
         want += [(mu[:-1] + (-mu[-1],), m) for mu, m in want
