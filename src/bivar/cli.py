@@ -13,10 +13,12 @@ need native big integers.
 
 import argparse
 import json
+import os
 import re
 import sys
+from itertools import chain
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import BivarError
@@ -41,23 +43,24 @@ from .weight_tables import MultiplicityTable, build_table, candidate_dominants, 
 # serialization
 
 
-def _json_document(spec, k: int, l: int, dominant_only: bool, rows: str,
-                   dimension: int) -> str:
-    """A JSON table around ``rows``, the row objects already joined by commas."""
+def _json_document(table: MultiplicityTable, dominant_only: bool, rows: Iterable[str],
+                   dimension: int) -> Iterator[str]:
+    """Pieces of a JSON table: ``table``'s header around ``rows``, row objects joined by commas."""
     head = json.dumps({
-        "family": spec.family,
-        "rank": spec.rank,
-        "k": k,
-        "l": l,
+        "family": table.spec.family,
+        "rank": table.spec.rank,
+        "k": table.k,
+        "l": table.l,
         "dominant_only": dominant_only,
     }, separators=(",", ":"))
-    return f'{head[:-1]},"rows":[{rows}],"dimension":{json.dumps(str(dimension))}}}\n'
+    return chain((head[:-1] + ',"rows":[',), rows,
+                 (f'],"dimension":{json.dumps(str(dimension))}}}\n',))
 
 
-def _csv_document(spec, lines: str) -> str:
-    """A CSV table: the header, then ``lines`` (rows joined by newlines) if any."""
-    header = ",".join(f"mu_{i + 1}" for i in range(weight_length(spec))) + ",mult"
-    return f"{header}\n{lines}\n" if lines else header + "\n"
+def _csv_document(spec, lines: Iterable[str], empty: bool) -> Iterable[str]:
+    """The pieces of a CSV table: the header, then ``lines`` and a newline unless ``empty``."""
+    header = ",".join(f"mu_{i + 1}" for i in range(weight_length(spec))) + ",mult\n"
+    return (header,) if empty else chain((header,), lines, ("\n",))
 
 
 def table_to_json(table: MultiplicityTable) -> str:
@@ -66,8 +69,8 @@ def table_to_json(table: MultiplicityTable) -> str:
     # json.dumps({"mu": list(mu), "mult": str(m)}). %s, not %d, so a
     # non-int value is written as str() writes it, never truncated.
     row = '{"mu":[' + ",".join(["%s"] * weight_length(table.spec)) + '],"mult":"%s"}'
-    rows = ",".join([row % (*mu, m) for mu, m in table.rows])
-    return _json_document(table.spec, table.k, table.l, table.dominant_only, rows, computed)
+    rows = (",".join([row % (*mu, m) for mu, m in table.rows]),)
+    return "".join(_json_document(table, table.dominant_only, rows, computed))
 
 
 def integer(text: str) -> int:
@@ -124,23 +127,23 @@ def table_from_json(text: str) -> MultiplicityTable:
 
 def table_to_csv(table: MultiplicityTable) -> str:
     row = ",".join(["%s"] * (weight_length(table.spec) + 1))
-    return _csv_document(table.spec, "\n".join([row % (*mu, m) for mu, m in table.rows]))
+    lines = "\n".join([row % (*mu, m) for mu, m in table.rows])
+    return "".join(_csv_document(table.spec, (lines,), not table.rows))
 
 
-def _full_table_text(table: MultiplicityTable, fmt: str) -> str:
-    """The full table's JSON or CSV text, written from a dominant-only ``table``.
+def _full_table_text(table: MultiplicityTable, fmt: str) -> Iterable[str]:
+    """The full table's JSON or CSV text in pieces, written from a dominant-only ``table``.
 
-    The bytes equal ``table_to_json`` / ``table_to_csv`` of
-    ``build_table(spec, k, l)``; no full row is built, formatted or sorted.
+    Joined, they equal ``table_to_json`` / ``table_to_csv`` of ``build_table(spec, k, l)``;
+    no full row is built, formatted or sorted. ``orbit_lines`` writes the JSON row framing.
     """
     spec = table.spec
     # the D mirror rows (mu_n < 0) lie in the W_n orbits of their partners
     rows = [(mu, m) for mu, m in table.rows if mu[-1] >= 0]
     if fmt == "csv":
-        return _csv_document(spec, orbit_lines(spec, rows, str))
-    lines = orbit_lines(spec, rows, lambda m: f'],"mult":"{m}"}}')
-    body = '{"mu":[' + lines.replace(",]", "]").replace("\n", ',{"mu":[')
-    return _json_document(spec, table.k, table.l, False, body, dimension_audit(table)[0])
+        return _csv_document(spec, orbit_lines(spec, rows, lambda m: f",{m}"), not rows)
+    lines = orbit_lines(spec, rows, lambda m: f'],"mult":"{m}"}}', ',{"mu":[')
+    return _json_document(table, False, lines, dimension_audit(table)[0])
 
 
 def csv_rows(text: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
@@ -152,12 +155,18 @@ def csv_rows(text: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     return tuple(rows)
 
 
-def _write_out(text: str, path: str) -> None:
-    if path in ("-", "stdout", ""):
-        sys.stdout.write(text)
+def _write_out(pieces: Iterable[str], path: str) -> None:
+    """Write the text ``pieces`` in turn to the file ``path``, or to stdout for "-"."""
+    if path not in ("-", "stdout", ""):
+        with open(path, "w") as handle:
+            handle.writelines(pieces)
         return
-    with open(path, "w") as handle:
-        handle.write(text)
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: end quietly, sending what is buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +327,13 @@ def cmd_table(args) -> int:
     spec = algebra(args.family, args.rank)
     table = build_table(spec, args.k, args.l, dominant_only=True)
     if not args.dominant_only:
-        text = _full_table_text(table, args.format)
+        pieces = _full_table_text(table, args.format)
     elif args.format == "json":
-        text = table_to_json(table)
+        pieces = (table_to_json(table),)
     else:
-        text = table_to_csv(table)
+        pieces = (table_to_csv(table),)
     try:
-        _write_out(text, args.out)
+        _write_out(pieces, args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 3

@@ -18,8 +18,9 @@ recursions, are available separately as :func:`weyl_canonical`.
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidHighestWeight,
@@ -202,10 +203,10 @@ def _expand_orbits(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object
     Below a prefix w_1..w_j what may follow depends only on the multiset
     of |w_1|..|w_j| (family A: of the values themselves), so it is built
     once per multiset: from the rows' own multisets, which hold
-    ``leaf(m)``, down to the empty one, whose list is returned. A
-    multiset's list joins ``prefix(v, child)`` for v from -max up to max
-    (B/C/D) or upward (A), child being the list of the multiset with one
-    |v| more.
+    ``leaf(m)``, down to the empty one. A multiset's list joins
+    ``prefix(v, child)`` for v from -max up to max (B/C/D) or upward (A),
+    child being the list of the multiset with one |v| more. The empty
+    multiset's (v, child) pairs are returned in that order, not joined.
     """
     validate(spec)
     signed = spec.family != "A"
@@ -227,9 +228,7 @@ def _expand_orbits(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object
             order = sorted(kids.items())
             if signed:
                 order = [(-a, value) for a, value in reversed(order) if a] + order
-            joined = level[key] = []
-            for v, value in order:
-                joined += prefix(v, value)
+            level[key] = [p for v, value in order for p in prefix(v, value)] if key else order
     return level.get((), [])  # no rows: no multiset ever reaches ()
 
 
@@ -245,30 +244,42 @@ def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
     sum (pass :func:`canonical_weight` of mu for min-0 members).
     Duplicates from zero or repeated coordinates are never produced twice.
     """
-    return tuple(_expand_orbits(spec, [(mu, None)], lambda m: [()], _prefix_tuples))
+    root = _expand_orbits(spec, [(mu, None)], lambda m: [()], _prefix_tuples)
+    return tuple((v,) + w for v, tails in root for w in tails)
+
+
+PIECE = 1 << 15  # characters: a multiset's text is one piece of orbit_lines up to this size
+
+
+def _prefix_text(v: int, child: list) -> list:
+    child = ["".join(child)] if sum(map(len, child)) <= PIECE else child
+    return [t.replace("\n", f"\n,{v}") for t in child]
 
 
 def orbit_lines(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
-                tail: Callable[[object], str]) -> str:
-    """Text of every orbit of the dominant ``rows``, one line per weight.
+                tail: Callable[[object], str], head: str = "\n") -> Iterator[str]:
+    """Text of every orbit of the dominant ``rows``, one line per weight, as string pieces.
 
     ``rows`` holds (mu, m) pairs, each mu a representative that
-    :func:`orbit` accepts and no two alike. Each weight w of the orbit
-    of mu gets the line ``"w_1,...,w_n," + tail(m)``, where ``tail(m)``
-    holds no newline. The lines come in
-    lexicographic order of w over all the orbits together, the order of
-    the :func:`orbit` outputs merged and sorted, and are joined by
-    newlines with none at the end ("" for no rows).
+    :func:`orbit` accepts and no two alike; all are checked before this
+    returns. Each weight w of the orbit of mu gets the line
+    ``head + "w_1,...,w_n" + tail(m)``: ``tail(m)`` holds its own leading
+    separator and no newline. The lines come in lexicographic order of w
+    over all the orbits together, the order of the :func:`orbit` outputs
+    merged and sorted. Joined, the pieces are the lines with the first
+    character dropped ("" for no rows): lines joined by newlines for the
+    default head, a newline; JSON row objects joined by commas for
+    ``head = ',{"mu":['`` and ``tail(m) = '],"mult":"m"}'``.
 
-    Each multiset's text is kept with a newline before every line, so
-    putting ``v,`` in front of all its lines is one ``str.replace``.
+    Each multiset's text has a newline and a comma before every line, in
+    pieces joined up to ``PIECE`` characters, so putting ``v`` in front
+    of its lines is one ``str.replace`` per piece. The pieces of the
+    first coordinate, whose replace puts ``head + v`` in place of the
+    newline, are made as they are read.
     """
-    texts = _expand_orbits(
-        spec, rows, lambda m: ["\n" + tail(m)],
-        lambda v, child: ["".join(child).replace("\n", f"\n{v},")])
-    if texts:
-        texts[0] = texts[0][1:]  # slicing the joined text instead would copy all of it
-    return "".join(texts)
+    root = _expand_orbits(spec, rows, lambda m: ["\n" + tail(m)], _prefix_text)
+    pieces = (t.replace("\n", f"{head}{v}") for v, child in root for t in child)
+    return chain((next(pieces, "")[1:],), pieces)
 
 
 def _perm_count(values: Sequence[int]) -> int:

@@ -116,8 +116,8 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
         rows = sorted(dominant + mirrors, key=itemgetter(0))
     else:
         # each weight carries its multiplicity as a last entry through the walk
-        rows = [(w[:-1], w[-1]) for w in
-                _expand_orbits(spec, dominant, lambda m: [(m,)], _prefix_tuples)]
+        root = _expand_orbits(spec, dominant, lambda m: [(m,)], _prefix_tuples)
+        rows = [((v,) + w[:-1], w[-1]) for v, tails in root for w in tails]
     meta = {
         "engine": ENGINE_VERSION,
         "backend": kernel.BACKEND,

@@ -54,6 +54,12 @@ def reference_csv(table):
     return "\n".join(lines) + "\n"
 
 
+def digest(text):
+    """SHA-256 of ``text``: a failed comparison of megabyte texts shows two
+    short strings instead of a diff that takes minutes to compute."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # SHA-256 of ``bivar table --dominant-only --format json`` at the benchmark's
 # dominant_tables points (family, rank, k, l)
 DOMINANT_DIGESTS = {
@@ -280,6 +286,31 @@ class TestTable:
         assert code == 3
         assert "cannot write" in err
 
+    def test_bad_request_creates_no_file(self, capsys, tmp_path):
+        target = tmp_path / "t.json"
+        code, _, err = run(capsys, ["table", "--family", "B", "--rank", "3",
+                                    "--k", "1", "--l", "2", "--out", str(target)])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("point", [("B", 6, 5, 3, "json"), ("A", 8, 5, 3, "csv")],
+                             ids=lambda p: "%s%d_k%d_l%d_%s" % p)
+    def test_many_piece_table_same_on_both_sinks(self, tmp_path, point):
+        # 1.35 MB of JSON and 0.25 MB of CSV: many pieces of the orbit walk
+        family, rank, k, l, fmt = point
+        argv = ["table", "--family", family, "--rank", str(rank), "--k", str(k),
+                "--l", str(l), "--format", fmt]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        target = tmp_path / "t.out"
+        assert cli.main(argv + ["--out", str(target)]) == 0
+        full = build_table(algebra(family, rank), k, l)
+        want = reference_json(full) if fmt == "json" else reference_csv(full)
+        assert digest(out.getvalue()) == digest(want)
+        assert digest(target.read_text()) == digest(want)
+
 
 class TestVerify:
     def test_default_grid_passes(self, capsys):
@@ -356,12 +387,17 @@ def test_mult_equals_table_rows(capsys):
         assert int(out.strip()) == m
 
 
-def run_module(argv):
-    """``python -m bivar`` in a child process, with ``src`` on its path."""
+def module_env():
+    """The environment with ``src`` on the path, for ``python -m bivar`` in a child process."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "bivar", *argv], env=env,
+    return env
+
+
+def run_module(argv):
+    """``python -m bivar`` in a child process, with ``src`` on its path."""
+    return subprocess.run([sys.executable, "-m", "bivar", *argv], env=module_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -375,3 +411,16 @@ def test_module_entry_point(capsys):
     usage = run_module(["table", "--family", "B"])
     assert usage.returncode == 2
     assert "required" in usage.stderr
+
+
+def test_reader_closing_stdout_early_exits_quietly():
+    # 1.35 MB of JSON, far past a pipe's buffer: the write is still going
+    # when the reader closes its end after 20 bytes
+    with subprocess.Popen([sys.executable, "-m", "bivar", "table", "--family", "B",
+                           "--rank", "6", "--k", "5", "--l", "3"], env=module_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(20) == b'{"family":"B","rank"'
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 0
+    assert err == ""  # no message, and no "Exception ignored" traceback from the exit flush

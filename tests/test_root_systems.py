@@ -1,11 +1,13 @@
 """Algebra validation, weight statistics, orbits, dimension formula."""
 
+import json
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bivar import root_systems
 from bivar.errors import (
     InvalidHighestWeight,
     LengthMismatch,
@@ -164,7 +166,7 @@ class TestOrbit:
             orbit_lines(spec, [((2, 1, -1), 1)], str)
         with pytest.raises(ValueError):
             orbit_lines(spec, [((2, 1, 0), 1), ((2, 1, 0), 2)], str)
-        assert orbit_lines(spec, [], str) == ""
+        assert "".join(orbit_lines(spec, [], str)) == ""
 
     def test_weyl_orbit_size_d_mirror_split(self):
         spec = algebra("D", 3)
@@ -261,7 +263,14 @@ def test_orbit_matches_brute_force(case):
 def test_orbit_lines_match_brute_force(case, data):
     spec, mus = case
     rows = [(mu, data.draw(st.integers(1, 10**30), label=f"m{i}")) for i, mu in enumerate(mus)]
-    lines = orbit_lines(spec, rows, str).split("\n")
+    # a small piece size splits even these texts into many pieces
+    piece = data.draw(st.sampled_from([1, 40, root_systems.PIECE]), label="piece")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(root_systems, "PIECE", piece)
+        lines = "".join(orbit_lines(spec, rows, ",{}".format)).split("\n")
+        json_rows = "".join(orbit_lines(spec, rows, '],"mult":"{}"}}'.format, ',{"mu":['))
     # the orbits are disjoint: every weight once, all orbits merged in lexicographic order
     want = sorted((w, m) for mu, m in rows for w in brute_orbit(spec, mu))
     assert lines == [",".join(map(str, w)) + f",{m}" for w, m in want]
+    objects = [{"mu": list(w), "mult": str(m)} for w, m in want]
+    assert f"[{json_rows}]" == json.dumps(objects, separators=(",", ":"))
