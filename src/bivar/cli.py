@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``mult`` (one weight), ``table`` (full or dominant-only
-weight table as JSON or CSV) and ``verify`` (re-derive multiplicities
-through the independent oracles over a grid and compare exactly).
-Timings come from the benchmark in ``perfbench/``, not from this
-command.
+weight table as JSON or CSV, all written by ``table_text``, the one
+table writer) and ``verify`` (re-derive multiplicities through the
+independent oracles over a grid and compare exactly). Timings come
+from the benchmark in ``perfbench/``, not from this command.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 I/O
 failure. Multiplicities serialize as decimal strings so consumers never
@@ -18,7 +18,7 @@ import re
 import sys
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import BivarError
@@ -43,34 +43,44 @@ from .weight_tables import MultiplicityTable, build_table, candidate_dominants, 
 # serialization
 
 
-def _json_document(table: MultiplicityTable, dominant_only: bool, rows: Iterable[str],
-                   dimension: int) -> Iterator[str]:
-    """Pieces of a JSON table: ``table``'s header around ``rows``, row objects joined by commas."""
-    head = json.dumps({
-        "family": table.spec.family,
-        "rank": table.spec.rank,
-        "k": table.k,
-        "l": table.l,
-        "dominant_only": dominant_only,
-    }, separators=(",", ":"))
-    return chain((head[:-1] + ',"rows":[',), rows,
-                 (f'],"dimension":{json.dumps(str(dimension))}}}\n',))
+# Each format's row text, spelled only here: head, "w_1,...,w_n", then tail % m.
+ROW_TEXT = {"json": (',{"mu":[', '],"mult":"%s"}'), "csv": ("\n", ",%s")}
 
 
-def _csv_document(spec, lines: Iterable[str], empty: bool) -> Iterable[str]:
-    """The pieces of a CSV table: the header, then ``lines`` and a newline unless ``empty``."""
-    header = ",".join(f"mu_{i + 1}" for i in range(weight_length(spec))) + ",mult\n"
-    return (header,) if empty else chain((header,), lines, ("\n",))
+def table_text(table: MultiplicityTable, fmt: str, full: bool = False) -> Iterable[str]:
+    """The JSON or CSV text of ``table`` in pieces; the first row drops its head's first character.
+
+    With ``full``, the text of the full table ``build_table(spec, k, l)``, written by
+    ``orbit_lines`` from the orbits of the dominant-only ``table``: no full row is
+    built, formatted or sorted. Its rows are all checked before this returns.
+    """
+    spec = table.spec
+    head, tail = ROW_TEXT[fmt]
+    if full:
+        # the D mirror rows (mu_n < 0) lie in the W_n orbits of their partners
+        rows = [(mu, m) for mu, m in table.rows if mu[-1] >= 0]
+        lines = orbit_lines(spec, rows, tail.__mod__, head)
+    else:
+        rows = table.rows
+        # %s, not %d, so a non-int value is written as str() writes it, never truncated
+        row = head + ",".join(["%s"] * weight_length(spec)) + tail
+        lines = [row % (*mu, m) for mu, m in rows]
+        lines[:1] = [line[1:] for line in lines[:1]]
+    if fmt == "csv":
+        header = ",".join(f"mu_{i + 1}" for i in range(weight_length(spec))) + ",mult\n"
+        return chain((header,), lines, ("\n",)) if rows else (header,)
+    header = json.dumps({"family": spec.family, "rank": spec.rank, "k": table.k, "l": table.l,
+                         "dominant_only": table.dominant_only and not full}, separators=(",", ":"))
+    dimension = json.dumps(str(dimension_audit(table)[0]))
+    return chain((header[:-1] + ',"rows":[',), lines, (f'],"dimension":{dimension}}}\n',))
 
 
 def table_to_json(table: MultiplicityTable) -> str:
-    computed, _expected, _ok = dimension_audit(table)
-    # One %-template per table; for int rows the bytes are those of
-    # json.dumps({"mu": list(mu), "mult": str(m)}). %s, not %d, so a
-    # non-int value is written as str() writes it, never truncated.
-    row = '{"mu":[' + ",".join(["%s"] * weight_length(table.spec)) + '],"mult":"%s"}'
-    rows = (",".join([row % (*mu, m) for mu, m in table.rows]),)
-    return "".join(_json_document(table, table.dominant_only, rows, computed))
+    return "".join(table_text(table, "json"))
+
+
+def table_to_csv(table: MultiplicityTable) -> str:
+    return "".join(table_text(table, "csv"))
 
 
 def integer(text: str) -> int:
@@ -97,8 +107,11 @@ def table_from_json(text: str) -> MultiplicityTable:
     dominant_only = _field(obj, "dominant_only", "table")
     if not isinstance(dominant_only, bool):
         raise ValueError(f"dominant_only must be true or false, got {dominant_only!r}")
+    raw_rows = _field(obj, "rows", "table")
+    if not isinstance(raw_rows, list):
+        raise ValueError(f"rows must be a JSON array, got {raw_rows!r}")
     rows = []
-    for r in _field(obj, "rows", "table"):
+    for r in raw_rows:
         mult = _field(r, "mult", "row")
         # table_to_json writes decimal strings; any other value must be an int
         if isinstance(mult, str):
@@ -125,27 +138,6 @@ def table_from_json(text: str) -> MultiplicityTable:
     return MultiplicityTable(spec, k, l, dominant_only, tuple(rows))
 
 
-def table_to_csv(table: MultiplicityTable) -> str:
-    row = ",".join(["%s"] * (weight_length(table.spec) + 1))
-    lines = "\n".join([row % (*mu, m) for mu, m in table.rows])
-    return "".join(_csv_document(table.spec, (lines,), not table.rows))
-
-
-def _full_table_text(table: MultiplicityTable, fmt: str) -> Iterable[str]:
-    """The full table's JSON or CSV text in pieces, written from a dominant-only ``table``.
-
-    Joined, they equal ``table_to_json`` / ``table_to_csv`` of ``build_table(spec, k, l)``;
-    no full row is built, formatted or sorted. ``orbit_lines`` writes the JSON row framing.
-    """
-    spec = table.spec
-    # the D mirror rows (mu_n < 0) lie in the W_n orbits of their partners
-    rows = [(mu, m) for mu, m in table.rows if mu[-1] >= 0]
-    if fmt == "csv":
-        return _csv_document(spec, orbit_lines(spec, rows, lambda m: f",{m}"), not rows)
-    lines = orbit_lines(spec, rows, lambda m: f'],"mult":"{m}"}}', ',{"mu":[')
-    return _json_document(table, False, lines, dimension_audit(table)[0])
-
-
 def csv_rows(text: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     lines = [ln for ln in text.splitlines() if ln]
     rows = []
@@ -157,7 +149,7 @@ def csv_rows(text: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
 
 def _write_out(pieces: Iterable[str], path: str) -> None:
     """Write the text ``pieces`` in turn to the file ``path``, or to stdout for "-"."""
-    if path not in ("-", "stdout", ""):
+    if path != "-":
         with open(path, "w") as handle:
             handle.writelines(pieces)
         return
@@ -324,16 +316,9 @@ def cmd_mult(args) -> int:
 
 
 def cmd_table(args) -> int:
-    spec = algebra(args.family, args.rank)
-    table = build_table(spec, args.k, args.l, dominant_only=True)
-    if not args.dominant_only:
-        pieces = _full_table_text(table, args.format)
-    elif args.format == "json":
-        pieces = (table_to_json(table),)
-    else:
-        pieces = (table_to_csv(table),)
+    table = build_table(algebra(args.family, args.rank), args.k, args.l, dominant_only=True)
     try:
-        _write_out(pieces, args.out)
+        _write_out(table_text(table, args.format, not args.dominant_only), args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 3

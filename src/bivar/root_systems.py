@@ -267,9 +267,8 @@ def orbit_lines(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
     separator and no newline. The lines come in lexicographic order of w
     over all the orbits together, the order of the :func:`orbit` outputs
     merged and sorted. Joined, the pieces are the lines with the first
-    character dropped ("" for no rows): lines joined by newlines for the
-    default head, a newline; JSON row objects joined by commas for
-    ``head = ',{"mu":['`` and ``tail(m) = '],"mult":"m"}'``.
+    character dropped ("" for no rows): a head that starts with a
+    separator joins the lines by that separator.
 
     Each multiset's text has a newline and a comma before every line, in
     pieces joined up to ``PIECE`` characters, so putting ``v`` in front

@@ -83,14 +83,14 @@ def support_size(family, rank, total):
 
 @st.composite
 def full_table_points(draw, max_weights=25000):
-    """(family, rank, k, l, format) with l <= 6 and k <= l + 4, k + l capped
-    so that the support holds at most ``max_weights`` points."""
+    """(family, rank, k, l, format, dominant_only) with l <= 6 and k <= l + 4,
+    k + l capped so that the support holds at most ``max_weights`` points."""
     family = draw(st.sampled_from("ABCD"))
     rank = draw(st.integers(3 if family == "D" else 2, 6))
     cap = max(t for t in range(17) if support_size(family, rank, t) <= max_weights)
     l = draw(st.integers(0, min(6, cap // 2)))
     k = draw(st.integers(l, min(l + 4, cap - l)))
-    return family, rank, k, l, draw(st.sampled_from(["json", "csv"]))
+    return family, rank, k, l, draw(st.sampled_from(["json", "csv"])), draw(st.booleans())
 
 
 class TestMult:
@@ -192,11 +192,17 @@ class TestTable:
         ([{"mu": [0, 0], "mult": " 1"}], {}, ValueError),
         ([{"mu": [0, 0], "mult": "+1"}], {}, ValueError),
         ([{"mu": [0, 0], "mult": "\u0661"}], {}, ValueError),
+        # rows that are not a JSON array
+        (5, {}, ValueError),
+        (None, {}, ValueError),
+        ({"a": 1}, {}, ValueError),
+        ("ab", {}, ValueError),
     ], ids=["wrong-length", "negative-mult", "string-k", "k-below-l",
             "non-bool-dominant", "float-mult", "norm-above-k-plus-l", "not-dominant",
             "a-wrong-sum", "a-negative-coordinate", "duplicate-weight",
             "missing-header-field", "missing-row-field", "underscore-mult",
-            "space-mult", "plus-mult", "non-ascii-mult"])
+            "space-mult", "plus-mult", "non-ascii-mult", "rows-number", "rows-null",
+            "rows-object", "rows-string"])
     def test_json_rejects_bad_rows(self, rows, header, error):
         obj = {"family": "B", "rank": 2, "k": 1, "l": 0, "dominant_only": True,
                "rows": rows}
@@ -225,8 +231,8 @@ class TestTable:
     @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
     def test_writers_match_reference_bytes(self, family, rank, dominant_only):
         table = build_table(algebra(family, rank), 3, 2, dominant_only=dominant_only)
-        assert cli.table_to_json(table) == reference_json(table)
-        assert cli.table_to_csv(table) == reference_csv(table)
+        assert digest(cli.table_to_json(table)) == digest(reference_json(table))
+        assert digest(cli.table_to_csv(table)) == digest(reference_csv(table))
         assert cli.table_from_json(cli.table_to_json(table)) == table
 
     @pytest.mark.parametrize("rows", [
@@ -240,18 +246,20 @@ class TestTable:
         assert cli.table_to_csv(table) == reference_csv(table)
 
     @given(full_table_points())
-    @example(("B", 3, 0, 0, "json"))
-    @example(("D", 3, 0, 0, "csv"))
+    @example(("B", 3, 0, 0, "json", False))
+    @example(("D", 3, 0, 0, "csv", False))
+    @example(("D", 3, 2, 1, "csv", True))
     @settings(max_examples=100, deadline=None)
     def test_full_table_bytes_match_reference(self, point):
-        family, rank, k, l, fmt = point
+        family, rank, k, l, fmt, dominant_only = point
         out = io.StringIO()
         with redirect_stdout(out):
-            code = cli.main(["table", "--family", family, "--rank", str(rank),
-                             "--k", str(k), "--l", str(l), "--format", fmt])
+            code = cli.main(["table", "--family", family, "--rank", str(rank), "--k", str(k),
+                             "--l", str(l), "--format", fmt] + ["--dominant-only"] * dominant_only)
         assert code == 0
-        full = build_table(algebra(family, rank), k, l)
-        assert out.getvalue() == (reference_json(full) if fmt == "json" else reference_csv(full))
+        table = build_table(algebra(family, rank), k, l, dominant_only=dominant_only)
+        want = reference_json(table) if fmt == "json" else reference_csv(table)
+        assert digest(out.getvalue()) == digest(want)
 
     @pytest.mark.parametrize("point", sorted(DOMINANT_DIGESTS),
                              ids=lambda p: "%s%d_k%d_l%d" % p)
@@ -284,6 +292,16 @@ class TestTable:
                                     "--k", "1", "--l", "1",
                                     "--out", str(tmp_path / "nope" / "t.csv")])
         assert code == 3
+        assert "cannot write" in err
+
+    def test_only_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["table", "--family", "C", "--rank", "2", "--k", "1", "--l", "1", "--out"]
+        code, out, _ = run(capsys, argv + ["stdout"])
+        assert (code, out) == (0, "")
+        assert (tmp_path / "stdout").read_text().startswith('{"family":"C"')
+        code, out, err = run(capsys, argv + [""])
+        assert (code, out) == (3, "")
         assert "cannot write" in err
 
     def test_bad_request_creates_no_file(self, capsys, tmp_path):
