@@ -2,8 +2,8 @@
 
 The general entry point is :func:`bivariate_mult`. For families B, C, D
 it combines four tensor sums (evaluated by :mod:`bivar.kernel`); for
-family A it combines two. Closed-form fast paths cover the single-row
-case, l = 0/1/2 and the zero weight.
+family A it combines two, read from one product. Closed-form fast paths
+cover the single-row case, l = 0/1/2 and the zero weight.
 
 Depth arguments are carried as doubled integers (``r2``), never floats:
 the depth (k + l - |mu|)/2 is genuinely half-integral for family B.
@@ -26,11 +26,6 @@ from .root_systems import (
 )
 
 
-def _degree(family: str, n: int) -> int:
-    # binomial degree of the single-row counts: n - 1 for B and C, n - 2 for D
-    return n - 2 if family == "D" else n - 1
-
-
 def _bcd_args(spec: AlgebraSpec, k: int, l: int, mu):
     """Arguments (n, d, r2, ell, step) of the B/C/D tensor sums for a checked ``mu``.
 
@@ -42,7 +37,7 @@ def _bcd_args(spec: AlgebraSpec, k: int, l: int, mu):
     if r2 < 0 or (spec.family != "B" and r2 % 2):
         return None
     n = spec.rank
-    return n, _degree(spec.family, n), r2, ell, 1 if spec.family == "B" else 2
+    return n, kernel._degree(spec.family, n), r2, ell, 1 if spec.family == "B" else 2
 
 
 def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
@@ -61,7 +56,7 @@ def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
     r2 = k - one_norm(mu)
     if fam != "B" and (r2 < 0 or r2 % 2):
         return 0
-    d = _degree(fam, n)
+    d = kernel._degree(fam, n)
     return binom(r2 // 2 + d, d)
 
 
@@ -96,8 +91,7 @@ def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
         if rep is None or max(rep) > k:
             return 0
         # counted on the representative whose sum is k + l, as the formula wants
-        ell = _level_stats(rep, l)[1]
-        return kernel.tensor_sum_a(n, l, ell) - kernel.tensor_sum_a(n, l - 1, ell)
+        return kernel.bivariate_sum_a(n, l, _level_stats(rep, l)[1])
 
     args = _bcd_args(spec, k, l, mu)
     if args is None:
@@ -135,7 +129,7 @@ def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
         else:
             # C uses the D-style correction at rank n+1 and degree n-1
             m = n + 1 if fam == "C" else n
-            d = _degree(fam, n)
+            d = kernel._degree(fam, n)
             if (upper + l) % 2 == 0:
                 factor = Fraction(l - upper + m - 2, l - upper + 2 * m - 4)
             else:
@@ -164,7 +158,7 @@ def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
     r2 = k + 1 - norm
     if r2 < 0:
         return 0
-    d = _degree(fam, n)
+    d = kernel._degree(fam, n)
     if fam == "B":
         return (
             binom((r2 - 1) // 2 + d, d)

@@ -1,10 +1,10 @@
 """Full weight tables for the representations k*e1 + l*e2.
 
 :func:`build_table` follows the candidate-enumeration algorithm over the
-weakly decreasing non-negative vectors of one-norm at most k + l: B/C/D
-walk them in :func:`bivar.kernel.dominant_rows_bcd`, which carries the
-packed product, and A evaluates each of :func:`candidate_dominants`. A full
-table then expands the orbits of the kept candidates all at once, in
+weakly decreasing non-negative vectors of :func:`candidate_dominants`
+with first coordinate at most k, walked for every family in
+:func:`bivar.kernel.dominant_rows`, which carries the packed product. A
+full table then expands the orbits of the kept candidates all at once, in
 lexicographic order, with the walk that ``root_systems.orbit`` and
 ``root_systems.orbit_lines`` use too; a dominant-only table for family
 D emits the extra mirror weight (a_1, ..., -a_n) alongside
@@ -24,7 +24,6 @@ from operator import itemgetter
 from typing import Dict, Iterator, Tuple
 
 from . import __version__, kernel
-from .multiplicity import _degree, bivariate_mult
 from .oracles import _Geometry
 from .partitions import partitions_le_length
 from .root_systems import (
@@ -55,9 +54,9 @@ class MultiplicityTable:
     Rows are lexicographically sorted (weight, multiplicity) pairs with
     every multiplicity positive. ``meta`` carries provenance (engine
     version, kernel backend, elapsed seconds, creation timestamp) and,
-    for :func:`build_table`, how many dominant candidates were evaluated,
-    kept and folded into a vector C (``candidates``, ``kept``, ``folds``;
-    no folds for A). It never takes part in comparisons or serialization.
+    for :func:`build_table`, how many dominant candidates were evaluated
+    and kept, and how many distinct products were folded (``candidates``,
+    ``kept``, ``folds``). It never takes part in comparisons or serialization.
     """
 
     spec: AlgebraSpec
@@ -92,7 +91,7 @@ def candidate_dominants(spec: AlgebraSpec, k: int, l: int,
 
 def build_table(spec: AlgebraSpec, k: int, l: int,
                 dominant_only: bool = False) -> MultiplicityTable:
-    """Evaluate the formula over the candidates, one walk for B/C/D, and assemble rows.
+    """Evaluate the formula over the candidates in one kernel walk and assemble rows.
 
     Rows come out sorted by weight, so the table depends only on its
     arguments; weights in a table are unique, so this is the order of
@@ -103,13 +102,7 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
     validate(spec)
     k, l = check_highest_weight(k, l)
     started = time.perf_counter()
-    if spec.family == "A":
-        candidates = list(candidate_dominants(spec, k, l))
-        dominant = [(mu, m) for mu in candidates if (m := bivariate_mult(spec, k, l, mu))]
-        counts = {"candidates": len(candidates), "kept": len(dominant), "folds": 0}
-    else:
-        dominant, counts = kernel.dominant_rows_bcd(
-            spec.rank, _degree(spec.family, spec.rank), k, l, 1 if spec.family == "B" else 2)
+    dominant, counts = kernel.dominant_rows(spec.family, spec.rank, k, l)
     if dominant_only:
         mirrors = [(mu[:-1] + (-mu[-1],), m) for mu, m in dominant
                    if spec.family == "D" and mu[-1] > 0]

@@ -61,7 +61,7 @@ def digest(text):
 
 
 # SHA-256 of ``bivar table --dominant-only --format json`` at the benchmark's
-# dominant_tables points (family, rank, k, l)
+# dominant_tables points (family, rank, k, l) and at two type A points
 DOMINANT_DIGESTS = {
     ("B", 5, 10, 6): "c93c6cd90d96e31bd9046d12bf9641d5790747a01534da5e7d524094c9b65095",
     ("B", 6, 9, 6): "4cc38782d4ea13ee57cfa0b9ac469f9f72062842124974903391afe392adb836",
@@ -69,6 +69,8 @@ DOMINANT_DIGESTS = {
     ("C", 4, 10, 8): "6f4188a1c55c89c8fef7d41ff31d5cbf0bf6aeb8bee5a75bdc4c51d487557288",
     ("D", 5, 16, 6): "abd9b87a50038aaa47f34a5156a080dd6c6c042d170febb05a3b3d94a4b40446",
     ("D", 6, 12, 6): "7968ef0b585e34a365e35e0acd629ad72e7f602d4522167a1f7a90cf8cfe72f8",
+    ("A", 8, 20, 12): "1dfbc1920e8096ec43d9395635907d412e6527b9eafbd03455a0f5b5886bb619",
+    ("A", 6, 30, 14): "cc17c3be4920081de671b383d82a35ac30a401c9420e123f6cabba47e2b6d383",
 }
 
 

@@ -4,7 +4,7 @@ The B/C/D blocks are checked against a brute-force count: build a weight
 mu from the level counts, walk every nu on each one-norm sphere, bucket
 them by their overlap with mu, and apply the same outer binomials as
 :func:`bivar.kernel.tensor_sum_bcd`. This holds for every l. Slot N of
-the packed product of :func:`bivar.kernel.overlap_product` is checked
+the packed product that ``bivar.kernel._packing`` lays out is checked
 against that count and against the same generating-function product
 multiplied out one coefficient at a time (``stepped_block_poly``), on a
 full grid of small keys and on keys whose coefficients need more than 64
@@ -26,7 +26,10 @@ it is compared with the kernel only at l <= 3.
 
 For type A the reference is the partition-indexed sum, one slot-choice
 binomial per part size (``literal_tensor_sum_a``); the kernel's truncated
-product is compared with it on every key with rank 2-5 and l <= 6.
+product, and the difference of its y^l and y^(l-1) digits that
+:func:`bivar.kernel.bivariate_sum_a` reads, are compared with it on every
+key with rank 2-5 and l <= 6, and on keys whose values need more than 64
+bits.
 """
 
 from functools import lru_cache
@@ -205,13 +208,30 @@ class TestAgainstLiteralEvaluation:
                 for ell in product(range(n + 2), repeat=max(l, 1)):
                     if sum(ell) > n + 1:
                         continue
-                    assert kernel.tensor_sum_a(n, l, ell) == \
-                        literal_tensor_sum_a(n, l, ell), (n, l, ell)
+                    expected = literal_tensor_sum_a(n, l, ell)
+                    assert kernel.tensor_sum_a(n, l, ell) == expected, (n, l, ell)
+                    assert kernel.bivariate_sum_a(n, l, ell) == \
+                        expected - literal_tensor_sum_a(n, l - 1, ell), (n, l, ell)
+
+    @pytest.mark.parametrize("n, l, ell", [
+        (80, 20, (0,) * 20),
+        (80, 20, (3, 0, 1, 0, 2) + (0,) * 10 + (1, 0, 4, 0, 1)),
+        (60, 24, (1,) * 24),
+        (100, 18, (10, 0, 0, 5) + (2,) * 14),
+    ])
+    def test_a_wide_digits(self, n, l, ell):
+        # C(l + n, n), the value at ell = 0, bounds every digit and needs over 64 bits
+        assert binom(l + n, n) > 2 ** 64
+        expected = literal_tensor_sum_a(n, l, ell)
+        assert kernel.tensor_sum_a(n, l, ell) == expected
+        assert kernel.bivariate_sum_a(n, l, ell) == \
+            expected - literal_tensor_sum_a(n, l - 1, ell)
 
     def test_negative_l_is_zero(self):
         assert kernel.tensor_sum_bcd(3, 2, -1, 4, (), 2) == 0
         assert kernel.tensor_sum_bcd(3, 2, -2, 4, (), 1) == 0
         assert kernel.tensor_sum_a(3, -1, ()) == 0
+        assert kernel.bivariate_sum_a(3, -1, ()) == 0
         # all four tensor sums of the combination sit at negative l
         assert kernel.bivariate_sum_bcd(3, 2, -1, 0, (), 1) == 0
         assert kernel.bivariate_sum_bcd(3, 2, -2, 4, (), 2) == 0
@@ -223,6 +243,7 @@ class TestAgainstLiteralEvaluation:
                 assert kernel.tensor_sum_bcd(n, d, 0, r2, (), 1) == \
                     binom(r2 // 2 + d, d)
         assert kernel.tensor_sum_a(3, 0, ()) == 1
+        assert kernel.bivariate_sum_a(3, 0, ()) == 1
 
     def test_big_values_stay_exact(self):
         # far beyond 64-bit: the sums are exact big integers
@@ -310,8 +331,10 @@ cached_stepped_block_poly = lru_cache(maxsize=None)(stepped_block_poly)
 
 
 def product_slots(n, l, ell):
-    """The blocks N <= l of ``kernel.overlap_product``, unpacked."""
-    packed, bits = kernel.overlap_product(n, l, ell)
+    """The blocks N <= l of the packed product F, unpacked: the ``bits``-bit
+    digit N (l + 1) + m of F counts the nu of one-norm N with overlap m."""
+    bits, mask, factors, _ = kernel._packing(max(n, sum(ell[:l]), 1), 0, l, 1)
+    packed = kernel._product(mask, factors, n, l, ell)
     digit = (1 << bits) - 1
     return [tuple(packed >> (big_n * (l + 1) + m) * bits & digit for m in range(big_n + 1))
             for big_n in range(l + 1)]

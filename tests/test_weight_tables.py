@@ -110,7 +110,8 @@ class TestBuildTable:
             assert got == diagram.entries
 
     @pytest.mark.parametrize("spec,k,l", [(B2, 3, 3), (C3, 4, 3), (D3, 4, 2),
-                                          (algebra("D", 4), 5, 3)], ids=str)
+                                          (algebra("D", 4), 5, 3), (A2, 3, 3),
+                                          (algebra("A", 4), 6, 4)], ids=str)
     def test_walk_counters(self, spec, k, l):
         first = build_table(spec, k, l, dominant_only=True)
         second = build_table(spec, k, l, dominant_only=True)
@@ -119,19 +120,25 @@ class TestBuildTable:
         assert counts == [second.meta[c] for c in ("candidates", "kept", "folds")]
         candidates, kept, folds = counts
         assert 0 < folds <= candidates
+        # the walk skips the candidates with mu_1 > k, whose multiplicity is 0
+        assert candidates == sum(1 for mu in candidate_dominants(spec, k, l) if mu[0] <= k)
         # kept rows are the dominant weights; the D mirrors are added after
         assert kept == sum(1 for mu, _ in first.rows if mu[-1] >= 0)
 
-    @given(st.sampled_from([algebra(f, n) for f in "BCD"
+    @given(st.sampled_from([algebra(f, n) for f in "ABCD"
                             for n in range(3 if f == "D" else 2, 8)]),
            st.integers(0, 8), st.integers(0, 9))
     @example(B2, 0, 0)
     @example(algebra("C", 2), 1, 0)
     @example(D3, 0, 1)
-    @settings(max_examples=60, deadline=None)
+    @example(A2, 0, 0)
+    @example(A2, 1, 0)
+    @example(algebra("A", 7), 8, 9)
+    @settings(max_examples=80, deadline=None)
     def test_walk_matches_candidate_evaluation(self, spec, l, excess):
         k = l + excess
         kernel._packing.cache_clear()
+        kernel._packing_a.cache_clear()
         want = [(mu, m) for mu in candidate_dominants(spec, k, l)
                 if (m := bivariate_mult(spec, k, l, mu))]
         want += [(mu[:-1] + (-mu[-1],), m) for mu, m in want
@@ -139,7 +146,8 @@ class TestBuildTable:
         assert build_table(spec, k, l, dominant_only=True).rows == tuple(sorted(want))
 
     @pytest.mark.parametrize("spec,k,l", [(B2, 3, 2), (algebra("B", 4), 5, 4), (C3, 4, 3),
-                                          (D3, 4, 2), (algebra("D", 5), 3, 3)], ids=str)
+                                          (D3, 4, 2), (algebra("D", 5), 3, 3),
+                                          (algebra("A", 3), 4, 3)], ids=str)
     def test_candidates_beyond_k_are_zero(self, spec, k, l):
         beyond = [mu for mu in candidate_dominants(spec, k, l, parity_filter=False)
                   if mu[0] > k]
