@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import BivarError
-from .multiplicity import bivariate_mult, tensor_mult
+from .multiplicity import _depth, bivariate_mult, tensor_mult
 from .oracles import convolution_mult, freudenthal_diagram, kostka_count, tensor_conv_mult
 from .root_systems import (
     algebra,
@@ -32,7 +32,6 @@ from .root_systems import (
     check_weight,
     highest_weight,
     is_dominant,
-    one_norm,
     orbit_lines,
     weight_length,
 )
@@ -121,12 +120,11 @@ def table_from_json(text: str) -> MultiplicityTable:
         mu = check_weight(spec, _field(r, "mu", "row"))
         if mult <= 0:
             raise ValueError(f"row {mu}: multiplicity must be positive, got {mult}")
-        if spec.family == "A":
-            if min(mu) < 0 or sum(mu) != k + l:
-                raise ValueError(f"row {mu}: type A weights of k*e1 + l*e2 are "
-                                 f"non-negative and sum to k + l = {k + l}")
-        elif one_norm(mu) > k + l:
-            raise ValueError(f"row {mu}: one-norm exceeds k + l = {k + l}")
+        if spec.family == "A" and (min(mu) < 0 or sum(mu) != k + l):
+            raise ValueError(f"row {mu}: type A weights of k*e1 + l*e2 are "
+                             f"non-negative and sum to k + l = {k + l}")
+        if _depth(spec, k, l, mu, k) is None:
+            raise ValueError(f"row {mu}: not a weight of k*e1 + l*e2 with k = {k}, l = {l}")
         if dominant_only and not is_dominant(spec, mu):
             raise ValueError(f"row {mu}: not dominant in a dominant-only table")
         rows.append((mu, mult))
@@ -238,7 +236,7 @@ def run_verification(families, ranks, maxsum, oracle) -> Tuple[int, List[str]]:
                         if lhs != rhs:
                             record(spec, k, l, key, lhs, rhs, "freudenthal")
                 if oracle in ("convolution", "all"):
-                    for mu in candidate_dominants(spec, k, l, parity_filter=False):
+                    for mu in candidate_dominants(spec, k, l):
                         lhs = bivariate_mult(spec, k, l, mu)
                         rhs = convolution_mult(spec, k, l, mu)
                         checked += 1

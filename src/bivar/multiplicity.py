@@ -3,7 +3,9 @@
 The general entry point is :func:`bivariate_mult`. For families B, C, D
 it combines four tensor sums (evaluated by :mod:`bivar.kernel`); for
 family A it combines two, read from one product. Closed-form fast paths
-cover the single-row case, l = 0/1/2 and the zero weight.
+cover the single-row case, l = 0/1/2 and the zero weight. Each of them
+decides whether a weight can occur, and at what depth, by one rule,
+:func:`_depth`.
 
 Depth arguments are carried as doubled integers (``r2``), never floats:
 the depth (k + l - |mu|)/2 is genuinely half-integral for family B.
@@ -21,84 +23,81 @@ from .root_systems import (
     check_highest_weight,
     check_weight,
     normalize_a_to_sum,
-    one_norm,
     validate,
 )
 
 
-def _bcd_args(spec: AlgebraSpec, k: int, l: int, mu):
-    """Arguments (n, d, r2, ell, step) of the B/C/D tensor sums for a checked ``mu``.
+def _checked(spec: AlgebraSpec, k: int, l: int, mu):
+    """(k, l, mu) as ints, raising unless ``spec`` is valid, k >= l >= 0 and mu has its length."""
+    validate(spec)
+    k, l = check_highest_weight(k, l)
+    return k, l, check_weight(spec, mu)
 
-    None when every term is 0: the doubled depth r2 is negative, or odd
-    for C and D.
+
+def _depth(spec: AlgebraSpec, k: int, l: int, mu, cap: int):
+    """(r2, ell) of a checked ``mu`` in the sums for k*e1 + l*e2; None when every term is 0.
+
+    The one support rule of every single-weight entry point: r2 = k + l - |mu|_1
+    is the doubled depth and ell = (l_0, ..., l_{l-1}) the level counts. Type A
+    reads the representative summing to k + l, so r2 = 0. None when r2 < 0, when
+    r2 is odd for C and D, when some |mu_i| exceeds ``cap`` (k for the irreducible
+    and the closed forms, k + l for the tensor product) or, for A, when no
+    non-negative representative sums to k + l.
     """
+    if spec.family == "A":
+        mu = normalize_a_to_sum(mu, k + l)
+        if mu is None:
+            return None
     norm, ell = _level_stats(mu, l)
     r2 = k + l - norm
-    if r2 < 0 or (spec.family != "B" and r2 % 2):
+    if r2 < 0 or (r2 % 2 and spec.family in ("C", "D")):
         return None
-    n = spec.rank
-    return n, kernel._degree(spec.family, n), r2, ell, 1 if spec.family == "B" else 2
+    # |mu_i| <= |mu|_1: only a one-norm past the cap can put a coordinate past it
+    if norm > cap and max(map(abs, mu)) > cap:
+        return None
+    return r2, ell
 
 
 def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
     """Multiplicity of ``mu`` in the representation with highest weight k*e1.
 
-    Closed forms per family; zero whenever the depth (k - |mu|)/2 is
-    negative, or fails to be an integer for C and D.
+    1 for family A, binom(r2 // 2 + d, d) for B/C/D; 0 off the support.
     """
-    validate(spec)
-    k, _ = check_highest_weight(k, 0)
-    mu = check_weight(spec, mu)
-    n = spec.rank
-    fam = spec.family
-    if fam == "A":
-        return 1 if normalize_a_to_sum(mu, k) is not None else 0
-    r2 = k - one_norm(mu)
-    if fam != "B" and (r2 < 0 or r2 % 2):
+    k, _, mu = _checked(spec, k, 0, mu)
+    depth = _depth(spec, k, 0, mu, k)
+    if depth is None:
         return 0
-    d = kernel._degree(fam, n)
-    return binom(r2 // 2 + d, d)
+    if spec.family == "A":
+        return 1
+    d = kernel._degree(spec.family, spec.rank)
+    return binom(depth[0] // 2 + d, d)
 
 
 def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     """Multiplicity of ``mu`` in the tensor product pi_{k e1} (x) pi_{l e1}."""
-    validate(spec)
-    k, l = check_highest_weight(k, l)
-    mu = check_weight(spec, mu)
-    n = spec.rank
-    fam = spec.family
-    if fam == "A":
-        rep = normalize_a_to_sum(mu, k + l)
-        if rep is None:
-            return 0
-        return kernel.tensor_sum_a(n, l, _level_stats(rep, l)[1])
-    args = _bcd_args(spec, k, l, mu)
-    if args is None:
+    k, l, mu = _checked(spec, k, l, mu)
+    depth = _depth(spec, k, l, mu, k + l)
+    if depth is None:
         return 0
-    n, d, r2, ell, step = args
-    return kernel.tensor_sum_bcd(n, d, l, r2, ell, step)
+    r2, ell = depth
+    n, fam = spec.rank, spec.family
+    if fam == "A":
+        return kernel.tensor_sum_a(n, l, ell)
+    return kernel.tensor_sum_bcd(n, kernel._degree(fam, n), l, r2, ell, 1 if fam == "B" else 2)
 
 
 def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     """Multiplicity of ``mu`` in the irreducible with highest weight k*e1 + l*e2."""
-    validate(spec)
-    k, l = check_highest_weight(k, l)
-    mu = check_weight(spec, mu)
-    n = spec.rank
-    fam = spec.family
-    if fam == "A":
-        rep = normalize_a_to_sum(mu, k + l)
-        if rep is None or max(rep) > k:
-            return 0
-        # counted on the representative whose sum is k + l, as the formula wants
-        return kernel.bivariate_sum_a(n, l, _level_stats(rep, l)[1])
-
-    args = _bcd_args(spec, k, l, mu)
-    if args is None:
+    k, l, mu = _checked(spec, k, l, mu)
+    depth = _depth(spec, k, l, mu, k)
+    if depth is None:
         return 0
-    n, d, r2, ell, step = args
+    r2, ell = depth
+    n, fam = spec.rank, spec.family
+    if fam == "A":
+        return kernel.bivariate_sum_a(n, l, ell)
     # virtual-ring combination: the four tensor factors at depths r, r, r-1, r-1
-    return kernel.bivariate_sum_bcd(n, d, l, r2, ell, step)
+    return kernel.bivariate_sum_bcd(n, kernel._degree(fam, n), l, r2, ell, 1 if fam == "B" else 2)
 
 
 def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
@@ -109,7 +108,7 @@ def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
     fam = spec.family
     if fam == "A":
         raise UnsupportedFamily("the zero-weight closed form covers families B, C, D only")
-    if fam != "B" and (k + l) % 2:
+    if _depth(spec, k, l, (0,) * n, k) is None:
         return 0
     total = Fraction(0)
     for upper in range(l + 1):
@@ -143,21 +142,15 @@ def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
 
 def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
     """Fast path for l = 1, agreeing with :func:`bivariate_mult` on all families."""
-    validate(spec)
-    k, _ = check_highest_weight(k, 1)
-    mu = check_weight(spec, mu)
+    k, _, mu = _checked(spec, k, 1, mu)
+    depth = _depth(spec, k, 1, mu, k)
+    if depth is None:
+        return 0
+    r2, (ell0,) = depth
     n = spec.rank
     fam = spec.family
     if fam == "A":
-        rep = normalize_a_to_sum(mu, k + 1)
-        if rep is None or max(rep) > k:
-            return 0
-        zeros = sum(1 for b in rep if b == 0)
-        return n - zeros
-    norm, (ell0,) = _level_stats(mu, 1)
-    r2 = k + 1 - norm
-    if r2 < 0:
-        return 0
+        return n - ell0
     d = kernel._degree(fam, n)
     if fam == "B":
         return (
@@ -167,8 +160,6 @@ def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
             - binom(r2 // 2 + d, d)
             - binom((r2 - 2) // 2 + d, d)
         )
-    if r2 % 2:
-        return 0
     r = r2 // 2
     return (n + ell0 - 1) * binom(r - 1 + d, d) + (n - ell0 - 1) * binom(r + d, d)
 
@@ -176,13 +167,12 @@ def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
 def l2_mult_d(n: int, k: int, mu) -> int:
     """Closed form for family D with l = 2 (three binomials in r, l_0, l_1)."""
     spec = algebra("D", n)
-    k, _ = check_highest_weight(k, 2)
-    mu = check_weight(spec, mu)
-    r2 = k + 2 - one_norm(mu)
-    if r2 < 0 or r2 % 2:
+    k, _, mu = _checked(spec, k, 2, mu)
+    depth = _depth(spec, k, 2, mu, k)
+    if depth is None:
         return 0
+    r2, (ell0, ell1) = depth
     r = r2 // 2
-    _, (ell0, ell1) = _level_stats(mu, 2)
     open_pairs = binom(n - ell0, 2)
     return (
         binom(r + n - 4, n - 2) * (2 * ell0 * (n - 1) + open_pairs)
@@ -195,11 +185,9 @@ def l2_mult_d(n: int, k: int, mu) -> int:
 def l2_mult_a(n: int, k: int, mu) -> int:
     """Closed form for family A with l = 2: C(n+1-l_0, 2) - l_1."""
     spec = algebra("A", n)
-    k, _ = check_highest_weight(k, 2)
-    mu = check_weight(spec, mu)
-    rep = normalize_a_to_sum(mu, k + 2)
-    if rep is None or max(rep) > k:
+    k, _, mu = _checked(spec, k, 2, mu)
+    depth = _depth(spec, k, 2, mu, k)
+    if depth is None:
         return 0
-    ell0 = sum(1 for b in rep if b == 0)
-    ell1 = sum(1 for b in rep if b == 1)
+    _, (ell0, ell1) = depth
     return binom(n + 1 - ell0, 2) - ell1

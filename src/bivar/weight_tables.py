@@ -1,14 +1,16 @@
 """Full weight tables for the representations k*e1 + l*e2.
 
-:func:`build_table` follows the candidate-enumeration algorithm over the
-weakly decreasing non-negative vectors of :func:`candidate_dominants`
-with first coordinate at most k, walked for every family in
-:func:`bivar.kernel.dominant_rows`, which carries the packed product. A
-full table then expands the orbits of the kept candidates all at once, in
-lexicographic order, with the walk that ``root_systems.orbit`` and
-``root_systems.orbit_lines`` use too; a dominant-only table for family
-D emits the extra mirror weight (a_1, ..., -a_n) alongside
-(a_1, ..., a_n) and sorts.
+:func:`build_table` follows the candidate-enumeration algorithm: for
+every family one walk, :func:`bivar.kernel.dominant_rows`, visits the
+weakly decreasing non-negative weights that can occur (first coordinate
+at most k; B/C/D: one-norm at most k + l, of the parity of k + l for C
+and D; A: summing to k + l) and carries the packed product. It does not
+call :func:`candidate_dominants`, the wider candidate list that ``bivar
+verify`` and the tests read. A full table then expands the orbits of the
+kept candidates all at once, in lexicographic order, with the walk that
+``root_systems.orbit`` and ``root_systems.orbit_lines`` use too; a
+dominant-only table for family D emits the extra mirror weight
+(a_1, ..., -a_n) alongside (a_1, ..., a_n) and sorts.
 
 :func:`freudenthal_table` is the classical alternative engine: it walks
 the whole weight system level by level, computing every multiplicity
@@ -67,25 +69,20 @@ class MultiplicityTable:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def candidate_dominants(spec: AlgebraSpec, k: int, l: int,
-                        parity_filter: bool = True) -> Iterator[Weight]:
+def candidate_dominants(spec: AlgebraSpec, k: int, l: int) -> Iterator[Weight]:
     """Candidate dominant weights for the representation k*e1 + l*e2.
 
-    B/C/D: weakly decreasing non-negative vectors of one-norm <= k + l;
-    for C and D the one-norm must also match k + l mod 2 unless
-    ``parity_filter`` is switched off (the formula returns 0 on the
-    skipped candidates either way). A: weakly decreasing non-negative
+    B/C/D: weakly decreasing non-negative vectors of one-norm <= k + l
+    (the formula returns 0 on those with mu_1 > k and, for C and D, on
+    those with k + l - |mu|_1 odd). A: weakly decreasing non-negative
     vectors of length n + 1 summing to k + l.
     """
     validate(spec)
     k, l = check_highest_weight(k, l)
-    fam = spec.family
-    if fam == "A":
+    if spec.family == "A":
         yield from partitions_le_length(k + l, spec.rank + 1)
         return
-    step = 2 if parity_filter and fam in ("C", "D") else 1
-    start = (k + l) % 2 if step == 2 else 0
-    for norm in range(start, k + l + 1, step):
+    for norm in range(k + l + 1):
         yield from partitions_le_length(norm, spec.rank)
 
 

@@ -92,7 +92,7 @@ def test_criterion_02_convolution_equivalence():
     compared = 0
     for spec in specs:
         for k, l in kl_pairs(6):
-            for mu in candidate_dominants(spec, k, l, parity_filter=False):
+            for mu in candidate_dominants(spec, k, l):
                 assert bivariate_mult(spec, k, l, mu) == \
                     convolution_mult(spec, k, l, mu), (spec, k, l, mu)
                 assert tensor_mult(spec, k, l, mu) == \
@@ -164,7 +164,7 @@ def test_criterion_06_closed_form_fast_paths():
         for n in range(lo, 7):
             spec = algebra(fam, n)
             for k in range(1, 12):
-                for mu in candidate_dominants(spec, k, 1, parity_filter=False):
+                for mu in candidate_dominants(spec, k, 1):
                     assert l1_mult(spec, k, mu) == \
                         bivariate_mult(spec, k, 1, mu), (fam, n, k, mu)
                     checked += 1

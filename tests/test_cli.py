@@ -183,6 +183,10 @@ class TestTable:
         ([{"mu": [0, 1], "mult": "1"}], {}, ValueError),
         ([{"mu": [2, 0, 0], "mult": "1"}], {"family": "A", "dominant_only": False}, ValueError),
         ([{"mu": [2, 0, -1], "mult": "1"}], {"family": "A", "dominant_only": False}, ValueError),
+        # one-norm within k + l, yet not weights of the table the header names
+        ([{"mu": [1, 0], "mult": "1"}], {"family": "C", "k": 1, "l": 1}, ValueError),
+        ([{"mu": [3, 0, 0], "mult": "1"}], {"rank": 3, "k": 2, "l": 1}, ValueError),
+        ([{"mu": [3, 0, 0], "mult": "1"}], {"family": "A", "k": 2, "l": 1}, ValueError),
         # a full B2 k1 l0 table with (1, 0) twice and (0, -1) missing: its
         # multiplicities still add up to the dimension 5
         ([{"mu": mu, "mult": "1"} for mu in ([1, 0], [1, 0], [0, 0], [-1, 0], [0, 1])],
@@ -201,7 +205,8 @@ class TestTable:
         ("ab", {}, ValueError),
     ], ids=["wrong-length", "negative-mult", "string-k", "k-below-l",
             "non-bool-dominant", "float-mult", "norm-above-k-plus-l", "not-dominant",
-            "a-wrong-sum", "a-negative-coordinate", "duplicate-weight",
+            "a-wrong-sum", "a-negative-coordinate", "wrong-parity", "above-k",
+            "a-above-k", "duplicate-weight",
             "missing-header-field", "missing-row-field", "underscore-mult",
             "space-mult", "plus-mult", "non-ascii-mult", "rows-number", "rows-null",
             "rows-object", "rows-string"])

@@ -23,9 +23,11 @@ from bivar.root_systems import (
     highest_weight,
     one_norm,
     orbit,
+    weight_length,
     weight_stats,
 )
 from bivar.oracles import convolution_mult, kostka_count, tensor_conv_mult
+from bivar.partitions import partitions_le_length
 from bivar.weight_tables import candidate_dominants
 
 B2, B3 = algebra("B", 2), algebra("B", 3)
@@ -63,7 +65,7 @@ class TestTensorMult:
     def test_l_zero_is_single_row(self):
         for spec in (B2, B3, C2, D3, A2):
             for k in range(4):
-                for mu in candidate_dominants(spec, k, 0, parity_filter=False):
+                for mu in candidate_dominants(spec, k, 0):
                     assert tensor_mult(spec, k, 0, mu) == single_row_mult(spec, k, mu)
 
     def test_one_norm_bound(self):
@@ -82,7 +84,7 @@ class TestTensorMult:
         for spec in (B2, C2, D3):
             n = spec.rank
             for k, l in [(2, 1), (3, 2), (2, 2)]:
-                for mu in candidate_dominants(spec, k, l, parity_filter=False):
+                for mu in candidate_dominants(spec, k, l):
                     direct = tensor_mult(spec, k, l, mu)
                     conv = 0
                     for eta in product(range(-l, l + 1), repeat=n):
@@ -123,7 +125,7 @@ class TestBivariate:
 
         for spec in (B2, C2, D3):
             for k, l in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-                for mu in candidate_dominants(spec, k, l, parity_filter=False):
+                for mu in candidate_dominants(spec, k, l):
                     assert bivariate_mult(spec, k, l, mu) == combo(spec, k, l, mu)
 
     def test_weyl_invariance(self):
@@ -159,9 +161,22 @@ class TestBivariate:
     @settings(max_examples=200, deadline=None)
     def test_matches_convolution_random(self, spec, l, excess, data):
         k = l + excess
-        mu = data.draw(st.sampled_from(
-            list(candidate_dominants(spec, k, l, parity_filter=False))))
+        # a weight of the one-norm ball of radius k + l + 2 moved by a random signed
+        # permutation (A: a permutation and a shift), so every branch of the
+        # support rule is met: negative or odd r2, mu_i above k, no A representative
+        width = weight_length(spec)
+        dominant = data.draw(st.sampled_from(
+            [mu for norm in range(k + l + 3) for mu in partitions_le_length(norm, width)]))
+        mu = data.draw(st.permutations(dominant))
+        if spec.family == "A":
+            shift = data.draw(st.integers(-2, 2))
+            mu = [a + shift for a in mu]
+        else:
+            signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=width,
+                                       max_size=width))
+            mu = [a * s for a, s in zip(mu, signs)]
         assert bivariate_mult(spec, k, l, mu) == convolution_mult(spec, k, l, mu)
+        assert tensor_mult(spec, k, l, mu) == tensor_conv_mult(spec, k, l, mu)
 
     @pytest.mark.parametrize("call", [
         lambda: bivariate_mult(B3, 3, 1, (1.5, 0, 0)),
@@ -215,7 +230,7 @@ class TestFastPaths:
     def test_l1_matches_bivariate(self):
         for spec in (B2, B3, C3, D3, A2, A3):
             for k in range(1, 6):
-                for mu in candidate_dominants(spec, k, 1, parity_filter=False):
+                for mu in candidate_dominants(spec, k, 1):
                     assert l1_mult(spec, k, mu) == bivariate_mult(spec, k, 1, mu)
 
     def test_l2_d_examples(self):
@@ -258,7 +273,7 @@ class TestFastPaths:
                 bivariate_mult(spec, k, l, (0,) * n), (spec, k, l)
             return
         dominant = data.draw(st.sampled_from(
-            list(candidate_dominants(spec, k, l, parity_filter=False))))
+            list(candidate_dominants(spec, k, l))))
         mu = list(data.draw(st.permutations(dominant)))
         if family == "A":
             shift = data.draw(st.integers(-2, 2))

@@ -78,21 +78,21 @@ class TestConvolution:
     def test_l_zero_equals_single_row(self):
         for spec in (B2, C2, D3, A2):
             for k in range(4):
-                for mu in candidate_dominants(spec, k, 0, parity_filter=False):
+                for mu in candidate_dominants(spec, k, 0):
                     assert convolution_mult(spec, k, 0, mu) == \
                         single_row_mult(spec, k, mu)
 
     def test_matches_bivariate(self):
         for spec in (B2, C2, D3, A2):
             for k, l in [(1, 1), (2, 1), (2, 2), (3, 1)]:
-                for mu in candidate_dominants(spec, k, l, parity_filter=False):
+                for mu in candidate_dominants(spec, k, l):
                     assert convolution_mult(spec, k, l, mu) == \
                         bivariate_mult(spec, k, l, mu), (spec, k, l, mu)
 
     def test_tensor_side_matches_formula(self):
         for spec in (B2, C2, D3, A2):
             for k, l in [(2, 1), (2, 2)]:
-                for mu in candidate_dominants(spec, k, l, parity_filter=False):
+                for mu in candidate_dominants(spec, k, l):
                     assert tensor_conv_mult(spec, k, l, mu) == \
                         tensor_mult(spec, k, l, mu)
 

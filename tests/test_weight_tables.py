@@ -9,12 +9,13 @@ from test_root_systems import brute_orbit
 from bivar import kernel
 from bivar.errors import InvalidHighestWeight
 from bivar.multiplicity import bivariate_mult
-from bivar.oracles import freudenthal_diagram
+from bivar.oracles import convolution_mult, freudenthal_diagram
 from bivar.root_systems import (
     algebra,
     canonical_weight,
     highest_weight,
     one_norm,
+    weight_stats,
 )
 from bivar.weight_tables import (
     build_table,
@@ -29,10 +30,8 @@ B2, C2, C3, D3, A2 = (algebra("B", 2), algebra("C", 2), algebra("C", 3),
 
 class TestCandidates:
     def test_c2_parity_filter(self):
-        filtered = set(candidate_dominants(C2, 1, 1))
-        assert filtered == {(0, 0), (2, 0), (1, 1)}
-        unfiltered = set(candidate_dominants(C2, 1, 1, parity_filter=False))
-        assert unfiltered == {(0, 0), (1, 0), (2, 0), (1, 1)}
+        # one set: the whole one-norm ball, (1, 0) of odd k + l - |mu|_1 included
+        assert set(candidate_dominants(C2, 1, 1)) == {(0, 0), (1, 0), (2, 0), (1, 1)}
 
     def test_a2_candidates(self):
         assert set(candidate_dominants(A2, 1, 1)) == {(2, 0, 0), (1, 1, 0)}
@@ -120,8 +119,10 @@ class TestBuildTable:
         assert counts == [second.meta[c] for c in ("candidates", "kept", "folds")]
         candidates, kept, folds = counts
         assert 0 < folds <= candidates
-        # the walk skips the candidates with mu_1 > k, whose multiplicity is 0
-        assert candidates == sum(1 for mu in candidate_dominants(spec, k, l) if mu[0] <= k)
+        # the walk skips the candidates with mu_1 > k, or odd r2 for C and D,
+        # whose multiplicity is 0
+        assert candidates == sum(1 for mu in candidate_dominants(spec, k, l) if mu[0] <= k
+                                 and (spec.family in "AB" or (k + l - sum(mu)) % 2 == 0))
         # kept rows are the dominant weights; the D mirrors are added after
         assert kept == sum(1 for mu, _ in first.rows if mu[-1] >= 0)
 
@@ -149,10 +150,18 @@ class TestBuildTable:
                                           (D3, 4, 2), (algebra("D", 5), 3, 3),
                                           (algebra("A", 3), 4, 3)], ids=str)
     def test_candidates_beyond_k_are_zero(self, spec, k, l):
-        beyond = [mu for mu in candidate_dominants(spec, k, l, parity_filter=False)
-                  if mu[0] > k]
+        beyond = [mu for mu in candidate_dominants(spec, k, l) if mu[0] > k]
         assert beyond
-        assert all(bivariate_mult(spec, k, l, mu) == 0 for mu in beyond)
+        n = spec.rank
+        d, step = kernel._degree(spec.family, n), 1 if spec.family == "B" else 2
+        for mu in beyond:
+            # bivariate_mult answers 0 here before any sum; the oracle must agree
+            assert bivariate_mult(spec, k, l, mu) == 0 == convolution_mult(spec, k, l, mu), mu
+            norm, ell = weight_stats(spec, mu, l)
+            r2 = k + l - norm
+            if spec.family != "A" and (step == 1 or r2 % 2 == 0):
+                # and the kernel's own sum, which the walk skips there too
+                assert kernel.bivariate_sum_bcd(n, d, l, r2, ell, step) == 0, mu
 
 
 class TestDimensionAudit:
