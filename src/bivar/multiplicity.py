@@ -19,10 +19,10 @@ from .partitions import binom, count_one_norm_sphere
 from .root_systems import (
     AlgebraSpec,
     _level_stats,
+    _shift_to_sum,
     algebra,
     check_highest_weight,
     check_weight,
-    normalize_a_to_sum,
     validate,
 )
 
@@ -45,7 +45,7 @@ def _depth(spec: AlgebraSpec, k: int, l: int, mu, cap: int):
     non-negative representative sums to k + l.
     """
     if spec.family == "A":
-        mu = normalize_a_to_sum(mu, k + l)
+        mu = _shift_to_sum(mu, k + l)
         if mu is None:
             return None
     norm, ell = _level_stats(mu, l)

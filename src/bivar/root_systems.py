@@ -196,21 +196,21 @@ def _orbit_representative(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
 
 
 def _expand_orbits(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
-                   leaf: Callable[[object], list],
-                   prefix: Callable[[int, list], list]) -> list:
+                   leaf: Callable[[object], object], fuse: Callable[[list], object]) -> list:
     """Every orbit of the dominant ``rows`` (as for :func:`orbit_lines`) in lexicographic order.
 
     Below a prefix w_1..w_j what may follow depends only on the multiset
     of |w_1|..|w_j| (family A: of the values themselves), so it is built
     once per multiset: from the rows' own multisets, which hold
-    ``leaf(m)``, down to the empty one. A multiset's list joins
-    ``prefix(v, child)`` for v from -max up to max (B/C/D) or upward (A),
-    child being the list of the multiset with one |v| more. The empty
-    multiset's (v, child) pairs are returned in that order, not joined.
+    ``leaf(m)``, down to the empty one. A multiset holds ``fuse(order)``,
+    ``order`` being its (v, child) pairs for v from -max up to max (B/C/D)
+    or upward (A), child being what the multiset with one |v| more holds;
+    ``fuse`` joins them or keeps the pairs as a node. The empty
+    multiset's pairs are returned as they are.
     """
     validate(spec)
     signed = spec.family != "A"
-    level = {}  # multiset, as an ascending tuple -> list of what may follow it
+    level = {}  # multiset, as an ascending tuple -> what may follow it
     for mu, m in rows:
         coords = _orbit_representative(spec, mu)
         key = coords[::-1]
@@ -228,12 +228,12 @@ def _expand_orbits(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object
             order = sorted(kids.items())
             if signed:
                 order = [(-a, value) for a, value in reversed(order) if a] + order
-            level[key] = [p for v, value in order for p in prefix(v, value)] if key else order
+            level[key] = fuse(order) if key else order
     return level.get((), [])  # no rows: no multiset ever reaches ()
 
 
-def _prefix_tuples(v: int, tails: list) -> list:
-    return [(v,) + w for w in tails]
+def _fuse_tuples(order: list) -> list:
+    return [(v,) + w for v, tails in order for w in tails]
 
 
 def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
@@ -244,16 +244,18 @@ def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
     sum (pass :func:`canonical_weight` of mu for min-0 members).
     Duplicates from zero or repeated coordinates are never produced twice.
     """
-    root = _expand_orbits(spec, [(mu, None)], lambda m: [()], _prefix_tuples)
-    return tuple((v,) + w for v, tails in root for w in tails)
+    return tuple(_fuse_tuples(_expand_orbits(spec, [(mu, None)], lambda m: [()], _fuse_tuples)))
 
 
-PIECE = 1 << 15  # characters: a multiset's text is one piece of orbit_lines up to this size
+PIECE = 1 << 15  # characters: the largest multiset text that is joined and kept
 
 
-def _prefix_text(v: int, child: list) -> list:
-    child = ["".join(child)] if sum(map(len, child)) <= PIECE else child
-    return [t.replace("\n", f"\n,{v}") for t in child]
+def _fuse_text(order: list):
+    # the multiset's text as one string while it fits in PIECE characters, else the node
+    if any(type(child) is not str for _, child in order) or sum(len(c) for _, c in order) > PIECE:
+        return order
+    text = "".join([child.replace("\n", f"\n,{v}") for v, child in order])
+    return text if len(text) <= PIECE else order
 
 
 def orbit_lines(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
@@ -270,15 +272,32 @@ def orbit_lines(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
     character dropped ("" for no rows): a head that starts with a
     separator joins the lines by that separator.
 
-    Each multiset's text has a newline and a comma before every line, in
-    pieces joined up to ``PIECE`` characters, so putting ``v`` in front
-    of its lines is one ``str.replace`` per piece. The pieces of the
-    first coordinate, whose replace puts ``head + v`` in place of the
-    newline, are made as they are read.
+    What follows a multiset is a tree: a multiset whose text fits in
+    ``PIECE`` characters holds it fused, one string with a newline and a
+    comma before each line's rest; a larger one is a node, its (v, child)
+    pairs. An explicit stack walks the nodes from the root (a chain of
+    nodes can outgrow the recursion limit) and carries the prefix
+    ``head + "v_1,...,v_j,"``; each fused child under it is one piece,
+    one ``str.replace`` of its newlines by that prefix and v. So every
+    output character is made once and no longer multiset text is kept.
     """
-    root = _expand_orbits(spec, rows, lambda m: ["\n" + tail(m)], _prefix_text)
-    pieces = (t.replace("\n", f"{head}{v}") for v, child in root for t in child)
+    root = _expand_orbits(spec, rows, lambda m: "\n" + tail(m), _fuse_text)
+    pieces = _walk_text(root, head)
     return chain((next(pieces, "")[1:],), pieces)
+
+
+def _walk_text(root: list, head: str) -> Iterator[str]:
+    stack = [(iter(root), head)]
+    while stack:
+        pairs, prefix = stack[-1]
+        for v, child in pairs:
+            if type(child) is str:
+                yield child.replace("\n", f"{prefix}{v}")
+            else:
+                stack.append((iter(child), f"{prefix}{v},"))
+                break
+        else:
+            stack.pop()
 
 
 def _perm_count(values: Sequence[int]) -> int:
@@ -399,16 +418,14 @@ def normalize_a_to_sum(coords: Sequence[int], target: int) -> Optional[Weight]:
     (the defect is only defined modulo the number of coordinates) or when
     the matching representative has a negative coordinate.
     """
-    coords = as_integers(coords, "weight coordinates")
-    m = len(coords)
-    delta = target - sum(coords)
-    if delta % m:
-        return None
-    t = delta // m
-    shifted = tuple(a + t for a in coords)
-    if any(b < 0 for b in shifted):
-        return None
-    return shifted
+    return _shift_to_sum(as_integers(coords, "weight coordinates"), target)
+
+
+def _shift_to_sum(coords: Weight, target: int) -> Optional[Weight]:
+    # normalize_a_to_sum of coordinates already checked
+    shift, rest = divmod(target - sum(coords), len(coords))
+    shifted = tuple(a + shift for a in coords)
+    return None if rest or min(shifted) < 0 else shifted
 
 
 def weyl_dimension(spec: AlgebraSpec, k: int, l: int) -> int:

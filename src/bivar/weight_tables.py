@@ -7,8 +7,10 @@ at most k; B/C/D: one-norm at most k + l, of the parity of k + l for C
 and D; A: summing to k + l) and carries the packed product. It does not
 call :func:`candidate_dominants`, the wider candidate list that ``bivar
 verify`` and the tests read. A full table then expands the orbits of the
-kept candidates all at once, in lexicographic order, with the walk that
-``root_systems.orbit`` and ``root_systems.orbit_lines`` use too; a
+kept candidates all at once, in lexicographic order, with the one level
+loop over multisets that ``root_systems.orbit`` and
+``root_systems.orbit_lines`` use too (the latter keeps a multiset's text
+only while it fits in one piece and walks the larger ones lazily); a
 dominant-only table for family D emits the extra mirror weight
 (a_1, ..., -a_n) alongside (a_1, ..., a_n) and sorts.
 
@@ -32,7 +34,7 @@ from .root_systems import (
     AlgebraSpec,
     _expand_orbits,
     _orbit_size,
-    _prefix_tuples,
+    _fuse_tuples,
     canonical_weight,
     check_highest_weight,
     highest_weight,
@@ -106,7 +108,7 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
         rows = sorted(dominant + mirrors, key=itemgetter(0))
     else:
         # each weight carries its multiplicity as a last entry through the walk
-        root = _expand_orbits(spec, dominant, lambda m: [(m,)], _prefix_tuples)
+        root = _expand_orbits(spec, dominant, lambda m: [(m,)], _fuse_tuples)
         rows = [((v,) + w[:-1], w[-1]) for v, tails in root for w in tails]
     meta = {
         "engine": ENGINE_VERSION,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from math import comb
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bivar import cli
+from bivar import cli, root_systems
 from bivar.errors import InvalidHighestWeight, LengthMismatch, NotAnInteger
 from bivar.partitions import count_one_norm_sphere
 from bivar.root_systems import algebra, weight_length
@@ -335,6 +336,41 @@ class TestTable:
         want = reference_json(full) if fmt == "json" else reference_csv(full)
         assert digest(out.getvalue()) == digest(want)
         assert digest(target.read_text()) == digest(want)
+
+    def test_full_text_through_a_chain_deeper_than_the_recursion_limit(self):
+        # B1200 k1 l0: below a prefix of zeros only the last ~90 coordinates' texts
+        # fit in a piece, so the orbit walk goes down a chain of ~1,100 nodes
+        n = 1200
+        table = build_table(algebra("B", n), 1, 0, dominant_only=True)
+        tree = root_systems._expand_orbits(table.spec, table.rows, "\n,{}".format,
+                                           root_systems._fuse_text)
+        depth = 0
+        while any(type(child) is list for _, child in tree):
+            tree = next(child for _, child in tree if type(child) is list)
+            depth += 1
+        assert depth > sys.getrecursionlimit()
+        # the zero weight and the 2n signed unit vectors, each of multiplicity 1
+        weights = [(0,) * n] + [(0,) * i + (s,) + (0,) * (n - i - 1)
+                                for i in range(n) for s in (1, -1)]
+        want = ",".join(f"mu_{i + 1}" for i in range(n)) + ",mult\n"
+        want += "".join(",".join(map(str, w)) + ",1\n" for w in sorted(weights))
+        assert "".join(cli.table_text(table, "csv", full=True)) == want
+
+    def test_full_text_memory_is_a_small_share_of_the_text(self):
+        # 10 MB of JSON: the orbit walk holds pieces, never the table's text
+        table = build_table(algebra("B", 8), 5, 3, dominant_only=True)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            size = sum(map(len, cli.table_text(table, "json", full=True)))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert size > 10 * 10**6
+        assert peak < size / 5
 
 
 class TestVerify:
