@@ -18,7 +18,7 @@ import re
 import sys
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import BivarError
@@ -46,8 +46,8 @@ from .weight_tables import MultiplicityTable, build_table, candidate_dominants, 
 ROW_TEXT = {"json": (',{"mu":[', '],"mult":"%s"}'), "csv": ("\n", ",%s")}
 
 
-def table_text(table: MultiplicityTable, fmt: str, full: bool = False) -> Iterable[str]:
-    """The JSON or CSV text of ``table`` in pieces; the first row drops its head's first character.
+def table_text(table: MultiplicityTable, fmt: str, full: bool = False) -> Iterable[bytes]:
+    """The JSON or CSV text of ``table`` as ASCII bytes pieces; the first row drops its head's first byte.
 
     With ``full``, the text of the full table ``build_table(spec, k, l)``, written by
     ``orbit_lines`` from the orbits of the dominant-only ``table``: no full row is
@@ -58,28 +58,29 @@ def table_text(table: MultiplicityTable, fmt: str, full: bool = False) -> Iterab
     if full:
         # the D mirror rows (mu_n < 0) lie in the W_n orbits of their partners
         rows = [(mu, m) for mu, m in table.rows if mu[-1] >= 0]
-        lines = orbit_lines(spec, rows, tail.__mod__, head)
+        # each leaf's tail is formatted and encoded once; %s never truncates (below)
+        lines = orbit_lines(spec, rows, lambda m: (tail % m).encode(), head.encode())
     else:
         rows = table.rows
         # %s, not %d, so a non-int value is written as str() writes it, never truncated
         row = head + ",".join(["%s"] * weight_length(spec)) + tail
-        lines = [row % (*mu, m) for mu, m in rows]
-        lines[:1] = [line[1:] for line in lines[:1]]
+        lines = ("".join([row % (*mu, m) for mu, m in rows])[1:].encode(),)
     if fmt == "csv":
         header = ",".join(f"mu_{i + 1}" for i in range(weight_length(spec))) + ",mult\n"
-        return chain((header,), lines, ("\n",)) if rows else (header,)
+        return chain((header.encode(),), lines, (b"\n",)) if rows else (header.encode(),)
     header = json.dumps({"family": spec.family, "rank": spec.rank, "k": table.k, "l": table.l,
                          "dominant_only": table.dominant_only and not full}, separators=(",", ":"))
     dimension = json.dumps(str(dimension_audit(table)[0]))
-    return chain((header[:-1] + ',"rows":[',), lines, (f'],"dimension":{dimension}}}\n',))
+    return chain(((header[:-1] + ',"rows":[').encode(),), lines,
+                 (f'],"dimension":{dimension}}}\n'.encode(),))
 
 
 def table_to_json(table: MultiplicityTable) -> str:
-    return "".join(table_text(table, "json"))
+    return b"".join(table_text(table, "json")).decode()
 
 
 def table_to_csv(table: MultiplicityTable) -> str:
-    return "".join(table_text(table, "csv"))
+    return b"".join(table_text(table, "csv")).decode()
 
 
 def integer(text: str) -> int:
@@ -145,15 +146,41 @@ def csv_rows(text: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     return tuple(rows)
 
 
-def _write_out(pieces: Iterable[str], path: str) -> None:
-    """Write the text ``pieces`` in turn to the file ``path``, or to stdout for "-"."""
+BLOCK = 1 << 18  # bytes: _write_out joins the pieces into blocks of about this size
+
+
+def _blocks(pieces: Iterable[bytes]) -> Iterator[bytes]:
+    block, size = [], 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= BLOCK:
+            yield b"".join(block)
+            block, size = [], 0
+    if block:
+        yield b"".join(block)
+
+
+def _write_out(pieces: Iterable[bytes], path: str) -> None:
+    """Write the bytes ``pieces`` to the file ``path``, or to stdout for "-", in blocks.
+
+    Stdout is flushed first, so text printed before comes out ahead of the table;
+    the blocks go to its binary ``buffer``, or decoded to a stdout that has none.
+    """
     if path != "-":
-        with open(path, "w") as handle:
-            handle.writelines(pieces)
+        with open(path, "wb") as handle:
+            for block in _blocks(pieces):
+                handle.write(block)
         return
     try:
-        sys.stdout.writelines(pieces)
         sys.stdout.flush()
+        sink = getattr(sys.stdout, "buffer", None)
+        for block in _blocks(pieces):
+            if sink is None:
+                sys.stdout.write(block.decode())
+            else:
+                sink.write(block)
+        (sys.stdout if sink is None else sink).flush()
     except BrokenPipeError:
         # the reader closed the pipe: end quietly, sending what is buffered to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

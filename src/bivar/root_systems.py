@@ -247,54 +247,59 @@ def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
     return tuple(_fuse_tuples(_expand_orbits(spec, [(mu, None)], lambda m: [()], _fuse_tuples)))
 
 
-PIECE = 1 << 15  # characters: the largest multiset text that is joined and kept
+PIECE = 1 << 15  # bytes: the largest multiset text that is joined and kept
 
 
 def _fuse_text(order: list):
-    # the multiset's text as one string while it fits in PIECE characters, else the node
-    if any(type(child) is not str for _, child in order) or sum(len(c) for _, c in order) > PIECE:
+    # the multiset's text as one bytes object while it fits in PIECE bytes, else the node
+    size = 0
+    for _, child in order:
+        if type(child) is not bytes:
+            return order
+        size += len(child)
+    if size > PIECE:
         return order
-    text = "".join([child.replace("\n", f"\n,{v}") for v, child in order])
+    text = b"".join([child.replace(b"\n", b"\n,%d" % v) for v, child in order])
     return text if len(text) <= PIECE else order
 
 
 def orbit_lines(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
-                tail: Callable[[object], str], head: str = "\n") -> Iterator[str]:
-    """Text of every orbit of the dominant ``rows``, one line per weight, as string pieces.
+                tail: Callable[[object], bytes], head: bytes = b"\n") -> Iterator[bytes]:
+    """Text of every orbit of the dominant ``rows``, one line per weight, as ASCII bytes pieces.
 
     ``rows`` holds (mu, m) pairs, each mu a representative that
     :func:`orbit` accepts and no two alike; all are checked before this
     returns. Each weight w of the orbit of mu gets the line
-    ``head + "w_1,...,w_n" + tail(m)``: ``tail(m)`` holds its own leading
-    separator and no newline. The lines come in lexicographic order of w
-    over all the orbits together, the order of the :func:`orbit` outputs
-    merged and sorted. Joined, the pieces are the lines with the first
-    character dropped ("" for no rows): a head that starts with a
-    separator joins the lines by that separator.
+    ``head + b"w_1,...,w_n" + tail(m)``: ``tail(m)`` is bytes that hold
+    their own leading separator and no newline. The lines come in
+    lexicographic order of w over all the orbits together, the order of
+    the :func:`orbit` outputs merged and sorted. Joined, the pieces are
+    the lines with the first byte dropped (b"" for no rows): a head that
+    starts with a separator joins the lines by that separator.
 
     What follows a multiset is a tree: a multiset whose text fits in
-    ``PIECE`` characters holds it fused, one string with a newline and a
+    ``PIECE`` bytes holds it fused, one bytes object with a newline and a
     comma before each line's rest; a larger one is a node, its (v, child)
     pairs. An explicit stack walks the nodes from the root (a chain of
     nodes can outgrow the recursion limit) and carries the prefix
-    ``head + "v_1,...,v_j,"``; each fused child under it is one piece,
-    one ``str.replace`` of its newlines by that prefix and v. So every
-    output character is made once and no longer multiset text is kept.
+    ``head + b"v_1,...,v_j,"``; each fused child under it is one piece,
+    one ``bytes.replace`` of its newlines by that prefix and v. So every
+    output byte is made once and no longer multiset text is kept.
     """
-    root = _expand_orbits(spec, rows, lambda m: "\n" + tail(m), _fuse_text)
+    root = _expand_orbits(spec, rows, lambda m: b"\n" + tail(m), _fuse_text)
     pieces = _walk_text(root, head)
-    return chain((next(pieces, "")[1:],), pieces)
+    return chain((next(pieces, b"")[1:],), pieces)
 
 
-def _walk_text(root: list, head: str) -> Iterator[str]:
+def _walk_text(root: list, head: bytes) -> Iterator[bytes]:
     stack = [(iter(root), head)]
     while stack:
         pairs, prefix = stack[-1]
         for v, child in pairs:
-            if type(child) is str:
-                yield child.replace("\n", f"{prefix}{v}")
+            if type(child) is bytes:
+                yield child.replace(b"\n", b"%s%d" % (prefix, v))
             else:
-                stack.append((iter(child), f"{prefix}{v},"))
+                stack.append((iter(child), b"%s%d," % (prefix, v)))
                 break
         else:
             stack.pop()

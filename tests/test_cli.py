@@ -322,27 +322,43 @@ class TestTable:
 
     @pytest.mark.parametrize("point", [("B", 6, 5, 3, "json"), ("A", 8, 5, 3, "csv")],
                              ids=lambda p: "%s%d_k%d_l%d_%s" % p)
-    def test_many_piece_table_same_on_both_sinks(self, tmp_path, point):
-        # 1.35 MB of JSON and 0.25 MB of CSV: many pieces of the orbit walk
+    def test_many_piece_table_same_on_every_sink(self, tmp_path, point):
+        # 1.35 MB of JSON and 0.25 MB of CSV: many pieces of the orbit walk, written
+        # to a file, to a stdout with a binary buffer and to one without
         family, rank, k, l, fmt = point
         argv = ["table", "--family", family, "--rank", str(rank), "--k", str(k),
                 "--l", str(l), "--format", fmt]
-        out = io.StringIO()
-        with redirect_stdout(out):
+        text = io.StringIO()
+        with redirect_stdout(text):
+            assert cli.main(argv) == 0
+        binary = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        with redirect_stdout(binary):
             assert cli.main(argv) == 0
         target = tmp_path / "t.out"
         assert cli.main(argv + ["--out", str(target)]) == 0
         full = build_table(algebra(family, rank), k, l)
         want = reference_json(full) if fmt == "json" else reference_csv(full)
-        assert digest(out.getvalue()) == digest(want)
-        assert digest(target.read_text()) == digest(want)
+        assert digest(text.getvalue()) == digest(want)
+        assert hashlib.sha256(binary.buffer.getvalue()).hexdigest() == digest(want)
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest(want)
+
+    def test_text_printed_before_the_table_comes_out_ahead_of_it(self):
+        # print() leaves "first" in the wrapper's own buffer until stdout is flushed
+        table = build_table(algebra("C", 2), 1, 1, dominant_only=True)
+        sink = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        with redirect_stdout(sink):
+            print("first")
+            cli._write_out(cli.table_text(table, "csv"), "-")
+            print("last")
+        sink.flush()
+        assert sink.buffer.getvalue() == b"first\n" + cli.table_to_csv(table).encode() + b"last\n"
 
     def test_full_text_through_a_chain_deeper_than_the_recursion_limit(self):
         # B1200 k1 l0: below a prefix of zeros only the last ~90 coordinates' texts
         # fit in a piece, so the orbit walk goes down a chain of ~1,100 nodes
         n = 1200
         table = build_table(algebra("B", n), 1, 0, dominant_only=True)
-        tree = root_systems._expand_orbits(table.spec, table.rows, "\n,{}".format,
+        tree = root_systems._expand_orbits(table.spec, table.rows, b"\n,%d".__mod__,
                                            root_systems._fuse_text)
         depth = 0
         while any(type(child) is list for _, child in tree):
@@ -354,7 +370,7 @@ class TestTable:
                                 for i in range(n) for s in (1, -1)]
         want = ",".join(f"mu_{i + 1}" for i in range(n)) + ",mult\n"
         want += "".join(",".join(map(str, w)) + ",1\n" for w in sorted(weights))
-        assert "".join(cli.table_text(table, "csv", full=True)) == want
+        assert b"".join(cli.table_text(table, "csv", full=True)) == want.encode()
 
     def test_full_text_memory_is_a_small_share_of_the_text(self):
         # 10 MB of JSON: the orbit walk holds pieces, never the table's text

@@ -59,7 +59,7 @@ class TestValidate:
         with pytest.raises(error):
             orbit(spec, mu)
         with pytest.raises(error):
-            orbit_lines(spec, [(mu, 1)], str)
+            orbit_lines(spec, [(mu, 1)], b"%d".__mod__)
         with pytest.raises(error):
             orbit_size(spec, mu)
 
@@ -163,10 +163,10 @@ class TestOrbit:
     def test_orbit_lines_rejects_bad_rows(self):
         spec = algebra("D", 3)
         with pytest.raises(NotDominant):
-            orbit_lines(spec, [((2, 1, -1), 1)], str)
+            orbit_lines(spec, [((2, 1, -1), 1)], b"%d".__mod__)
         with pytest.raises(ValueError):
-            orbit_lines(spec, [((2, 1, 0), 1), ((2, 1, 0), 2)], str)
-        assert "".join(orbit_lines(spec, [], str)) == ""
+            orbit_lines(spec, [((2, 1, 0), 1), ((2, 1, 0), 2)], b"%d".__mod__)
+        assert b"".join(orbit_lines(spec, [], b"%d".__mod__)) == b""
 
     def test_weyl_orbit_size_d_mirror_split(self):
         spec = algebra("D", 3)
@@ -267,10 +267,10 @@ def test_orbit_lines_match_brute_force(case, data):
     piece = data.draw(st.sampled_from([1, 40, root_systems.PIECE]), label="piece")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(root_systems, "PIECE", piece)
-        lines = "".join(orbit_lines(spec, rows, ",{}".format)).split("\n")
-        json_rows = "".join(orbit_lines(spec, rows, '],"mult":"{}"}}'.format, ',{"mu":['))
+        lines = b"".join(orbit_lines(spec, rows, b",%d".__mod__)).split(b"\n")
+        json_rows = b"".join(orbit_lines(spec, rows, b'],"mult":"%d"}'.__mod__, b',{"mu":['))
     # the orbits are disjoint: every weight once, all orbits merged in lexicographic order
     want = sorted((w, m) for mu, m in rows for w in brute_orbit(spec, mu))
-    assert lines == [",".join(map(str, w)) + f",{m}" for w, m in want]
+    assert lines == [(",".join(map(str, w)) + f",{m}").encode() for w, m in want]
     objects = [{"mu": list(w), "mult": str(m)} for w, m in want]
-    assert f"[{json_rows}]" == json.dumps(objects, separators=(",", ":"))
+    assert b"[%s]" % json_rows == json.dumps(objects, separators=(",", ":")).encode()
