@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import BivarError
+from .errors import BivarError, NotAnInteger
 from .multiplicity import _depth, bivariate_mult, tensor_mult
 from .oracles import convolution_mult, freudenthal_diagram, kostka_count, tensor_conv_mult
 from .root_systems import (
@@ -100,10 +100,19 @@ def _field(obj, name: str, where: str):
         raise ValueError(f"{where} has no {name!r} field") from None
 
 
+def _int_field(obj, name: str, where: str):
+    # JSON true/false load as bools, which as_integers would read as 1 and 0
+    value = _field(obj, name, where)
+    if any(isinstance(v, bool) for v in (value if type(value) is list else (value,))):
+        raise NotAnInteger(f"{where} field {name!r} must hold integers, not true or false, "
+                           f"got {json.dumps(value)}")
+    return value
+
+
 def table_from_json(text: str) -> MultiplicityTable:
     obj = json.loads(text)
-    spec = algebra(_field(obj, "family", "table"), _field(obj, "rank", "table"))
-    k, l = check_highest_weight(_field(obj, "k", "table"), _field(obj, "l", "table"))
+    spec = algebra(_field(obj, "family", "table"), _int_field(obj, "rank", "table"))
+    k, l = check_highest_weight(_int_field(obj, "k", "table"), _int_field(obj, "l", "table"))
     dominant_only = _field(obj, "dominant_only", "table")
     if not isinstance(dominant_only, bool):
         raise ValueError(f"dominant_only must be true or false, got {dominant_only!r}")
@@ -112,13 +121,13 @@ def table_from_json(text: str) -> MultiplicityTable:
         raise ValueError(f"rows must be a JSON array, got {raw_rows!r}")
     rows = []
     for r in raw_rows:
-        mult = _field(r, "mult", "row")
+        mult = _int_field(r, "mult", "row")
         # table_to_json writes decimal strings; any other value must be an int
         if isinstance(mult, str):
             mult = integer(mult)
         else:
             (mult,) = as_integers((mult,), "multiplicity")
-        mu = check_weight(spec, _field(r, "mu", "row"))
+        mu = check_weight(spec, _int_field(r, "mu", "row"))
         if mult <= 0:
             raise ValueError(f"row {mu}: multiplicity must be positive, got {mult}")
         if spec.family == "A" and (min(mu) < 0 or sum(mu) != k + l):

@@ -23,13 +23,11 @@ from .root_systems import (
     algebra,
     check_highest_weight,
     check_weight,
-    validate,
 )
 
 
 def _checked(spec: AlgebraSpec, k: int, l: int, mu):
-    """(k, l, mu) as ints, raising unless ``spec`` is valid, k >= l >= 0 and mu has its length."""
-    validate(spec)
+    """(k, l, mu) as ints, raising unless k >= l >= 0 and mu has the length of ``spec``'s weights."""
     k, l = check_highest_weight(k, l)
     return k, l, check_weight(spec, mu)
 
@@ -102,7 +100,6 @@ def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
 
 def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
     """Zero-weight multiplicity via the closed single-sum expressions (B/C/D)."""
-    validate(spec)
     k, l = check_highest_weight(k, l)
     n = spec.rank
     fam = spec.family

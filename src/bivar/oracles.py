@@ -25,16 +25,15 @@ from .errors import NotDominant, ShapeContentMismatch
 from .partitions import partitions_le_length
 from .root_systems import (
     AlgebraSpec,
+    _shift_to_sum,
     as_integers,
     canonical_weight,
     check_highest_weight,
     check_weight,
     is_dominant,
-    normalize_a_to_sum,
     one_norm,
     positive_roots,
     rho_twice,
-    validate,
     weyl_canonical,
 )
 
@@ -191,7 +190,6 @@ def freudenthal_diagram(spec: AlgebraSpec, lam) -> WeightDiagram:
     processed from the highest weight downwards; lookups of non-dominant
     arguments go through the Weyl canonical form.
     """
-    validate(spec)
     lam = check_weight(spec, lam)
     if not is_dominant(spec, lam):
         raise NotDominant(f"{lam} is not dominant for family {spec.family}")
@@ -264,7 +262,7 @@ def _single_row_count(spec: AlgebraSpec, k: int, mu: Weight) -> int:
         return 0
     fam = spec.family
     if fam == "A":
-        return 1 if normalize_a_to_sum(mu, k) is not None else 0
+        return 1 if _shift_to_sum(mu, k) is not None else 0
     if fam == "C":
         return _sym_power_count(spec, k, mu)
     # B and D: symmetric power minus the trace part two degrees down
@@ -277,7 +275,7 @@ def _tensor_conv(spec: AlgebraSpec, k: int, l: int, mu: Weight) -> int:
         return 0
     n = spec.rank
     if spec.family == "A":
-        rep = normalize_a_to_sum(mu, k + l)
+        rep = _shift_to_sum(mu, k + l)
         if rep is None:
             return 0
         count = 0
@@ -303,7 +301,6 @@ def convolution_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     Feasible for moderate l and rank only; this is the brute-force
     cross-check for :func:`bivar.multiplicity.bivariate_mult`.
     """
-    validate(spec)
     k, l = check_highest_weight(k, l)
     mu = check_weight(spec, mu)
     if spec.family == "A":
@@ -318,7 +315,6 @@ def convolution_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
 
 def tensor_conv_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     """Direct convolution value for the tensor product (oracle side)."""
-    validate(spec)
     k, l = check_highest_weight(k, l)
     return _tensor_conv(spec, k, l, check_weight(spec, mu))
 
@@ -348,28 +344,32 @@ def kostka_count(shape, content) -> int:
     if not shape:
         return 1
 
+    # backtracking over the cells in reading order, with no recursion (one level
+    # per cell would outgrow the recursion limit): the filled cells are the stack
     cells = [(r, c) for r, row_len in enumerate(shape) for c in range(row_len)]
-    rows = len(shape)
-    grid = [[0] * shape[r] for r in range(rows)]
+    grid = [[0] * row_len for row_len in shape]
     remaining = list(content)
     values = len(content)
-
-    def fill(pos: int) -> int:
-        if pos == len(cells):
-            return 1
+    found = 0
+    pos = 0
+    while pos >= 0:
         r, c = cells[pos]
-        lo = grid[r][c - 1] if c else 1
-        above = grid[r - 1][c] if r else 0
-        lo = max(lo, above + 1)
-        found = 0
-        for v in range(lo, values + 1):
-            if remaining[v - 1] == 0:
-                continue
+        v = grid[r][c]
+        if v:  # back at a filled cell: take its value out and try the next one
+            remaining[v - 1] += 1
+            v += 1
+        else:
+            v = max(grid[r][c - 1] if c else 1, grid[r - 1][c] + 1 if r else 1)
+        while v <= values and not remaining[v - 1]:
+            v += 1
+        if v > values:
+            grid[r][c] = 0
+            pos -= 1
+        else:
             grid[r][c] = v
             remaining[v - 1] -= 1
-            found += fill(pos + 1)
-            remaining[v - 1] += 1
-            grid[r][c] = 0
-        return found
-
-    return fill(0)
+            if pos + 1 < len(cells):
+                pos += 1
+            else:
+                found += 1
+    return found

@@ -35,14 +35,6 @@ Weight = Tuple[int, ...]
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 3}
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """A classical family label (A/B/C/D) together with the rank n."""
-
-    family: str
-    rank: int
-
-
 def as_integers(values: Iterable, what: str) -> Tuple[int, ...]:
     """Tuple of ``values`` as exact ints, taken with ``operator.index``.
 
@@ -63,24 +55,34 @@ def check_highest_weight(k: int, l: int) -> Tuple[int, int]:
     return k, l
 
 
-def validate(spec: AlgebraSpec) -> None:
-    """Check the family label and the rank bounds (B/C/A need n >= 2, D needs n >= 3)."""
-    as_integers((spec.rank,), "rank")
-    if spec.family not in _MIN_RANK:
-        raise RankOutOfRange(f"unknown family {spec.family!r}; expected one of A, B, C, D")
-    low = _MIN_RANK[spec.family]
-    if spec.rank < low:
-        raise RankOutOfRange(
-            f"rank out of range: family {spec.family} requires n >= {low}, got n = {spec.rank}"
-        )
+@dataclass(frozen=True)
+class AlgebraSpec:
+    """A classical family label (A/B/C/D) together with the rank n, checked once when built.
+
+    The rank must be an integer (else :class:`NotAnInteger`) and is stored
+    as an int; the family must be A, B, C or D and the rank at least 2
+    (A/B/C) or 3 (D) (else :class:`RankOutOfRange`). So every spec is
+    valid and no function that takes one checks it again.
+    """
+
+    family: str
+    rank: int
+
+    def __post_init__(self):
+        (rank,) = as_integers((self.rank,), "rank")
+        object.__setattr__(self, "rank", rank)
+        if self.family not in _MIN_RANK:
+            raise RankOutOfRange(f"unknown family {self.family!r}; expected one of A, B, C, D")
+        low = _MIN_RANK[self.family]
+        if rank < low:
+            raise RankOutOfRange(
+                f"rank out of range: family {self.family} requires n >= {low}, got n = {rank}"
+            )
 
 
 def algebra(family: str, rank: int) -> AlgebraSpec:
-    """Build and validate an algebra descriptor."""
-    (rank,) = as_integers((rank,), "rank")
-    spec = AlgebraSpec(str(family).upper(), rank)
-    validate(spec)
-    return spec
+    """The :class:`AlgebraSpec` of ``family`` (any case) and ``rank``."""
+    return AlgebraSpec(str(family).upper(), rank)
 
 
 def weight_length(spec: AlgebraSpec) -> int:
@@ -157,15 +159,13 @@ def weyl_canonical(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
     coordinate available to absorb parity, an odd number of negative
     entries leaves a minus sign on the smallest coordinate.
     """
-    coords = canonical_weight(spec, mu)
-    if spec.family == "A":
-        return tuple(sorted(coords, reverse=True))
-    body = sorted((abs(a) for a in coords), reverse=True)
-    if spec.family == "D":
-        negatives = sum(1 for a in coords if a < 0)
-        if negatives % 2 and body[-1] != 0:
-            body[-1] = -body[-1]
-    return tuple(body)
+    if spec.family != "D":
+        return dominant_representative(spec, mu)
+    coords = check_weight(spec, mu)  # a tuple: the sign count reads it a second time
+    body = dominant_representative(spec, coords)
+    if body[-1] and sum(a < 0 for a in coords) % 2:
+        return body[:-1] + (-body[-1],)
+    return body
 
 
 def is_dominant(spec: AlgebraSpec, mu: Sequence[int]) -> bool:
@@ -208,7 +208,6 @@ def _expand_orbits(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object
     ``fuse`` joins them or keeps the pairs as a node. The empty
     multiset's pairs are returned as they are.
     """
-    validate(spec)
     signed = spec.family != "A"
     level = {}  # multiset, as an ascending tuple -> what may follow it
     for mu, m in rows:
@@ -317,7 +316,6 @@ def _perm_count(values: Sequence[int]) -> int:
 
 def orbit_size(spec: AlgebraSpec, mu: Sequence[int]) -> int:
     """Size of the orbit produced by :func:`orbit`, computed without enumeration."""
-    validate(spec)
     return _orbit_size(spec.family, canonical_weight(spec, mu), False)
 
 
@@ -328,7 +326,6 @@ def weyl_orbit_size(spec: AlgebraSpec, mu: Sequence[int]) -> int:
     zero coordinate, whose hyperoctahedral orbit splits into the orbit of
     the weight and the orbit of its mirror.
     """
-    validate(spec)
     return _orbit_size(spec.family, canonical_weight(spec, mu), True)
 
 
@@ -416,18 +413,9 @@ def rho_twice(spec: AlgebraSpec) -> Weight:
     return tuple(2 * (n - i - 1) for i in range(n))
 
 
-def normalize_a_to_sum(coords: Sequence[int], target: int) -> Optional[Weight]:
-    """Shift a type-A coordinate tuple so its sum equals ``target``.
-
-    Returns None when no shifted representative has the required sum
-    (the defect is only defined modulo the number of coordinates) or when
-    the matching representative has a negative coordinate.
-    """
-    return _shift_to_sum(as_integers(coords, "weight coordinates"), target)
-
-
 def _shift_to_sum(coords: Weight, target: int) -> Optional[Weight]:
-    # normalize_a_to_sum of coordinates already checked
+    # checked type-A coordinates shifted to sum to ``target``; None when no shift
+    # does (the defect is only defined modulo the length) or one leaves a negative
     shift, rest = divmod(target - sum(coords), len(coords))
     shifted = tuple(a + shift for a in coords)
     return None if rest or min(shifted) < 0 else shifted
@@ -439,7 +427,6 @@ def weyl_dimension(spec: AlgebraSpec, k: int, l: int) -> int:
     Product formula over positive roots, evaluated in exact integer
     arithmetic (the half-integral half-sum for B is cleared by doubling).
     """
-    validate(spec)
     lam = highest_weight(spec, k, l)
     rho2 = rho_twice(spec)
     top = tuple(2 * a + r for a, r in zip(lam, rho2))

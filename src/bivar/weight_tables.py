@@ -35,13 +35,12 @@ from .root_systems import (
     _expand_orbits,
     _orbit_size,
     _fuse_tuples,
+    _shift_to_sum,
     canonical_weight,
     check_highest_weight,
     highest_weight,
     is_dominant,
-    normalize_a_to_sum,
     simple_roots,
-    validate,
     weyl_dimension,
 )
 
@@ -79,7 +78,6 @@ def candidate_dominants(spec: AlgebraSpec, k: int, l: int) -> Iterator[Weight]:
     those with k + l - |mu|_1 odd). A: weakly decreasing non-negative
     vectors of length n + 1 summing to k + l.
     """
-    validate(spec)
     k, l = check_highest_weight(k, l)
     if spec.family == "A":
         yield from partitions_le_length(k + l, spec.rank + 1)
@@ -98,7 +96,6 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
     that order straight from the orbit walk of :mod:`bivar.root_systems`,
     with no sort.
     """
-    validate(spec)
     k, l = check_highest_weight(k, l)
     started = time.perf_counter()
     dominant, counts = kernel.dominant_rows(spec.family, spec.rank, k, l)
@@ -123,7 +120,7 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
 def dimension_audit(table: MultiplicityTable) -> Tuple[int, int, bool]:
     """Compare the orbit-weighted multiplicity total with the Weyl dimension."""
     if table.dominant_only:
-        # weyl_dimension validates the spec, once for the whole table
+        # orbit sizes straight from the row tuples, with no per-row weight check
         computed = sum(_orbit_size(table.spec.family, mu, True) * m for mu, m in table.rows)
     else:
         computed = sum([m for _, m in table.rows])
@@ -145,7 +142,6 @@ def freudenthal_table(spec: AlgebraSpec, k: int, l: int,
     whole weight system (no orbit reduction). Deliberately the classical
     formulation: this is the baseline engine of performance gate 8b.
     """
-    validate(spec)
     k, l = check_highest_weight(k, l)
     started = time.perf_counter()
     lam = highest_weight(spec, k, l)
@@ -178,10 +174,7 @@ def freudenthal_table(spec: AlgebraSpec, k: int, l: int,
 
     if spec.family == "A":
         # present each weight by its representative summing to k + l
-        rows = []
-        for key, m in mult.items():
-            rep = normalize_a_to_sum(key, k + l)
-            rows.append((rep, m))
+        rows = [(_shift_to_sum(key, k + l), m) for key, m in mult.items()]
     else:
         rows = list(mult.items())
     if dominant_only:

@@ -204,13 +204,20 @@ class TestTable:
         (None, {}, ValueError),
         ({"a": 1}, {}, ValueError),
         ("ab", {}, ValueError),
+        # JSON true/false are not integers, though Python's bool is an int
+        ([{"mu": [0, 0], "mult": "1"}], {"rank": True}, NotAnInteger),
+        ([{"mu": [0, 0], "mult": "1"}], {"k": True}, NotAnInteger),
+        ([{"mu": [0, 0], "mult": "1"}], {"l": False}, NotAnInteger),
+        ([{"mu": [True, False], "mult": "1"}], {}, NotAnInteger),
+        ([{"mu": [0, 0], "mult": True}], {}, NotAnInteger),
     ], ids=["wrong-length", "negative-mult", "string-k", "k-below-l",
             "non-bool-dominant", "float-mult", "norm-above-k-plus-l", "not-dominant",
             "a-wrong-sum", "a-negative-coordinate", "wrong-parity", "above-k",
             "a-above-k", "duplicate-weight",
             "missing-header-field", "missing-row-field", "underscore-mult",
             "space-mult", "plus-mult", "non-ascii-mult", "rows-number", "rows-null",
-            "rows-object", "rows-string"])
+            "rows-object", "rows-string", "bool-rank", "bool-k", "bool-l", "bool-mu",
+            "bool-mult"])
     def test_json_rejects_bad_rows(self, rows, header, error):
         obj = {"family": "B", "rank": 2, "k": 1, "l": 0, "dominant_only": True,
                "rows": rows}

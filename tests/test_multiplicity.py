@@ -184,7 +184,7 @@ class TestBivariate:
         lambda: algebra("B", 2.7),
         lambda: bivariate_mult(B3, 2.5, 1, (1, 0, 0)),
         lambda: kostka_count((2.7, 1), (2, 1)),
-        lambda: bivariate_mult(AlgebraSpec("B", 3.0), 3, 1, (1, 0, 0)),
+        lambda: AlgebraSpec("B", 3.0),
     ], ids=["float-coordinate", "string-coordinate", "float-rank", "float-k",
             "float-shape", "float-spec-rank"])
     def test_non_integer_input_rejected(self, call):

@@ -114,6 +114,11 @@ class TestKostka:
     def test_column_strictness_blocks_fat_content(self):
         assert kostka_count((1, 1), (2,)) == 0
 
+    def test_more_cells_than_the_recursion_limit(self):
+        # one cell after another, with no call stack that grows per cell
+        assert kostka_count((1000,), (1000,)) == 1
+        assert kostka_count((600, 400), (500, 500)) == 1
+
     def test_shape_content_mismatch(self):
         with pytest.raises(ShapeContentMismatch):
             kostka_count((2, 1), (1, 1, 1, 1))

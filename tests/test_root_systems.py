@@ -1,5 +1,6 @@
-"""Algebra validation, weight statistics, orbits, dimension formula."""
+"""Algebra specs, weight statistics, orbits, dimension formula."""
 
+import dataclasses
 import json
 from itertools import permutations, product
 
@@ -34,7 +35,7 @@ SMALL_SPECS = [algebra(f, n) for f, n in
                [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("A", 2), ("A", 3)]]
 
 
-class TestValidate:
+class TestAlgebraSpec:
     def test_boundaries(self):
         assert algebra("D", 3).rank == 3
         assert algebra("B", 2).family == "B"
@@ -50,18 +51,33 @@ class TestValidate:
         with pytest.raises(RankOutOfRange):
             algebra("E", 8)
 
-    @pytest.mark.parametrize("spec,mu,error", [
-        (AlgebraSpec("Q", 3), (1, 0, 0), RankOutOfRange),
-        (AlgebraSpec("D", 2), (1, 0), RankOutOfRange),
-        (AlgebraSpec("B", 3.0), (1, 0, 0), NotAnInteger),
+    @pytest.mark.parametrize("family,rank,error,message", [
+        ("Q", 3, RankOutOfRange, "unknown family 'Q'; expected one of A, B, C, D"),
+        ("D", 2, RankOutOfRange, "rank out of range: family D requires n >= 3, got n = 2"),
+        ("B", 3.0, NotAnInteger, "rank must be integers, got (3.0,)"),
     ], ids=["unknown-family", "rank-too-low", "float-rank"])
-    def test_orbit_functions_validate_spec(self, spec, mu, error):
-        with pytest.raises(error):
-            orbit(spec, mu)
-        with pytest.raises(error):
-            orbit_lines(spec, [(mu, 1)], b"%d".__mod__)
-        with pytest.raises(error):
-            orbit_size(spec, mu)
+    def test_invalid_spec_cannot_be_built(self, family, rank, error, message):
+        with pytest.raises(error) as raised:
+            AlgebraSpec(family, rank)
+        assert str(raised.value) == message
+
+    def test_spec_is_a_value(self):
+        spec = AlgebraSpec("B", 3)
+        assert spec == algebra("b", 3)
+        assert hash(spec) == hash(algebra("b", 3))
+        assert repr(spec) == "AlgebraSpec(family='B', rank=3)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.rank = 1
+        with pytest.raises(RankOutOfRange):
+            dataclasses.replace(spec, rank=1)
+
+    def test_rank_is_stored_as_an_int(self):
+        class Four:
+            def __index__(self):
+                return 4
+
+        spec = AlgebraSpec("C", Four())
+        assert type(spec.rank) is int and spec == algebra("C", 4)
 
 
 class TestWeightStats:
