@@ -21,10 +21,11 @@ from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import BivarError, NotAnInteger
+from .errors import BivarError
 from .multiplicity import _depth, bivariate_mult, tensor_mult
 from .oracles import convolution_mult, freudenthal_diagram, kostka_count, tensor_conv_mult
 from .root_systems import (
+    _expand_orbits,
     algebra,
     as_integers,
     canonical_weight,
@@ -32,7 +33,6 @@ from .root_systems import (
     check_weight,
     highest_weight,
     is_dominant,
-    orbit_lines,
     weight_length,
 )
 from .weight_tables import MultiplicityTable, build_table, candidate_dominants, dimension_audit
@@ -45,13 +45,53 @@ from .weight_tables import MultiplicityTable, build_table, candidate_dominants, 
 # Each format's row text, spelled only here: head, "w_1,...,w_n", then tail % m.
 ROW_TEXT = {"json": (',{"mu":[', '],"mult":"%s"}'), "csv": ("\n", ",%s")}
 
+PIECE = 1 << 15  # bytes: the largest multiset text that is joined and kept
+
+
+def _fuse_text(order: list):
+    # the multiset's text as one bytes object while it fits in PIECE bytes, else the node
+    size = 0
+    for _, child in order:
+        if type(child) is not bytes:
+            return order
+        size += len(child)
+    if size > PIECE:
+        return order
+    text = b"".join([child.replace(b"\n", b"\n,%d" % v) for v, child in order])
+    return text if len(text) <= PIECE else order
+
+
+def _walk_text(root: list, head: bytes) -> Iterator[bytes]:
+    stack = [(iter(root), head)]
+    while stack:
+        pairs, prefix = stack[-1]
+        for v, child in pairs:
+            if type(child) is bytes:
+                yield child.replace(b"\n", b"%s%d" % (prefix, v))
+            else:
+                stack.append((iter(child), b"%s%d," % (prefix, v)))
+                break
+        else:
+            stack.pop()
+
 
 def table_text(table: MultiplicityTable, fmt: str, full: bool = False) -> Iterable[bytes]:
     """The JSON or CSV text of ``table`` as ASCII bytes pieces; the first row drops its head's first byte.
 
-    With ``full``, the text of the full table ``build_table(spec, k, l)``, written by
-    ``orbit_lines`` from the orbits of the dominant-only ``table``: no full row is
-    built, formatted or sorted. Its rows are all checked before this returns.
+    With ``full``, the text of the full table ``build_table(spec, k, l)``, written
+    from the orbits of the dominant-only ``table``: no full row is built, formatted
+    or sorted. Its rows are all checked, and the first piece made, before this
+    returns. The rows come in lexicographic order of w over all the orbits
+    together, the order of the ``orbit`` outputs merged and sorted.
+
+    What follows a multiset of coordinates is a tree: a multiset whose text
+    fits in ``PIECE`` bytes holds it fused, one bytes object with a newline and
+    a comma before each row's rest; a larger one is a node, its (v, child)
+    pairs. An explicit stack walks the nodes from the root (a chain of nodes
+    can outgrow the recursion limit) and carries the prefix
+    ``head + "v_1,...,v_j,"``; each fused child under it is one piece, one
+    ``bytes.replace`` of its newlines by that prefix and v. So every output
+    byte is made once and no longer multiset text is kept.
     """
     spec = table.spec
     head, tail = ROW_TEXT[fmt]
@@ -59,7 +99,9 @@ def table_text(table: MultiplicityTable, fmt: str, full: bool = False) -> Iterab
         # the D mirror rows (mu_n < 0) lie in the W_n orbits of their partners
         rows = [(mu, m) for mu, m in table.rows if mu[-1] >= 0]
         # each leaf's tail is formatted and encoded once; %s never truncates (below)
-        lines = orbit_lines(spec, rows, lambda m: (tail % m).encode(), head.encode())
+        root = _expand_orbits(spec, rows, lambda m: b"\n" + (tail % m).encode(), _fuse_text)
+        pieces = _walk_text(root, head.encode())
+        lines = chain((next(pieces, b"")[1:],), pieces)
     else:
         rows = table.rows
         # %s, not %d, so a non-int value is written as str() writes it, never truncated
@@ -100,19 +142,10 @@ def _field(obj, name: str, where: str):
         raise ValueError(f"{where} has no {name!r} field") from None
 
 
-def _int_field(obj, name: str, where: str):
-    # JSON true/false load as bools, which as_integers would read as 1 and 0
-    value = _field(obj, name, where)
-    if any(isinstance(v, bool) for v in (value if type(value) is list else (value,))):
-        raise NotAnInteger(f"{where} field {name!r} must hold integers, not true or false, "
-                           f"got {json.dumps(value)}")
-    return value
-
-
 def table_from_json(text: str) -> MultiplicityTable:
     obj = json.loads(text)
-    spec = algebra(_field(obj, "family", "table"), _int_field(obj, "rank", "table"))
-    k, l = check_highest_weight(_int_field(obj, "k", "table"), _int_field(obj, "l", "table"))
+    spec = algebra(_field(obj, "family", "table"), _field(obj, "rank", "table"))
+    k, l = check_highest_weight(_field(obj, "k", "table"), _field(obj, "l", "table"))
     dominant_only = _field(obj, "dominant_only", "table")
     if not isinstance(dominant_only, bool):
         raise ValueError(f"dominant_only must be true or false, got {dominant_only!r}")
@@ -121,13 +154,13 @@ def table_from_json(text: str) -> MultiplicityTable:
         raise ValueError(f"rows must be a JSON array, got {raw_rows!r}")
     rows = []
     for r in raw_rows:
-        mult = _int_field(r, "mult", "row")
+        mult = _field(r, "mult", "row")
         # table_to_json writes decimal strings; any other value must be an int
         if isinstance(mult, str):
             mult = integer(mult)
         else:
             (mult,) = as_integers((mult,), "multiplicity")
-        mu = check_weight(spec, _int_field(r, "mu", "row"))
+        mu = check_weight(spec, _field(r, "mu", "row"))
         if mult <= 0:
             raise ValueError(f"row {mu}: multiplicity must be positive, got {mult}")
         if spec.family == "A" and (min(mu) < 0 or sum(mu) != k + l):
@@ -155,41 +188,28 @@ def csv_rows(text: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     return tuple(rows)
 
 
-BLOCK = 1 << 18  # bytes: _write_out joins the pieces into blocks of about this size
-
-
-def _blocks(pieces: Iterable[bytes]) -> Iterator[bytes]:
-    block, size = [], 0
-    for piece in pieces:
-        block.append(piece)
-        size += len(piece)
-        if size >= BLOCK:
-            yield b"".join(block)
-            block, size = [], 0
-    if block:
-        yield b"".join(block)
+BLOCK = 1 << 18  # bytes: the buffer of the file _write_out writes
 
 
 def _write_out(pieces: Iterable[bytes], path: str) -> None:
-    """Write the bytes ``pieces`` to the file ``path``, or to stdout for "-", in blocks.
+    """Write the bytes ``pieces`` to the file ``path``, through a ``BLOCK`` buffer, or to stdout for "-".
 
     Stdout is flushed first, so text printed before comes out ahead of the table;
-    the blocks go to its binary ``buffer``, or decoded to a stdout that has none.
+    the pieces go to its binary ``buffer``, or decoded to a stdout that has none.
     """
     if path != "-":
-        with open(path, "wb") as handle:
-            for block in _blocks(pieces):
-                handle.write(block)
+        with open(path, "wb", buffering=BLOCK) as handle:
+            handle.writelines(pieces)
         return
     try:
         sys.stdout.flush()
         sink = getattr(sys.stdout, "buffer", None)
-        for block in _blocks(pieces):
-            if sink is None:
-                sys.stdout.write(block.decode())
-            else:
-                sink.write(block)
-        (sys.stdout if sink is None else sink).flush()
+        if sink is None:
+            sys.stdout.writelines(map(bytes.decode, pieces))
+            sys.stdout.flush()
+        else:
+            sink.writelines(pieces)
+            sink.flush()
     except BrokenPipeError:
         # the reader closed the pipe: end quietly, sending what is buffered to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

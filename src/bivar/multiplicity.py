@@ -11,8 +11,6 @@ Depth arguments are carried as doubled integers (``r2``), never floats:
 the depth (k + l - |mu|)/2 is genuinely half-integral for family B.
 """
 
-from fractions import Fraction
-
 from . import kernel
 from .errors import UnsupportedFamily
 from .partitions import binom, count_one_norm_sphere
@@ -107,34 +105,27 @@ def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
         raise UnsupportedFamily("the zero-weight closed form covers families B, C, D only")
     if _depth(spec, k, l, (0,) * n, k) is None:
         return 0
-    total = Fraction(0)
+    d = kernel._degree(fam, n)
+    total = 0
     for upper in range(l + 1):
-        sign = -1 if (upper + l) % 2 else 1
-        sphere = count_one_norm_sphere(n, upper)
+        # the closed form's factors h / (h + d) go into its binomials by
+        # C(h + d, d) h / (h + d) = C(h + d - 1, d), so every term is an integer
+        hl, hk = (l - upper) // 2, (k + 1 - upper) // 2
+        l_up, l_down = binom(hl + d, d), binom(hl + d - 1, d)
+        k_up, k_down = binom(hk + d, d), binom(hk + d - 1, d)
         if fam == "B":
-            half_l = (l - upper) // 2
-            half_k = (k + 1 - upper) // 2
             if (k + l) % 2 == 0:
-                factor = 1 - Fraction(half_l * half_k,
-                                      (half_l + n - 1) * (half_k + n - 1))
+                term = l_up * k_up - l_down * k_down
             else:
-                factor = (Fraction(half_k, half_k + n - 1)
-                          - Fraction(half_l, half_l + n - 1))
-            total += sign * factor * binom(half_l + n - 1, n - 1) \
-                * binom(half_k + n - 1, n - 1) * sphere
+                term = k_down * l_up - l_down * k_up
+        elif (upper + l) % 2 == 0:
+            # C uses the D-style correction at rank n+1; its factor 2 is absorbed
+            term = (l_up + l_down) * k_up
         else:
-            # C uses the D-style correction at rank n+1 and degree n-1
-            m = n + 1 if fam == "C" else n
-            d = kernel._degree(fam, n)
-            if (upper + l) % 2 == 0:
-                factor = Fraction(l - upper + m - 2, l - upper + 2 * m - 4)
-            else:
-                factor = Fraction(k + 1 - upper + m - 2, k + 1 - upper + 2 * m - 4)
-            total += 2 * sign * factor * binom((l - upper) // 2 + d, d) \
-                * binom((k - upper + 1) // 2 + d, d) * sphere
-    if total.denominator != 1:
-        raise AssertionError("zero-weight sum did not come out integral")
-    return int(total)
+            term = (k_up + k_down) * l_up
+        sign = -1 if (upper + l) % 2 else 1
+        total += sign * term * count_one_norm_sphere(n, upper)
+    return total
 
 
 def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:

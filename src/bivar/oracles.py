@@ -257,13 +257,10 @@ def _sym_power_count(spec: AlgebraSpec, k: int, mu: Weight) -> int:
 
 
 def _single_row_count(spec: AlgebraSpec, k: int, mu: Weight) -> int:
-    """Oracle-side multiplicity of mu in pi_{k e1} (no closed binomial forms)."""
+    """Oracle-side multiplicity of mu in pi_{k e1} for B/C/D (no closed binomial forms)."""
     if k < 0:
         return 0
-    fam = spec.family
-    if fam == "A":
-        return 1 if _shift_to_sum(mu, k) is not None else 0
-    if fam == "C":
+    if spec.family == "C":
         return _sym_power_count(spec, k, mu)
     # B and D: symmetric power minus the trace part two degrees down
     return _sym_power_count(spec, k, mu) - _sym_power_count(spec, k - 2, mu)

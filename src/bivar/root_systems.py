@@ -18,9 +18,8 @@ recursions, are available separately as :func:`weyl_canonical`.
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from math import factorial
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidHighestWeight,
@@ -33,16 +32,23 @@ from .errors import (
 Weight = Tuple[int, ...]
 
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 3}
+_INT = {int}  # the one coordinate type as_integers takes as it is
 
 
 def as_integers(values: Iterable, what: str) -> Tuple[int, ...]:
     """Tuple of ``values`` as exact ints, taken with ``operator.index``.
 
-    Floats, strings and other non-integral values raise
-    :class:`NotAnInteger` instead of being truncated or parsed.
+    Floats, strings, bools and other non-integral values raise
+    :class:`NotAnInteger` instead of being truncated, parsed or read as 1 and 0.
     """
     try:
-        return tuple(map(operator.index, values))
+        coords = tuple(values)
+        kinds = set(map(type, coords))
+        if kinds <= _INT:
+            return coords
+        if bool in kinds:
+            raise TypeError
+        return tuple(map(operator.index, coords))
     except TypeError:
         raise NotAnInteger(f"{what} must be integers, got {values!r}") from None
 
@@ -197,7 +203,11 @@ def _orbit_representative(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
 
 def _expand_orbits(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
                    leaf: Callable[[object], object], fuse: Callable[[list], object]) -> list:
-    """Every orbit of the dominant ``rows`` (as for :func:`orbit_lines`) in lexicographic order.
+    """Every orbit of the dominant ``rows`` in lexicographic order.
+
+    ``rows`` holds (mu, m) pairs, each mu a representative that
+    :func:`orbit` accepts and no two alike; all are checked before this
+    returns (else :class:`NotDominant` or ``ValueError``).
 
     Below a prefix w_1..w_j what may follow depends only on the multiset
     of |w_1|..|w_j| (family A: of the values themselves), so it is built
@@ -244,64 +254,6 @@ def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
     Duplicates from zero or repeated coordinates are never produced twice.
     """
     return tuple(_fuse_tuples(_expand_orbits(spec, [(mu, None)], lambda m: [()], _fuse_tuples)))
-
-
-PIECE = 1 << 15  # bytes: the largest multiset text that is joined and kept
-
-
-def _fuse_text(order: list):
-    # the multiset's text as one bytes object while it fits in PIECE bytes, else the node
-    size = 0
-    for _, child in order:
-        if type(child) is not bytes:
-            return order
-        size += len(child)
-    if size > PIECE:
-        return order
-    text = b"".join([child.replace(b"\n", b"\n,%d" % v) for v, child in order])
-    return text if len(text) <= PIECE else order
-
-
-def orbit_lines(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
-                tail: Callable[[object], bytes], head: bytes = b"\n") -> Iterator[bytes]:
-    """Text of every orbit of the dominant ``rows``, one line per weight, as ASCII bytes pieces.
-
-    ``rows`` holds (mu, m) pairs, each mu a representative that
-    :func:`orbit` accepts and no two alike; all are checked before this
-    returns. Each weight w of the orbit of mu gets the line
-    ``head + b"w_1,...,w_n" + tail(m)``: ``tail(m)`` is bytes that hold
-    their own leading separator and no newline. The lines come in
-    lexicographic order of w over all the orbits together, the order of
-    the :func:`orbit` outputs merged and sorted. Joined, the pieces are
-    the lines with the first byte dropped (b"" for no rows): a head that
-    starts with a separator joins the lines by that separator.
-
-    What follows a multiset is a tree: a multiset whose text fits in
-    ``PIECE`` bytes holds it fused, one bytes object with a newline and a
-    comma before each line's rest; a larger one is a node, its (v, child)
-    pairs. An explicit stack walks the nodes from the root (a chain of
-    nodes can outgrow the recursion limit) and carries the prefix
-    ``head + b"v_1,...,v_j,"``; each fused child under it is one piece,
-    one ``bytes.replace`` of its newlines by that prefix and v. So every
-    output byte is made once and no longer multiset text is kept.
-    """
-    root = _expand_orbits(spec, rows, lambda m: b"\n" + tail(m), _fuse_text)
-    pieces = _walk_text(root, head)
-    return chain((next(pieces, b"")[1:],), pieces)
-
-
-def _walk_text(root: list, head: bytes) -> Iterator[bytes]:
-    stack = [(iter(root), head)]
-    while stack:
-        pairs, prefix = stack[-1]
-        for v, child in pairs:
-            if type(child) is bytes:
-                yield child.replace(b"\n", b"%s%d" % (prefix, v))
-            else:
-                stack.append((iter(child), b"%s%d," % (prefix, v)))
-                break
-        else:
-            stack.pop()
 
 
 def _perm_count(values: Sequence[int]) -> int:

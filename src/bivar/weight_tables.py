@@ -8,9 +8,10 @@ and D; A: summing to k + l) and carries the packed product. It does not
 call :func:`candidate_dominants`, the wider candidate list that ``bivar
 verify`` and the tests read. A full table then expands the orbits of the
 kept candidates all at once, in lexicographic order, with the one level
-loop over multisets that ``root_systems.orbit`` and
-``root_systems.orbit_lines`` use too (the latter keeps a multiset's text
-only while it fits in one piece and walks the larger ones lazily); a
+loop over multisets, ``root_systems._expand_orbits``, that
+``root_systems.orbit`` and the full-table text of ``cli.table_text`` use
+too (the latter keeps a multiset's text only while it fits in one piece
+and walks the larger ones lazily); a
 dominant-only table for family D emits the extra mirror weight
 (a_1, ..., -a_n) alongside (a_1, ..., a_n) and sorts.
 

@@ -366,7 +366,7 @@ class TestTable:
         n = 1200
         table = build_table(algebra("B", n), 1, 0, dominant_only=True)
         tree = root_systems._expand_orbits(table.spec, table.rows, b"\n,%d".__mod__,
-                                           root_systems._fuse_text)
+                                           cli._fuse_text)
         depth = 0
         while any(type(child) is list for _, child in tree):
             tree = next(child for _, child in tree if type(child) is list)

@@ -185,10 +185,15 @@ class TestBivariate:
         lambda: bivariate_mult(B3, 2.5, 1, (1, 0, 0)),
         lambda: kostka_count((2.7, 1), (2, 1)),
         lambda: AlgebraSpec("B", 3.0),
+        lambda: bivariate_mult(B3, 3, 1, (True, 0, 0)),
+        lambda: bivariate_mult(B3, True, 0, (1, 0, 0)),
+        lambda: algebra("B", True),
+        lambda: kostka_count((2, True), (2, 1)),
     ], ids=["float-coordinate", "string-coordinate", "float-rank", "float-k",
-            "float-shape", "float-spec-rank"])
+            "float-shape", "float-spec-rank", "bool-coordinate", "bool-k", "bool-rank",
+            "bool-shape"])
     def test_non_integer_input_rejected(self, call):
-        # neither truncated to an int nor parsed from a string
+        # neither truncated to an int, parsed from a string nor read from a bool as 1 or 0
         with pytest.raises(NotAnInteger):
             call()
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivar import root_systems
+from bivar import cli
 from bivar.errors import (
     InvalidHighestWeight,
     LengthMismatch,
@@ -23,13 +23,13 @@ from bivar.root_systems import (
     dominant_representative,
     is_dominant,
     orbit,
-    orbit_lines,
     orbit_size,
     weight_stats,
     weyl_canonical,
     weyl_dimension,
     weyl_orbit_size,
 )
+from bivar.weight_tables import MultiplicityTable
 
 SMALL_SPECS = [algebra(f, n) for f, n in
                [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("A", 2), ("A", 3)]]
@@ -154,8 +154,8 @@ class TestOrbit:
         assert got == tuple(sorted(got))
 
     def test_type_a_permutes_coordinates_as_given(self):
-        # no shift to minimum 0: orbit_lines and full A tables rely on the
-        # members keeping the representative's sum k + l
+        # no shift to minimum 0: full A tables rely on the members keeping
+        # the representative's sum k + l
         a2 = algebra("A", 2)
         assert orbit(a2, (3, 2, 1)) == (
             (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
@@ -176,13 +176,20 @@ class TestOrbit:
             assert len(members) == orbit_size(spec, rep)
             assert group % len(members) == 0
 
-    def test_orbit_lines_rejects_bad_rows(self):
+    def test_full_table_text_rejects_bad_rows(self):
         spec = algebra("D", 3)
+
+        def text(rows):
+            return b"".join(cli.table_text(MultiplicityTable(spec, 0, 0, True, rows), "csv",
+                                           full=True))
+
         with pytest.raises(NotDominant):
-            orbit_lines(spec, [((2, 1, -1), 1)], b"%d".__mod__)
+            text([((1, 2, 0), 1)])
         with pytest.raises(ValueError):
-            orbit_lines(spec, [((2, 1, 0), 1), ((2, 1, 0), 2)], b"%d".__mod__)
-        assert b"".join(orbit_lines(spec, [], b"%d".__mod__)) == b""
+            text([((2, 1, 0), 1), ((2, 1, 0), 2)])
+        assert text([]) == b"mu_1,mu_2,mu_3,mult\n"
+        # a negative last coordinate is a D mirror row, dropped before the walk
+        assert text([((2, 1, -1), 1)]) == b"mu_1,mu_2,mu_3,mult\n"
 
     def test_weyl_orbit_size_d_mirror_split(self):
         spec = algebra("D", 3)
@@ -276,17 +283,19 @@ def test_orbit_matches_brute_force(case):
 
 @given(dominant_rows(max_rows=4), st.data())
 @settings(max_examples=150, deadline=None)
-def test_orbit_lines_match_brute_force(case, data):
+def test_full_table_text_matches_brute_force(case, data):
     spec, mus = case
     rows = [(mu, data.draw(st.integers(1, 10**30), label=f"m{i}")) for i, mu in enumerate(mus)]
+    table = MultiplicityTable(spec, 0, 0, True, rows)
     # a small piece size splits even these texts into many pieces
-    piece = data.draw(st.sampled_from([1, 40, root_systems.PIECE]), label="piece")
+    piece = data.draw(st.sampled_from([1, 40, cli.PIECE]), label="piece")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(root_systems, "PIECE", piece)
-        lines = b"".join(orbit_lines(spec, rows, b",%d".__mod__)).split(b"\n")
-        json_rows = b"".join(orbit_lines(spec, rows, b'],"mult":"%d"}'.__mod__, b',{"mu":['))
+        patch.setattr(cli, "PIECE", piece)
+        lines = b"".join(cli.table_text(table, "csv", full=True)).split(b"\n")[1:-1]
+        text = b"".join(cli.table_text(table, "json", full=True))
     # the orbits are disjoint: every weight once, all orbits merged in lexicographic order
     want = sorted((w, m) for mu, m in rows for w in brute_orbit(spec, mu))
     assert lines == [(",".join(map(str, w)) + f",{m}").encode() for w, m in want]
     objects = [{"mu": list(w), "mult": str(m)} for w, m in want]
-    assert b"[%s]" % json_rows == json.dumps(objects, separators=(",", ":")).encode()
+    json_rows = text[text.index(b"["):text.rindex(b"]") + 1]
+    assert json_rows == json.dumps(objects, separators=(",", ":")).encode()
