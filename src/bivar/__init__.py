@@ -7,7 +7,7 @@ assembles whole weight tables; :mod:`bivar.oracles` re-derives every
 value through independent routes (Freudenthal recursion, tensor
 convolution, tableau counting) for verification. The hot sums run in
 :mod:`bivar.kernel`, in pure Python with exact integers. Integer inputs
-are taken exactly: a float or string where an int belongs raises
+are taken exactly: a float, string or bool where an int belongs raises
 :class:`NotAnInteger`.
 """
 

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import BivarError
-from .multiplicity import _depth, bivariate_mult, tensor_mult
+from .multiplicity import _support, bivariate_mult, tensor_mult
 from .oracles import convolution_mult, freudenthal_diagram, kostka_count, tensor_conv_mult
 from .root_systems import (
     _expand_orbits,
@@ -166,7 +166,7 @@ def table_from_json(text: str) -> MultiplicityTable:
         if spec.family == "A" and (min(mu) < 0 or sum(mu) != k + l):
             raise ValueError(f"row {mu}: type A weights of k*e1 + l*e2 are "
                              f"non-negative and sum to k + l = {k + l}")
-        if _depth(spec, k, l, mu, k) is None:
+        if _support(spec, k, l, mu) is None:
             raise ValueError(f"row {mu}: not a weight of k*e1 + l*e2 with k = {k}, l = {l}")
         if dominant_only and not is_dominant(spec, mu):
             raise ValueError(f"row {mu}: not dominant in a dominant-only table")

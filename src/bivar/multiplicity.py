@@ -5,7 +5,7 @@ it combines four tensor sums (evaluated by :mod:`bivar.kernel`); for
 family A it combines two, read from one product. Closed-form fast paths
 cover the single-row case, l = 0/1/2 and the zero weight. Each of them
 decides whether a weight can occur, and at what depth, by one rule,
-:func:`_depth`.
+:func:`_support`, which also checks the inputs.
 
 Depth arguments are carried as doubled integers (``r2``), never floats:
 the depth (k + l - |mu|)/2 is genuinely half-integral for family B.
@@ -16,7 +16,6 @@ from .errors import UnsupportedFamily
 from .partitions import binom, count_one_norm_sphere
 from .root_systems import (
     AlgebraSpec,
-    _level_stats,
     _shift_to_sum,
     algebra,
     check_highest_weight,
@@ -24,34 +23,34 @@ from .root_systems import (
 )
 
 
-def _checked(spec: AlgebraSpec, k: int, l: int, mu):
-    """(k, l, mu) as ints, raising unless k >= l >= 0 and mu has the length of ``spec``'s weights."""
-    k, l = check_highest_weight(k, l)
-    return k, l, check_weight(spec, mu)
+def _support(spec: AlgebraSpec, k: int, l: int, mu, tensor: bool = False):
+    """(l, r2, ell) of ``mu`` in the sums for k*e1 + l*e2; None when every term is 0.
 
-
-def _depth(spec: AlgebraSpec, k: int, l: int, mu, cap: int):
-    """(r2, ell) of a checked ``mu`` in the sums for k*e1 + l*e2; None when every term is 0.
-
-    The one support rule of every single-weight entry point: r2 = k + l - |mu|_1
-    is the doubled depth and ell = (l_0, ..., l_{l-1}) the level counts. Type A
-    reads the representative summing to k + l, so r2 = 0. None when r2 < 0, when
-    r2 is odd for C and D, when some |mu_i| exceeds ``cap`` (k for the irreducible
-    and the closed forms, k + l for the tensor product) or, for A, when no
-    non-negative representative sums to k + l.
+    The input checks and the one support rule of every single-weight entry point.
+    k and l are checked before ``mu`` (k >= l >= 0, then ints of the length of
+    ``spec``'s weights). r2 = k + l - |mu|_1 is the doubled depth and
+    ell = (l_0, ..., l_{l-1}) the level counts. Type A reads the representative
+    summing to k + l, so r2 = 0. None when r2 < 0, when r2 is odd for C and D,
+    when some |mu_i| exceeds the cap (k for the irreducible and the closed forms,
+    k + l for the ``tensor`` product) or, for A, when no non-negative
+    representative sums to k + l.
     """
+    k, l = check_highest_weight(k, l)
+    mu = check_weight(spec, mu)
     if spec.family == "A":
         mu = _shift_to_sum(mu, k + l)
         if mu is None:
             return None
-    norm, ell = _level_stats(mu, l)
+    levels = [abs(a) for a in mu]
+    norm = sum(levels)
     r2 = k + l - norm
     if r2 < 0 or (r2 % 2 and spec.family in ("C", "D")):
         return None
+    cap = k + l if tensor else k
     # |mu_i| <= |mu|_1: only a one-norm past the cap can put a coordinate past it
-    if norm > cap and max(map(abs, mu)) > cap:
+    if norm > cap and max(levels) > cap:
         return None
-    return r2, ell
+    return l, r2, tuple(map(levels.count, range(l)))
 
 
 def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
@@ -59,23 +58,22 @@ def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
 
     1 for family A, binom(r2 // 2 + d, d) for B/C/D; 0 off the support.
     """
-    k, _, mu = _checked(spec, k, 0, mu)
-    depth = _depth(spec, k, 0, mu, k)
-    if depth is None:
+    support = _support(spec, k, 0, mu)
+    if support is None:
         return 0
+    _, r2, _ = support
     if spec.family == "A":
         return 1
     d = kernel._degree(spec.family, spec.rank)
-    return binom(depth[0] // 2 + d, d)
+    return binom(r2 // 2 + d, d)
 
 
 def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     """Multiplicity of ``mu`` in the tensor product pi_{k e1} (x) pi_{l e1}."""
-    k, l, mu = _checked(spec, k, l, mu)
-    depth = _depth(spec, k, l, mu, k + l)
-    if depth is None:
+    support = _support(spec, k, l, mu, tensor=True)
+    if support is None:
         return 0
-    r2, ell = depth
+    l, r2, ell = support
     n, fam = spec.rank, spec.family
     if fam == "A":
         return kernel.tensor_sum_a(n, l, ell)
@@ -84,11 +82,10 @@ def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
 
 def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     """Multiplicity of ``mu`` in the irreducible with highest weight k*e1 + l*e2."""
-    k, l, mu = _checked(spec, k, l, mu)
-    depth = _depth(spec, k, l, mu, k)
-    if depth is None:
+    support = _support(spec, k, l, mu)
+    if support is None:
         return 0
-    r2, ell = depth
+    l, r2, ell = support
     n, fam = spec.rank, spec.family
     if fam == "A":
         return kernel.bivariate_sum_a(n, l, ell)
@@ -103,7 +100,7 @@ def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
     fam = spec.family
     if fam == "A":
         raise UnsupportedFamily("the zero-weight closed form covers families B, C, D only")
-    if _depth(spec, k, l, (0,) * n, k) is None:
+    if _support(spec, k, l, (0,) * n) is None:
         return 0
     d = kernel._degree(fam, n)
     total = 0
@@ -130,11 +127,10 @@ def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
 
 def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
     """Fast path for l = 1, agreeing with :func:`bivariate_mult` on all families."""
-    k, _, mu = _checked(spec, k, 1, mu)
-    depth = _depth(spec, k, 1, mu, k)
-    if depth is None:
+    support = _support(spec, k, 1, mu)
+    if support is None:
         return 0
-    r2, (ell0,) = depth
+    _, r2, (ell0,) = support
     n = spec.rank
     fam = spec.family
     if fam == "A":
@@ -155,11 +151,10 @@ def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
 def l2_mult_d(n: int, k: int, mu) -> int:
     """Closed form for family D with l = 2 (three binomials in r, l_0, l_1)."""
     spec = algebra("D", n)
-    k, _, mu = _checked(spec, k, 2, mu)
-    depth = _depth(spec, k, 2, mu, k)
-    if depth is None:
+    support = _support(spec, k, 2, mu)
+    if support is None:
         return 0
-    r2, (ell0, ell1) = depth
+    _, r2, (ell0, ell1) = support
     r = r2 // 2
     open_pairs = binom(n - ell0, 2)
     return (
@@ -173,9 +168,8 @@ def l2_mult_d(n: int, k: int, mu) -> int:
 def l2_mult_a(n: int, k: int, mu) -> int:
     """Closed form for family A with l = 2: C(n+1-l_0, 2) - l_1."""
     spec = algebra("A", n)
-    k, _, mu = _checked(spec, k, 2, mu)
-    depth = _depth(spec, k, 2, mu, k)
-    if depth is None:
+    support = _support(spec, k, 2, mu)
+    if support is None:
         return 0
-    _, (ell0, ell1) = depth
+    _, _, (ell0, ell1) = support
     return binom(n + 1 - ell0, 2) - ell1

@@ -135,12 +135,7 @@ def weight_stats(spec: AlgebraSpec, mu: Sequence[int], l: int) -> Tuple[int, Tup
     they are plain values.
     """
     (l,) = as_integers((l,), "l")
-    return _level_stats(canonical_weight(spec, mu), l)
-
-
-def _level_stats(coords: Weight, l: int) -> Tuple[int, Tuple[int, ...]]:
-    # weight_stats of checked coordinates, taken as given (A is not normalized)
-    levels = [abs(a) for a in coords]
+    levels = [abs(a) for a in canonical_weight(spec, mu)]
     return sum(levels), tuple(map(levels.count, range(l)))
 
 

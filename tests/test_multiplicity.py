@@ -1,6 +1,9 @@
 """Formula layer: single rows, tensor products, the four-term combination,
 fast paths, and the structural identities that tie them together."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,9 +192,16 @@ class TestBivariate:
         lambda: bivariate_mult(B3, True, 0, (1, 0, 0)),
         lambda: algebra("B", True),
         lambda: kostka_count((2, True), (2, 1)),
+        lambda: tensor_mult(B3, 3, 1, (1.0, 0, 0)),
+        lambda: single_row_mult(C3, True, (1, 0, 0)),
+        lambda: l1_mult(D3, 2.0, (1, 0, 0)),
+        lambda: l2_mult_a(2, 2, (2, True, 0)),
+        lambda: l2_mult_d(3, 2, (1.0, 1, 0)),
+        lambda: zero_weight_mult(B3, 2, 1.0),
     ], ids=["float-coordinate", "string-coordinate", "float-rank", "float-k",
             "float-shape", "float-spec-rank", "bool-coordinate", "bool-k", "bool-rank",
-            "bool-shape"])
+            "bool-shape", "tensor-float-coordinate", "single-row-bool-k", "l1-float-k",
+            "l2-a-bool-coordinate", "l2-d-float-coordinate", "zero-weight-float-l"])
     def test_non_integer_input_rejected(self, call):
         # neither truncated to an int, parsed from a string nor read from a bool as 1 or 0
         with pytest.raises(NotAnInteger):
@@ -326,3 +336,70 @@ class TestFastPaths:
             l2_mult_d(3, 1, (1, 0, 0))
         with pytest.raises(InvalidHighestWeight):
             l1_mult(B2, 0, (0, 0))
+
+
+def _digest_calls():
+    # (entry point, args) over a fixed grid: every dominant weight of one-norm
+    # <= k + l + 2 and one random signed (B/C/D) or shifted (A) permutation of it
+    rng = random.Random(0)
+    for family, ranks in (("A", range(2, 6)), ("B", range(2, 6)),
+                          ("C", range(2, 6)), ("D", range(3, 6))):
+        for n in ranks:
+            spec = algebra(family, n)
+            width = weight_length(spec)
+            for l in range(6):
+                for k in (l, l + 2):
+                    if family != "A":
+                        yield zero_weight_mult, (spec, k, l)
+                    for total in range(k + l + 3):
+                        for dominant in partitions_le_length(total, width):
+                            copy = list(dominant)
+                            rng.shuffle(copy)
+                            if family == "A":
+                                copy = [a + rng.randint(-1, 1) for a in copy]
+                            else:
+                                copy = [a * rng.choice((1, -1)) for a in copy]
+                            for mu in (dominant, tuple(copy)):
+                                yield bivariate_mult, (spec, k, l, mu)
+                                yield tensor_mult, (spec, k, l, mu)
+                                if l == 0:
+                                    yield single_row_mult, (spec, k, mu)
+                                elif l == 1:
+                                    yield l1_mult, (spec, k, mu)
+                                elif l == 2 and family == "A":
+                                    yield l2_mult_a, (n, k, mu)
+                                elif l == 2 and family == "D":
+                                    yield l2_mult_d, (n, k, mu)
+    for spec in (A2, B3, C3, D3):
+        n = spec.rank
+        good = (1,) + (0,) * (weight_length(spec) - 1)
+        for k, l, mu in [(2.0, 1, good), (True, 0, good), (2, 1, ("1",) + good[1:]),
+                         (2, 1, good + (0,)), (1, 2, good), (2, -1, good),
+                         (1, 2, ("x",) + good[1:]), (2.0, 1, good + (0,))]:
+            yield bivariate_mult, (spec, k, l, mu)
+            yield tensor_mult, (spec, k, l, mu)
+            yield single_row_mult, (spec, k, mu)
+            yield l1_mult, (spec, k, mu)
+            yield l2_mult_a, (n, k, mu)
+            yield l2_mult_d, (n, k, mu)
+            yield zero_weight_mult, (spec, k, l)
+    yield zero_weight_mult, (A2, 2, 1)
+    yield zero_weight_mult, (A2, 1, 2)
+    yield l2_mult_d, (2, 4, (1, 1))
+
+
+def test_entry_point_digest():
+    # every value and every error of the single-weight entry points on a fixed
+    # grid, pinned as one SHA-256: a change to the support rule or to the input
+    # checks changes it
+    digest = hashlib.sha256()
+    calls = 0
+    for fn, args in _digest_calls():
+        try:
+            outcome = repr(fn(*args))
+        except BivarError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        digest.update(f"{fn.__name__}{args!r} = {outcome}\n".encode())
+        calls += 1
+    assert (calls, digest.hexdigest()) == (
+        54427, "7d947af3711850537b67cf3e9ba22865147470ce5670978a568acd56cc427a64")
