@@ -12,14 +12,15 @@ Three routes that share no code with the formula evaluation in
 * :func:`kostka_count` -- a semistandard-tableau backtracking counter
   for family A.
 
-All arithmetic is exact; the recursion works on integer-scaled weights
-so no rationals appear in the inner loops.
+All arithmetic is exact integer arithmetic: the recursion's |mu+rho|^2 -
+|rho|^2 and root pairings are integers for every family, rho half-integral or not.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import NotDominant, ShapeContentMismatch
 from .partitions import partitions_le_length
@@ -32,74 +33,10 @@ from .root_systems import (
     check_weight,
     is_dominant,
     one_norm,
-    positive_roots,
-    rho_twice,
     weyl_canonical,
 )
 
 Weight = Tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# integer-scaled inner products
-
-
-class _Geometry:
-    """Exact inner-product data for one algebra.
-
-    Weights are scaled by 2 (families B/C/D) or by 2(n+1) with the mean
-    subtracted (family A, where weights are shift classes) so that every
-    quantity in Freudenthal's recursion is an integer.
-    """
-
-    def __init__(self, spec: AlgebraSpec):
-        self.spec = spec
-        self.roots = positive_roots(spec)
-        self.supports = [
-            tuple((i, c) for i, c in enumerate(root) if c) for root in self.roots
-        ]
-        n = spec.rank
-        if spec.family == "A":
-            rho = tuple(n - i for i in range(n + 1))
-            self._srho = self.scaled(rho)
-        else:
-            self._srho = rho_twice(spec)
-
-    def scaled(self, coords: Weight) -> Weight:
-        if self.spec.family == "A":
-            m = len(coords)
-            total = sum(coords)
-            return tuple(2 * m * a - 2 * total for a in coords)
-        return tuple(2 * a for a in coords)
-
-    def norm_shifted(self, coords: Weight) -> int:
-        """Squared norm of (scaled weight) + (scaled rho)."""
-        return sum((a + b) ** 2 for a, b in zip(self.scaled(coords), self._srho))
-
-    def pairing(self, coords: Weight, root_index: int) -> int:
-        """Scaled inner product of a raw weight with a positive root."""
-        value = sum(c * coords[i] for i, c in self.supports[root_index])
-        if self.spec.family == "A":
-            return 4 * (self.spec.rank + 1) ** 2 * value
-        return 4 * value
-
-    def freudenthal_sum(self, mu: Weight, lookup: Callable[[Weight], Optional[int]]) -> int:
-        """sum_{a>0} sum_{t>=1} m(mu+ta) <mu+ta, a>, scaled like :meth:`pairing`.
-
-        m is ``lookup``; each root's run over t stops at the first weight
-        where it gives 0 or None.
-        """
-        acc = 0
-        for idx, root in enumerate(self.roots):
-            t = 1
-            while True:
-                nu = tuple(a + t * c for a, c in zip(mu, root))
-                m_up = lookup(nu)
-                if not m_up:
-                    break
-                acc += m_up * self.pairing(nu, idx)
-                t += 1
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -118,101 +55,101 @@ class WeightDiagram:
         return self.entries.get(weyl_canonical(self.spec, mu), 0)
 
 
-def _dominance_level(spec: AlgebraSpec, lam: Weight, mu: Weight):
-    """Height of lam - mu when it is a non-negative root combination, else None."""
-    fam = spec.family
-    n = spec.rank
-    delta = [a - b for a, b in zip(lam, mu)]
-    partial = []
-    run = 0
-    for d in delta:
-        run += d
-        partial.append(run)
-    if fam == "A":
-        # equal-sum representatives required by the caller
-        if partial[-1] != 0 or any(p < 0 for p in partial[:-1]):
-            return None
-        return sum(partial[:-1])
-    if any(p < 0 for p in partial[: n - 1]):
-        return None
-    if fam == "B":
-        if partial[-1] < 0:
-            return None
-        return sum(partial)
-    if fam == "C":
-        if partial[-1] < 0 or partial[-1] % 2:
-            return None
-        return sum(partial[:-1]) + partial[-1] // 2
-    # D: the last two simple-root coefficients come from the +- combination
-    # of e_{n-1} -+ e_n; both must be non-negative integers
-    if partial[-1] % 2:
-        return None
-    c_last = partial[-1] // 2
-    c_prev = (partial[-2] - delta[-1]) // 2
-    if c_last < 0 or c_prev < 0:
-        return None
-    return sum(partial[: n - 2]) + c_prev + c_last
-
-
-def _dominant_candidates(spec: AlgebraSpec, lam: Weight):
-    """All dominant weights below ``lam``, sorted by level (highest first)."""
-    fam = spec.family
-    n = spec.rank
-    found = []
-    if fam == "A":
-        # candidates share the coordinate sum of lam and stay within [0, lam_1]
-        for q in partitions_le_length(sum(lam), n + 1):
-            if q and q[0] > lam[0]:
-                continue
-            lvl = _dominance_level(spec, lam, q)
-            if lvl is not None:
-                found.append((lvl, q))
-    else:
-        norm = one_norm(lam)
-        for m in range(norm + 1):
-            for q in partitions_le_length(m, n):
-                cands = [q]
-                if fam == "D" and q[-1] > 0:
-                    cands.append(q[:-1] + (-q[-1],))
-                for cand in cands:
-                    lvl = _dominance_level(spec, lam, cand)
-                    if lvl is not None:
-                        found.append((lvl, cand))
-    found.sort()
-    return found
-
-
 def freudenthal_diagram(spec: AlgebraSpec, lam) -> WeightDiagram:
     """Dominant weight diagram of the irreducible with highest weight ``lam``.
 
-    Every multiplicity comes out of the recursion
-    (|lam+rho|^2 - |mu+rho|^2) m(mu) = 2 sum_{a>0} sum_{t>=1} m(mu+ta) <mu+ta, a>,
-    processed from the highest weight downwards; lookups of non-dominant
-    arguments go through the Weyl canonical form.
+    Every multiplicity comes out of Freudenthal's recursion in the form of
+    R. V. Moody and J. Patera (Bull. AMS 7, 1982): for dominant mu,
+    (|lam+rho|^2 - |mu+rho|^2) m(mu) = sum_a w(a) sum_{t>=1} m(mu+ta) (mu+ta, a)
+    over all roots a, where w(a) is 2, 1 or 0 as (mu, a) is positive, zero
+    or negative. A weight is kept as its nonzero parts, and the roots are
+    summed by class: e_i - e_j (A) and +-e_i +-e_j (B/C/D) by the values of
+    mu at i and j and the signs, +-e_i (B) and +-2e_i (C) by the value at i
+    and the sign. So the cost of a weight does not grow with the rank.
+
+    The candidates are the dominant weights of one-norm at most |lam|_1 in
+    the root-lattice class of lam (A: the partitions of its sum), taken by
+    |mu+rho|^2, highest first. One that is not a weight has nothing above
+    it along a root with w(a) > 0, so its sum is 0 and it is dropped.
+    Entries are keyed by the full-length Weyl canonical form
+    (:func:`bivar.root_systems.weyl_canonical`), D mirrors included.
     """
     lam = check_weight(spec, lam)
     if not is_dominant(spec, lam):
         raise NotDominant(f"{lam} is not dominant for family {spec.family}")
     lam = canonical_weight(spec, lam)
-    geo = _Geometry(spec)
-    lam_norm = geo.norm_shifted(lam)
-    entries: Dict[Weight, int] = {}
-    for level, mu in _dominant_candidates(spec, lam):
-        if level == 0:
-            entries[canonical_weight(spec, mu)] = 1
-            continue
-        acc = geo.freudenthal_sum(mu, lambda nu: entries.get(weyl_canonical(spec, nu)))
-        denom = lam_norm - geo.norm_shifted(mu)
+    fam, size, top = spec.family, len(lam), one_norm(lam)
+    shift = {"A": 0, "B": 1, "C": 0, "D": 2}[fam]  # (2 rho)_i = 2(n - i) - shift
+    # the roots: e_i - e_j (A) or +-e_i +-e_j by their signs at (i, j), then +-e_i (B), +-2e_i (C)
+    signs = ((1, -1), (-1, 1)) if fam == "A" else ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    lone = {"B": (1, -1), "C": (2, -2)}.get(fam, ())
+
+    def norm(parts):  # |mu+rho|^2 - |rho|^2 of the weight whose leading coordinates are parts
+        return sum(a * (a + 2 * (spec.rank - i) - shift) for i, a in enumerate(parts))
+
+    def lookup(parts):  # m of the weight whose coordinates are parts and zeros
+        body = sorted(filter(None, parts if fam == "A" else map(abs, parts)), reverse=True)
+        if fam == "D" and len(body) == size and sum(a < 0 for a in parts) % 2:
+            body[-1] = -body[-1]  # the rule of weyl_canonical
+        # A keys are partitions of |lam|_1: a weight with a negative part is none, and reads 0
+        return mult.get(tuple(body), 0)
+
+    def string(parts, moved):
+        # w(a) sum_{t>=1} m(mu+ta) (mu+ta, a) for a root a that has coefficient c
+        # on a coordinate where mu holds v, for each (v, c) of moved, and 0 elsewhere
+        height = sum(v * c for v, c in moved)  # (mu, a)
+        if height < 0:
+            return 0
+        length = sum(c * c for _, c in moved)  # (a, a)
+        rest = list(parts)
+        for v, _ in moved:
+            if v:
+                rest.remove(v)
+        acc, t = 0, 1
+        while m := lookup(rest + [v + t * c for v, c in moved]):
+            acc += m * (height + t * length)
+            t += 1
+        return 2 * acc if height else acc
+
+    def root_sum(parts):
+        counts = Counter(parts)
+        counts[0] = size - len(parts)
+        total = 0
+        for a, b in product(counts, repeat=2):
+            pairs = counts[a] * (counts[b] - (a == b))
+            if pairs:
+                total += pairs * sum(string(parts, ((a, sa), (b, sb))) for sa, sb in signs)
+        total //= 2  # ordered pairs of coordinates meet each of these roots twice
+        return total + sum(c * string(parts, ((a, s),)) for a, c in counts.items() if c for s in lone)
+
+    step = 2 if fam in "CD" else 1  # the roots of C and D have even coordinate sums
+    candidates = []
+    for m in (top,) if fam == "A" else range(top % step, top + 1, step):
+        for q in partitions_le_length(m, min(size, top)):
+            parts = tuple(filter(None, q))
+            candidates.append(parts)
+            if fam == "D" and len(parts) == size:
+                candidates.append(parts[:-1] + (-parts[-1],))
+    candidates.sort(key=norm, reverse=True)
+
+    lam_parts = tuple(filter(None, lam))
+    lam_norm = norm(lam_parts)
+    mult = {lam_parts: 1}
+    for parts in candidates:
+        acc = root_sum(parts)
+        if not acc:
+            continue  # not a weight, or lam itself
+        denom = lam_norm - norm(parts)
         if denom <= 0:
             raise AssertionError("non-positive Freudenthal denominator: ordering bug")
-        num = 2 * acc
-        if num % denom:
+        if acc % denom:
             raise AssertionError("non-integral Freudenthal step")
-        value = num // denom
+        value = acc // denom
         if value < 0:
             raise AssertionError("negative multiplicity from recursion")
-        if value:
-            entries[canonical_weight(spec, mu)] = value
+        mult[parts] = value
+    entries = {canonical_weight(spec, parts + (0,) * (size - len(parts))): m
+               for parts, m in mult.items()}
     return WeightDiagram(spec=spec, highest=lam, entries=entries)
 
 

@@ -19,17 +19,17 @@ dominant-only table for family D emits the extra mirror weight
 the whole weight system level by level, computing every multiplicity
 through Freudenthal's recursion with no Weyl-group reduction. It is the
 baseline of performance gate 8b in the acceptance tests (:func:`build_table`
-at least 10x faster) and a reference that tests compare tables against;
-the per-dominant-weight recursion lives in :mod:`bivar.oracles`.
+at least 10x faster) and a reference that tests compare tables against.
+The recursion over dominant weights alone, summed by root classes so
+that it reaches any rank, is :func:`bivar.oracles.freudenthal_diagram`.
 """
 
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from . import __version__, kernel
-from .oracles import _Geometry
 from .partitions import partitions_le_length
 from .root_systems import (
     AlgebraSpec,
@@ -41,6 +41,8 @@ from .root_systems import (
     check_highest_weight,
     highest_weight,
     is_dominant,
+    positive_roots,
+    rho_twice,
     simple_roots,
     weyl_dimension,
 )
@@ -131,6 +133,64 @@ def dimension_audit(table: MultiplicityTable) -> Tuple[int, int, bool]:
 
 # ---------------------------------------------------------------------------
 # classical full-lattice Freudenthal engine
+
+
+class _Geometry:
+    """Exact inner-product data for one algebra.
+
+    Weights are scaled by 2 (families B/C/D) or by 2(n+1) with the mean
+    subtracted (family A, where weights are shift classes) so that every
+    quantity in Freudenthal's recursion is an integer.
+    """
+
+    def __init__(self, spec: AlgebraSpec):
+        self.spec = spec
+        self.roots = positive_roots(spec)
+        self.supports = [
+            tuple((i, c) for i, c in enumerate(root) if c) for root in self.roots
+        ]
+        n = spec.rank
+        if spec.family == "A":
+            rho = tuple(n - i for i in range(n + 1))
+            self._srho = self.scaled(rho)
+        else:
+            self._srho = rho_twice(spec)
+
+    def scaled(self, coords: Weight) -> Weight:
+        if self.spec.family == "A":
+            m = len(coords)
+            total = sum(coords)
+            return tuple(2 * m * a - 2 * total for a in coords)
+        return tuple(2 * a for a in coords)
+
+    def norm_shifted(self, coords: Weight) -> int:
+        """Squared norm of (scaled weight) + (scaled rho)."""
+        return sum((a + b) ** 2 for a, b in zip(self.scaled(coords), self._srho))
+
+    def pairing(self, coords: Weight, root_index: int) -> int:
+        """Scaled inner product of a raw weight with a positive root."""
+        value = sum(c * coords[i] for i, c in self.supports[root_index])
+        if self.spec.family == "A":
+            return 4 * (self.spec.rank + 1) ** 2 * value
+        return 4 * value
+
+    def freudenthal_sum(self, mu: Weight, lookup: Callable[[Weight], Optional[int]]) -> int:
+        """sum_{a>0} sum_{t>=1} m(mu+ta) <mu+ta, a>, scaled like :meth:`pairing`.
+
+        m is ``lookup``; each root's run over t stops at the first weight
+        where it gives 0 or None.
+        """
+        acc = 0
+        for idx, root in enumerate(self.roots):
+            t = 1
+            while True:
+                nu = tuple(a + t * c for a, c in zip(mu, root))
+                m_up = lookup(nu)
+                if not m_up:
+                    break
+                acc += m_up * self.pairing(nu, idx)
+                t += 1
+        return acc
 
 
 def freudenthal_table(spec: AlgebraSpec, k: int, l: int,

@@ -309,8 +309,9 @@ class TestFastPaths:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_match_bivariate_high_rank(self, data):
-        # Freudenthal cannot reach ranks 20-200; the closed forms cost a few
-        # binomials at any rank, so they check the kernel there
+        # the closed forms cost a few binomials at any rank, so they check
+        # the kernel at ranks 20-200 weight by weight, beside the whole
+        # Freudenthal diagrams of tests/test_oracles.py
         path = data.draw(st.sampled_from(["zero", "l1", "l2_d"]))
         family = "D" if path == "l2_d" else data.draw(st.sampled_from("BCD"))
         n = data.draw(st.integers(20, 200))

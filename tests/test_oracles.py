@@ -1,8 +1,13 @@
 """Freudenthal recursion, convolution route, and tableau counting."""
 
-import pytest
+import hashlib
+import random
 
-from bivar.errors import NotDominant, ShapeContentMismatch
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bivar.errors import BivarError, NotDominant, ShapeContentMismatch
 from bivar.multiplicity import bivariate_mult, single_row_mult, tensor_mult
 from bivar.oracles import (
     convolution_mult,
@@ -12,11 +17,14 @@ from bivar.oracles import (
 )
 from bivar.root_systems import (
     algebra,
+    canonical_weight,
     highest_weight,
+    one_norm,
+    weight_length,
     weyl_dimension,
     weyl_orbit_size,
 )
-from bivar.weight_tables import candidate_dominants
+from bivar.weight_tables import build_table, candidate_dominants
 
 B2, C2, D3, A2 = algebra("B", 2), algebra("C", 2), algebra("D", 3), algebra("A", 2)
 
@@ -69,6 +77,71 @@ class TestFreudenthal:
     def test_multiplicity_lookup_routes_through_canonical_form(self):
         diagram = freudenthal_diagram(C2, (2, 1))
         assert diagram.multiplicity((-1, 2)) == diagram.multiplicity((2, 1))
+
+
+def _diagram_digest_inputs():
+    # (spec, highest weight): every k e1 + l e2 with k + l <= 8 on A2-A5, B2-B5,
+    # C2-C5 and D3-D5, 200 seeded random dominant weights of one-norm <= 8 (A
+    # shifted off its canonical form, D with a negative last coordinate among
+    # them) and a few inputs that must raise
+    for family, ranks in (("A", range(2, 6)), ("B", range(2, 6)),
+                          ("C", range(2, 6)), ("D", range(3, 6))):
+        for n in ranks:
+            spec = algebra(family, n)
+            for total in range(9):
+                for l in range(total // 2 + 1):
+                    yield spec, highest_weight(spec, total - l, l)
+    rng = random.Random(26)
+    drawn = 0
+    while drawn < 200:
+        family = rng.choice("ABCD")
+        spec = algebra(family, rng.randint(3 if family == "D" else 2, 6))
+        low = -3 if family == "A" else 0
+        lam = sorted((rng.randint(low, 4) for _ in range(weight_length(spec))),
+                     reverse=True)
+        if family == "D" and rng.random() < 0.5:
+            lam[-1] = -lam[-1]
+        if one_norm(lam) <= 8:
+            drawn += 1
+            yield spec, tuple(lam)
+    yield B2, (0, 1)
+    yield C2, (1, -1)
+    yield D3, (1, 0, -1)
+    yield algebra("D", 4), (1, 2, 0, 0)
+    yield A2, (0, 1, 0)
+    yield B2, (1, 0, 0)
+    yield C2, (1.5, 0)
+
+
+def test_freudenthal_diagram_digest():
+    # every diagram and every error of freudenthal_diagram on a fixed grid,
+    # pinned as one SHA-256: the recursion's entries, keys and input checks
+    # cannot change without changing it
+    digest = hashlib.sha256()
+    inputs = 0
+    for spec, lam in _diagram_digest_inputs():
+        try:
+            outcome = repr(sorted(freudenthal_diagram(spec, lam).entries.items()))
+        except BivarError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        digest.update(f"{spec.family}{spec.rank} {lam!r} = {outcome}\n".encode())
+        inputs += 1
+    assert (inputs, digest.hexdigest()) == (
+        582, "275b17058fd0084acedae1925a7e7cfdbe4cc150147e9b333ee49be361a95ab8")
+
+
+@given(st.data())
+@settings(max_examples=12, deadline=None)
+def test_diagram_equals_dominant_table_at_high_rank(data):
+    # the recursion's cost per weight does not grow with the rank, so it
+    # checks whole dominant tables of the kernel walk far past rank 6
+    family = data.draw(st.sampled_from("ABCD"))
+    spec = algebra(family, data.draw(st.integers(8, 10_000)))
+    l = data.draw(st.integers(3, 6))
+    k = data.draw(st.integers(l, l + 3))
+    table = build_table(spec, k, l, dominant_only=True)
+    want = {canonical_weight(spec, mu): m for mu, m in table.rows}
+    assert freudenthal_diagram(spec, highest_weight(spec, k, l)).entries == want
 
 
 class TestConvolution:
