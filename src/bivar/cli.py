@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -325,7 +326,9 @@ def _parse_mu(raw: str) -> Tuple[int, ...]:
         raise BivarError(f"bad weight vector {raw!r}; expected comma-separated integers")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="bivar",
         description="Exact weight multiplicities for representations k*e1 + l*e2 "

@@ -6,16 +6,19 @@ accumulated values are arbitrary precision.
 
 Each sum reads one packed product per weight, one factor per coordinate
 chosen by its level. Apart from that product a sum sees the weight only
-through its coordinate count f, so the digit width, the factors and the
-fold maps are built once per key, cached, and read by every sum. For B/C/D
-the product holds the blocks N <= l of the sum (:func:`_packing`); one
-more multiply folds the four tensor sums of the virtual-ring combination
-into one vector C, mult = sum_j C_j binom(r2 // 2 + j - l + d, d), which
-depends on the depth only through the parity of r2. For A the sum is the
-y^l coefficient of the product of g_a = 1 + y + ... + y^min(a, l), and the
-combination subtracts its y^(l-1) one (:func:`_packing_a`). A dominant
-table is one walk (:func:`dominant_rows`) that carries the product from
-coordinate to coordinate and folds each distinct one once.
+through its coordinate count f, so the digit width, the factors, the start
+values and the readers are built once per key, cached, and read by every
+sum. For B/C/D the product holds the blocks N <= l of the sum
+(:func:`_packing`), and it starts from the binomial kernel K0 V (K0 for one
+tensor sum) instead of 1, so the four tensor sums of the virtual-ring
+combination come out folded into one vector C, mult = sum_j C_j binom(r2 //
+2 + j - l + d, d), which depends on the depth only through the parity of
+r2. A reader takes C from the product with one shift-add and a digit read,
+no multiply. For A the sum is the y^l coefficient of the product of g_a = 1
++ y + ... + y^min(a, l), and the combination subtracts its y^(l-1) one
+(:func:`_packing_a`). A dominant table is one walk (:func:`dominant_rows`)
+that carries the started product of each prefix with its trailing zeros,
+one masked multiply per child, and reads every candidate from it.
 
 The half-integral depth parameter ``r`` is passed as its doubled value
 ``r2`` so floors are plain integer division; no floats appear anywhere.
@@ -57,22 +60,34 @@ def fold_bcd(n, d, l, ell, step, parity, virtual=True):
     for r2 of this parity: C_i multiplies binom(r2 // 2 + i - l + d, d)."""
     if l < 0:
         return ()
-    _, mask, factors, maps = _packing(max(n, sum(ell[:l]), 1), d, l, step)
-    return maps[virtual][parity](_product(mask, factors, n, l, ell))
+    _, mask, factors, starts, reads = _packing(max(n, sum(ell[:l]), 1), d, l, step)
+    return tuple(reads[parity](_product(starts[virtual], mask, factors, n, l, ell)))
 
 
 @lru_cache(maxsize=None)
 def _packing(f, d, l, step):
     # What a B/C/D sum over f coordinates needs besides the weight: digit width,
-    # mask to y-degree <= l, factors f_0..f_l and fold maps [virtual][r2 % 2].
+    # mask to y-degree <= l, factors f_0..f_l, start values [virtual] and
+    # readers [r2 % 2].
     # The product F of f_a = 1 + sum_{b >= 1} y^b (1 + x^min(a, b)), one per
     # coordinate at level a (levels l and up act as l), packed at x = 2**bits,
     # y = 2**((l + 1) bits) and masked to y^l: digit N (l + 1) + m counts the nu
     # in Z^f of one-norm N whose overlap with mu, the sum of min(|mu_i|, |nu_i|)
     # where mu_i and nu_i share a sign, is m. Block N needs ell[:N] alone, as f_a
-    # and f_N agree up to y^N for a >= N. No digit carries: they hold a sign and
-    # every coefficient to y^l, at most sum_N 4 binom((l - N) // 2 + d, d) E_N,
-    # where E_N = 2^min(f, N) C(f + N - 1, N) bounds the points of one-norm N
+    # and f_N agree up to y^N for a >= N.
+    # Coefficient m of block N enters the sum at (L, r2) times binom((r2 - L -
+    # N) // 2 + m + d, d) C((L - N) // 2 + d, d). Over j = L - N, the outer
+    # binomials times x^((parity + j) // 2) are the y^j coefficients of K =
+    # (1 + y, or 1 + x y for odd r2, at step 1) K0, K0 = (1 - x y^2)^-(d + 1);
+    # so C_i is the y^l x^i digit of F K, or of F K V, V = (1 - y)(1 - x y), for
+    # the four virtual-ring terms. The product starts from K0 V or K0 rather
+    # than 1, and a reader takes on the step-1 factor and reads the digits.
+    # The packing is a ring map Z[x, y]/(y^(l + 1)) -> Z/2^((l + 1)^2 bits) (x
+    # never outruns y in a factor), so a masked product with negative digits
+    # is still exact; only the polynomial read must fit its digits. They hold a
+    # sign and every coefficient to y^l of F K V, at most
+    # sum_N 4 binom((l - N) // 2 + d, d) E_N, where E_N = 2^min(f, N) C(f + N - 1, N)
+    # bounds the points of one-norm N
     bits = (8 * sum(comb((l - big_n) // 2 + d, d) * comb(f + big_n - 1, big_n) << min(f, big_n)
                     for big_n in range(l + 1))).bit_length()
     width = (l + 1) * bits
@@ -82,30 +97,27 @@ def _packing(f, d, l, step):
     diagonal = ((1 << (l + 1) * (width + bits)) - 1) // ((1 << width + bits) - 1) - 1
     factors = [ys + (diagonal & (2 << a * (width + bits)) - 1)
                + (ys >> (a + 1) * width << (a + 1) * width + a * bits) for a in range(l + 1)]
-    return bits, mask, factors, [[_folder(d, l, bits, step, parity, virtual)
-                                  for parity in (0, 1)] for virtual in (False, True)]
+    k0 = sum(comb(h + d, d) << h * (2 * width + bits) for h in range(l // 2 + 1))
+    starts = (k0, k0 - (k0 << width) - (k0 << width + bits) + (k0 << 2 * width + bits) & mask)
+    reads = [_reader(l, bits, width + parity * bits if step == 1 else None) for parity in (0, 1)]
+    return bits, mask, factors, starts, reads
 
 
-def _folder(d, l, bits, step, parity, virtual):
-    # Coefficient m of block N enters the sum at (L, r2) times binom((r2 - L -
-    # N) // 2 + m + d, d) C((L - N) // 2 + d, d). Over j = L - N, the outer
-    # binomials times x^((parity + j) // 2) are the y^j coefficients of K =
-    # (1 + y, or 1 + x y for odd r2, at step 1) (1 - x y^2)^-(d + 1); so C_i is
-    # the y^l x^i coefficient of F K, or of F K (1 - y)(1 - x y) for the four
-    # virtual-ring terms. Returns the map from packed F to C.
+def _reader(l, bits, shift):
+    # The map from a packed product G to its C: times 1 + 2**shift (1 + y or
+    # 1 + x y) unless shift is None, then the digits of y^l, each biased by
+    # half its range so that none borrows from the next
     width = (l + 1) * bits
-    k = sum(comb(h + d, d) << h * (2 * width + bits) for h in range(l // 2 + 1))
-    if step == 1:
-        k += k << width + parity * bits
-    if virtual:  # times 1 - y - x y + x y^2
-        k -= (k << width) + (k << width + bits) - (k << 2 * width + bits)
-    half = ((1 << (l + 1) * width) - 1) // ((1 << bits) - 1) << bits - 1  # no borrows
+    half = ((1 << (l + 1) * width) - 1) // ((1 << bits) - 1) << bits - 1
+    block, digit, bias = (1 << width) - 1, (1 << bits) - 1, 1 << bits - 1
+    offsets = range(0, width, bits)
 
-    def fold(packed):
-        top = (packed * k + half >> l * width) & (1 << width) - 1
-        return tuple((top >> i * bits & (1 << bits) - 1) - (1 << bits - 1)
-                     for i in range(l + 1))
-    return fold
+    def read(packed):
+        if shift is not None:
+            packed += packed << shift
+        top = (packed + half >> l * width) & block
+        return [(top >> i & digit) - bias for i in offsets]
+    return read
 
 
 def _evaluate(coeffs, d, l, r2):
@@ -137,7 +149,7 @@ def tensor_sum_a(n, l, ell):
     if l < 0:
         return 0
     bits, mask, factors, _ = _packing_a(max(n + 1, sum(ell[:l])), l)
-    return _product(mask, factors, n + 1, l, ell) >> l * bits
+    return _product(1, mask, factors, n + 1, l, ell) >> l * bits
 
 
 def bivariate_sum_a(n, l, ell):
@@ -145,11 +157,11 @@ def bivariate_sum_a(n, l, ell):
     if l < 0:
         return 0
     _, mask, factors, fold = _packing_a(max(n + 1, sum(ell[:l])), l)
-    return fold(_product(mask, factors, n + 1, l, ell))[0]
+    return fold(_product(1, mask, factors, n + 1, l, ell))[0]
 
 
-def _product(mask, factors, f, l, ell):
-    packed = 1
+def _product(packed, mask, factors, f, l, ell):
+    # packed times one factor per coordinate, each level's by binary powers
     # (level a, number of factors): the f - sum(ell[:l]) coordinates not in ell sit at l
     for a, count in [*enumerate(ell[:l]), (l, f - sum(ell[:l]))]:
         factor = factors[a]
@@ -164,44 +176,51 @@ def _product(mask, factors, f, l, ell):
 
 def dominant_rows(family, n, k, l):
     """Rows (mu, m), m > 0, of the dominant weights of k e1 + l e2 in family
-    A-D of rank n, unsorted, and the counts of candidates, kept rows and folds.
+    A-D of rank n, unsorted, and the counts of candidates, kept rows and
+    products (the walk's masked multiplies: one per child, besides the root's
+    one power of f_0).
 
     k >= l >= 0 unchecked. Walks weakly decreasing mu >= 0, mu_1 <= k (larger
     mu_1 gives 0), depth first: n coordinates of one-norm <= k + l (even r2
-    for C and D), or for A n + 1 summing to k + l, each child at least
-    ceil(r2 / slots left). It carries the family's product, one masked
-    multiply per coordinate by its level's factor and one by f_0^z for z
-    trailing zeros (g_0 = 1 for A), and folds each distinct (product, r2 mod
-    2) once, in a dict: to C for B/C/D, to (c_l - c_(l-1),) for A.
+    for C and D, so no last coordinate that leaves r2 odd), or for A n + 1
+    summing to k + l, each child at least ceil(r2 / slots left). Each node
+    carries the started product of :func:`fold_bcd` for its prefix followed by
+    zeros: the root is the start value times f_0^n, and a child at level a
+    multiplies its parent by r_a = f_a / f_0 (g_a for A, as g_0 = 1). So a
+    candidate costs only its reader: C for B/C/D, (c_l - c_(l-1),) for A.
     """
     if family == "A":
         coords, step, slack = n + 1, 1, 0  # slack: how far the one-norm may fall short
-        _, mask, factors, fold = _packing_a(coords, l)
-        folders, binoms = (fold, fold), [1]  # r2 = 0 at every A candidate
+        _, mask, ratios, read = _packing_a(coords, l)
+        root, reads, binoms = 1, (read, read), [1]  # r2 = 0 at every A candidate
     else:
         d, step = _degree(family, n), 1 if family == "B" else 2
         coords, slack = n, k + l
-        _, mask, factors, maps = _packing(n, d, l, step)  # sum(ell) <= n: fold_bcd's packing
-        folders = maps[True]
+        # sum(ell) <= n: fold_bcd's packing
+        bits, mask, factors, starts, reads = _packing(n, d, l, step)
+        root = pow(factors[0], n, mask + 1) * starts[True] & mask
+        # r_a = f_a (1 - y) / (1 + y), as (1 - y) / (1 + y) = 1 + 2 sum_{b >= 1} (-y)^b
+        width = (l + 1) * bits
+        quotient = 1 + 2 * sum((-1) ** b << b * width for b in range(1, l + 1))
+        ratios = [factor * quotient & mask for factor in factors]
         # C_i meets binom(r2 // 2 - l + d + i, d) = binoms[r2 // 2 + i]
         binoms = [comb(t, d) if t >= 0 else 0 for t in range(d - l, (k + l) // 2 + d + 1)]
-    zeros = [1]  # f_0^z of z trailing zeros
-    for _ in range(coords):
-        zeros.append(zeros[-1] * factors[0] & mask)
-    folds, rows, candidates = {}, [], 0
-    stack = [((), 1, k, k + l)]  # prefix, its product, cap on what follows, r2
+    rows, candidates, products = [], 0, 0
+    stack = [((), root, k, k + l)]  # prefix, its product, cap on what follows, r2
     while stack:
         prefix, packed, cap, r2 = stack.pop()
         zero_count = coords - len(prefix)
         if r2 <= slack and r2 % step == 0:
             candidates += 1
-            key = (packed * zeros[zero_count] & mask, r2 & 1)
-            if (coeffs := folds.get(key)) is None:
-                coeffs = folds[key] = folders[r2 & 1](key[0])
-            if m := sum(map(mul, coeffs, binoms[r2 // 2:])):
+            if m := sum(map(mul, reads[r2 & 1](packed), binoms[r2 // 2:])):
                 rows.append((prefix + (0,) * zero_count, m))
         if zero_count:
             low = max(1, (r2 - slack - 1) // zero_count + 1)  # ceil((r2 - slack) / zero_count)
-            stack += [(prefix + (a,), packed * factors[min(a, l)] & mask, a, r2 - a)
-                      for a in range(min(cap, r2), low - 1, -1)]
-    return rows, {"candidates": candidates, "kept": len(rows), "folds": len(folds)}
+            high = min(cap, r2)
+            # for C and D a last coordinate that leaves r2 odd is no candidate
+            stride = step if zero_count == 1 else 1
+            children = range(high - (r2 - high) % stride, low - 1, -stride)
+            products += len(children)
+            stack += [(prefix + (a,), packed * ratios[min(a, l)] & mask, a, r2 - a)
+                      for a in children]
+    return rows, {"candidates": candidates, "kept": len(rows), "products": products}

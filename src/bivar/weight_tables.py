@@ -61,8 +61,8 @@ class MultiplicityTable:
     every multiplicity positive. ``meta`` carries provenance (engine
     version, kernel backend, elapsed seconds, creation timestamp) and,
     for :func:`build_table`, how many dominant candidates were evaluated
-    and kept, and how many distinct products were folded (``candidates``,
-    ``kept``, ``folds``). It never takes part in comparisons or serialization.
+    and kept, and how many masked multiplies the walk made (``candidates``,
+    ``kept``, ``products``). It never takes part in comparisons or serialization.
     """
 
     spec: AlgebraSpec

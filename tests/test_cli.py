@@ -458,6 +458,21 @@ def test_unknown_subcommand_is_usage_error(capsys, argv):
     assert cli.main(argv) == 2
 
 
+def test_consecutive_calls_share_one_parser(capsys):
+    # the parser is built once per process; each call still gets its own
+    # arguments, output and exit code
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["table", "--family", "C", "--rank", "2", "--k", "2", "--l", "1", "--format"]
+    results = [run(capsys, argv + ["csv", "--dominant-only"]), run(capsys, argv + ["csv"]),
+               run(capsys, argv + ["xml"])]
+    table = build_table(algebra("C", 2), 2, 1, dominant_only=True)
+    assert [code for code, _, _ in results] == [0, 0, 2]
+    assert results[0][1] == b"".join(cli.table_text(table, "csv")).decode()
+    assert results[1][1] == b"".join(cli.table_text(table, "csv", True)).decode()
+    assert results[0][1] != results[1][1]
+    assert not results[2][1] and "invalid choice: 'xml'" in results[2][2]
+
+
 def test_mult_equals_table_rows(capsys):
     # negative coordinates need the --mu=... spelling so argparse does not
     # read the value as a flag

@@ -8,10 +8,11 @@ the packed product that ``bivar.kernel._packing`` lays out is checked
 against that count and against the same generating-function product
 multiplied out one coefficient at a time (``stepped_block_poly``), on a
 full grid of small keys and on keys whose coefficients need more than 64
-bits. The fold of :func:`bivar.kernel.bivariate_sum_bcd`, one more
-packed multiply, is checked against the four-term combination of
-brute-force sums with the cached packing cold and warm, and on the wide
-keys against the same combination taken one block coefficient at a time.
+bits. The fold of :func:`bivar.kernel.bivariate_sum_bcd`, read from the
+product started at the binomial kernel instead of 1, is checked against
+the four-term combination of brute-force sums with the cached packing
+cold and warm, and on the wide keys against the same combination taken
+one block coefficient at a time.
 The packing's cache key is checked by interleaving families that share
 all but one of (f, d, l, step).
 
@@ -335,8 +336,8 @@ cached_stepped_block_poly = lru_cache(maxsize=None)(stepped_block_poly)
 def product_slots(n, l, ell):
     """The blocks N <= l of the packed product F, unpacked: the ``bits``-bit
     digit N (l + 1) + m of F counts the nu of one-norm N with overlap m."""
-    bits, mask, factors, _ = kernel._packing(max(n, sum(ell[:l]), 1), 0, l, 1)
-    packed = kernel._product(mask, factors, n, l, ell)
+    bits, mask, factors, *_ = kernel._packing(max(n, sum(ell[:l]), 1), 0, l, 1)
+    packed = kernel._product(1, mask, factors, n, l, ell)
     digit = (1 << bits) - 1
     return [tuple(packed >> (big_n * (l + 1) + m) * bits & digit for m in range(big_n + 1))
             for big_n in range(l + 1)]

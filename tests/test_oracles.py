@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bivar.errors import BivarError, NotDominant, ShapeContentMismatch
@@ -139,6 +139,23 @@ def test_diagram_equals_dominant_table_at_high_rank(data):
     spec = algebra(family, data.draw(st.integers(8, 10_000)))
     l = data.draw(st.integers(3, 6))
     k = data.draw(st.integers(l, l + 3))
+    table = build_table(spec, k, l, dominant_only=True)
+    want = {canonical_weight(spec, mu): m for mu, m in table.rows}
+    assert freudenthal_diagram(spec, highest_weight(spec, k, l)).entries == want
+
+
+@given(st.sampled_from([algebra(f, n) for f in "ABCD" for n in range(3 if f == "D" else 2, 8)]),
+       st.integers(7, 10), st.integers(0, 6))
+@example(algebra("B", 7), 9, 6)
+@example(algebra("C", 6), 7, 0)
+@example(algebra("D", 7), 10, 3)
+@settings(max_examples=12, deadline=None)
+def test_diagram_equals_dominant_table_at_large_l(spec, l, excess):
+    # l 7-10, k l..l+6: odd l, where (1 - y)/(1 + y) in the walk's child ratio
+    # ends in -2 y^l, and in type B both parities of r2 in one table. The
+    # diagram grows with the rank up to rank k + l, so the rank stays at most 7
+    # (about 2 s for the largest table)
+    k = l + excess
     table = build_table(spec, k, l, dominant_only=True)
     want = {canonical_weight(spec, mu): m for mu, m in table.rows}
     assert freudenthal_diagram(spec, highest_weight(spec, k, l)).entries == want

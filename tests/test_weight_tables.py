@@ -1,5 +1,7 @@
 """Table assembly: candidates, orbit expansion, mirrors, audits, engines."""
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -115,14 +117,18 @@ class TestBuildTable:
         first = build_table(spec, k, l, dominant_only=True)
         second = build_table(spec, k, l, dominant_only=True)
         assert second == first
-        counts = [first.meta[c] for c in ("candidates", "kept", "folds")]
-        assert counts == [second.meta[c] for c in ("candidates", "kept", "folds")]
-        candidates, kept, folds = counts
-        assert 0 < folds <= candidates
+        counts = [first.meta[c] for c in ("candidates", "kept", "products")]
+        assert counts == [second.meta[c] for c in ("candidates", "kept", "products")]
+        candidates, kept, products = counts
         # the walk skips the candidates with mu_1 > k, or odd r2 for C and D,
         # whose multiplicity is 0
-        assert candidates == sum(1 for mu in candidate_dominants(spec, k, l) if mu[0] <= k
-                                 and (spec.family in "AB" or (k + l - sum(mu)) % 2 == 0))
+        walked = [mu for mu in candidate_dominants(spec, k, l) if mu[0] <= k
+                  and (spec.family in "AB" or (k + l - sum(mu)) % 2 == 0)]
+        assert candidates == len(walked)
+        # one masked multiply per child, and every child is the positive part
+        # of some walked candidate cut after a coordinate: no child leads nowhere
+        parts = [tuple(a for a in mu if a) for mu in walked]
+        assert products == len({part[:j] for part in parts for j in range(1, len(part) + 1)})
         # kept rows are the dominant weights; the D mirrors are added after
         assert kept == sum(1 for mu, _ in first.rows if mu[-1] >= 0)
 
@@ -162,6 +168,22 @@ class TestBuildTable:
             if spec.family != "A" and (step == 1 or r2 % 2 == 0):
                 # and the kernel's own sum, which the walk skips there too
                 assert kernel.bivariate_sum_bcd(n, d, l, r2, ell, step) == 0, mu
+
+
+def test_dominant_rows_digest():
+    # the walk's rows, hashed over 750 tables (119,608 rows): any change to
+    # how the walk carries or reads its products must leave every row as it is
+    digest, count = hashlib.sha256(), 0
+    for family, ranks in (("A", range(2, 7)), ("B", range(2, 9)), ("C", range(2, 9)),
+                          ("D", range(3, 9))):
+        for n in ranks:
+            for l in range(10):
+                for k in (l, l + 1, l + 4):
+                    rows, _ = kernel.dominant_rows(family, n, k, l)
+                    digest.update(f"{family}{n} {k} {l} {sorted(rows)}\n".encode())
+                    count += len(rows)
+    assert (count, digest.hexdigest()) == (
+        119608, "f2bd803535469116d9bcbadce1dede9319851737aa8c29e4e34efad6c09ee799")
 
 
 class TestDimensionAudit:
