@@ -76,8 +76,17 @@ def _walk_text(root: list, head: bytes) -> Iterator[bytes]:
             stack.pop()
 
 
-def table_text(table: MultiplicityTable, fmt: str, full: bool = False) -> Iterable[bytes]:
+def table_text(table: MultiplicityTable, fmt: str, full: bool = False,
+               dimension: Optional[int] = None) -> Iterable[bytes]:
     """The JSON or CSV text of ``table`` as ASCII bytes pieces; the first row drops its head's first byte.
+
+    JSON ends with ``"dimension"``, the orbit-weighted total of the rows:
+    ``dimension`` when given (``cmd_table`` passes the one its walk counted,
+    ``meta["dimension"]``), else ``dimension_audit(table)[0]``, a pass over
+    the rows, for tables with no such count (read by ``table_from_json`` or
+    built by hand). It is an argument and not read from ``meta``, which no
+    writer reads, so a table changed with ``dataclasses.replace`` cannot
+    write a total that no longer fits its rows.
 
     With ``full``, the text of the full table ``build_table(spec, k, l)``, written
     from the orbits of the dominant-only ``table``: no full row is built, formatted
@@ -113,9 +122,10 @@ def table_text(table: MultiplicityTable, fmt: str, full: bool = False) -> Iterab
         return chain((header.encode(),), lines, (b"\n",)) if rows else (header.encode(),)
     header = json.dumps({"family": spec.family, "rank": spec.rank, "k": table.k, "l": table.l,
                          "dominant_only": table.dominant_only and not full}, separators=(",", ":"))
-    dimension = json.dumps(str(dimension_audit(table)[0]))
+    if dimension is None:
+        dimension = dimension_audit(table)[0]
     return chain(((header[:-1] + ',"rows":[').encode(),), lines,
-                 (f'],"dimension":{dimension}}}\n'.encode(),))
+                 (f'],"dimension":{json.dumps(str(dimension))}}}\n'.encode(),))
 
 
 def table_to_json(table: MultiplicityTable) -> str:
@@ -375,7 +385,8 @@ def cmd_mult(args) -> int:
 def cmd_table(args) -> int:
     table = build_table(algebra(args.family, args.rank), args.k, args.l, dominant_only=True)
     try:
-        _write_out(table_text(table, args.format, not args.dominant_only), args.out)
+        _write_out(table_text(table, args.format, not args.dominant_only,
+                              table.meta["dimension"]), args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 3

@@ -371,17 +371,36 @@ def _shift_to_sum(coords: Weight, target: int) -> Optional[Weight]:
 def weyl_dimension(spec: AlgebraSpec, k: int, l: int) -> int:
     """Dimension of the irreducible with highest weight k*e1 + l*e2.
 
-    Product formula over positive roots, evaluated in exact integer
-    arithmetic (the half-integral half-sum for B is cleared by doubling).
+    Weyl's product over positive roots, prod <lambda + rho, alpha> / <rho,
+    alpha>, evaluated in exact integer arithmetic with every coordinate
+    doubled (which clears the half-integral half-sum of B). A root that
+    touches neither of the first two coordinates gives a factor of 1. Over
+    the roots e_1 -+ e_j (e_2 -+ e_j), j > 2, the values 2 rho_j form a run
+    of step 2, so their factors telescope to k (l) terms for each sign: the
+    cost is O(k + l) small factors and an O(n) rho, with no list of roots.
     """
-    lam = highest_weight(spec, k, l)
+    k, l = check_highest_weight(k, l)
     rho2 = rho_twice(spec)
-    top = tuple(2 * a + r for a, r in zip(lam, rho2))
-    num = 1
-    den = 1
-    for root in positive_roots(spec):
-        num *= sum(t * c for t, c in zip(top, root) if c)
-        den *= sum(r * c for r, c in zip(rho2, root) if c)
+    r0, r1 = rho2[0], rho2[1]
+    t0, t1 = r0 + 2 * k, r1 + 2 * l
+    # 2 rho_j over j > 2 is lo, lo + 2, ..., hi (empty, hi = lo - 2, at B2 and C2)
+    lo, hi = rho2[-1], r1 - 2
+    num, den = t0 - t1, r0 - r1  # e_1 - e_2
+    runs = [(-hi, -lo)] if spec.family == "A" else [(-hi, -lo), (lo, hi)]
+    for start, shift in ((r0, 2 * k), (r1, 2 * l)):
+        # prod over s in the run of (start + shift + s) / (start + s): all
+        # cancels but the shift / 2 terms past the run's top over the shift / 2
+        # from its foot
+        for low, high in runs:
+            for j in range(0, shift, 2):
+                num *= start + high + 2 + j
+                den *= start + low + j
+    if spec.family != "A":
+        num *= t0 + t1  # e_1 + e_2
+        den *= r0 + r1
+    if spec.family in "BC":
+        num *= t0 * t1  # e_1 and e_2, or 2 e_1 and 2 e_2
+        den *= r0 * r1
     if num % den:
         raise AssertionError("Weyl dimension did not come out integral")
     return num // den

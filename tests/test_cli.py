@@ -276,6 +276,22 @@ class TestTable:
         want = reference_json(table) if fmt == "json" else reference_csv(table)
         assert digest(out.getvalue()) == digest(want)
 
+    @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_passed_dimension_and_audit_write_the_same_bytes(self, family, rank, fmt):
+        # cmd_table passes the walk's total; a table read back or built by hand
+        # has none, and the writer sums its rows instead
+        dominant = build_table(algebra(family, rank), 4, 2, dominant_only=True)
+        full = build_table(algebra(family, rank), 4, 2)
+        assert dominant.meta["dimension"] == full.meta["dimension"]
+        for table, as_full in ((dominant, False), (dominant, True), (full, False)):
+            passed = b"".join(cli.table_text(table, fmt, as_full, table.meta["dimension"]))
+            assert passed == b"".join(cli.table_text(table, fmt, as_full))
+            if fmt == "json":
+                read_back = cli.table_from_json(passed.decode())
+                assert not read_back.meta
+                assert b"".join(cli.table_text(read_back, fmt)) == passed
+
     @pytest.mark.parametrize("point", sorted(DOMINANT_DIGESTS),
                              ids=lambda p: "%s%d_k%d_l%d" % p)
     def test_dominant_table_bytes_pinned(self, capsys, point):

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import time
 from itertools import permutations, product
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,8 @@ from bivar.root_systems import (
     is_dominant,
     orbit,
     orbit_size,
+    positive_roots,
+    rho_twice,
     weight_stats,
     weyl_canonical,
     weyl_dimension,
@@ -240,6 +245,29 @@ class TestWeylDimension:
     def test_trivial(self):
         for spec in SMALL_SPECS:
             assert weyl_dimension(spec, 0, 0) == 1
+
+    def test_equals_product_over_all_positive_roots(self):
+        # the telescoped product against Weyl's over every root, as the doubled
+        # pairings <2 lambda + 2 rho, alpha> / <2 rho, alpha>
+        for family in "ABCD":
+            for n in range(3 if family == "D" else 2, 31):
+                spec = algebra(family, n)
+                rho2 = rho_twice(spec)
+                # each root's pairing with 2 rho and its coefficients on e_1 and e_2
+                pairings = [(sum(map(mul, root, rho2)), root[0], root[1])
+                            for root in positive_roots(spec)]
+                den = prod(p for p, _, _ in pairings)
+                for l in range(7):
+                    for k in range(l, l + 7):
+                        num = prod(p + 2 * (a * k + b * l) for p, a, b in pairings)
+                        assert num % den == 0 and weyl_dimension(spec, k, l) == num // den, \
+                            (spec, k, l)
+
+    def test_high_rank_is_fast(self):
+        # no list of the 10^8 positive roots of B10000
+        started = time.perf_counter()
+        weyl_dimension(algebra("B", 10000), 10, 8)
+        assert time.perf_counter() - started < 0.1
 
 
 @given(st.sampled_from(SMALL_SPECS), st.data())

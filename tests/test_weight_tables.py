@@ -18,6 +18,7 @@ from bivar.root_systems import (
     highest_weight,
     one_norm,
     weight_stats,
+    weyl_dimension,
 )
 from bivar.weight_tables import (
     build_table,
@@ -170,20 +171,44 @@ class TestBuildTable:
                 assert kernel.bivariate_sum_bcd(n, d, l, r2, ell, step) == 0, mu
 
 
+# the 750 (family, rank, k, l) of the walk's digest
+WALK_GRID = [(family, n, k, l)
+             for family, ranks in (("A", range(2, 7)), ("B", range(2, 9)), ("C", range(2, 9)),
+                                   ("D", range(3, 9)))
+             for n in ranks for l in range(10) for k in (l, l + 1, l + 4)]
+
+
 def test_dominant_rows_digest():
     # the walk's rows, hashed over 750 tables (119,608 rows): any change to
     # how the walk carries or reads its products must leave every row as it is
     digest, count = hashlib.sha256(), 0
-    for family, ranks in (("A", range(2, 7)), ("B", range(2, 9)), ("C", range(2, 9)),
-                          ("D", range(3, 9))):
-        for n in ranks:
-            for l in range(10):
-                for k in (l, l + 1, l + 4):
-                    rows, _ = kernel.dominant_rows(family, n, k, l)
-                    digest.update(f"{family}{n} {k} {l} {sorted(rows)}\n".encode())
-                    count += len(rows)
+    for family, n, k, l in WALK_GRID:
+        rows, _ = kernel.dominant_rows(family, n, k, l)
+        digest.update(f"{family}{n} {k} {l} {sorted(rows)}\n".encode())
+        count += len(rows)
     assert (count, digest.hexdigest()) == (
         119608, "f2bd803535469116d9bcbadce1dede9319851737aa8c29e4e34efad6c09ee799")
+
+
+def assert_walk_dimension(spec, k, l):
+    # the orbit-weighted total the walk counts, the one the audit sums from the
+    # rows (D mirror rows included) and Weyl's product all agree
+    table = build_table(spec, k, l, dominant_only=True)
+    assert table.meta["dimension"] == dimension_audit(table)[0] == weyl_dimension(spec, k, l), \
+        (spec, k, l)
+
+
+def test_walk_dimension_grid():
+    for family, n, k, l in WALK_GRID:
+        assert_walk_dimension(algebra(family, n), k, l)
+
+
+@given(st.sampled_from("ABCD"), st.integers(2, 1000), st.integers(0, 5), st.integers(0, 5))
+@example("D", 1000, 2, 6)
+@example("B", 1000, 0, 5)
+@settings(max_examples=30, deadline=None)
+def test_walk_dimension_at_high_rank(family, n, excess, l):
+    assert_walk_dimension(algebra(family, max(n, 3)), l + excess, l)
 
 
 class TestDimensionAudit:
