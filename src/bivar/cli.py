@@ -35,6 +35,7 @@ from .root_systems import (
     highest_weight,
     is_dominant,
     weight_length,
+    weyl_dimension,
 )
 from .weight_tables import MultiplicityTable, build_table, candidate_dominants, dimension_audit
 
@@ -81,12 +82,12 @@ def table_text(table: MultiplicityTable, fmt: str, full: bool = False,
     """The JSON or CSV text of ``table`` as ASCII bytes pieces; the first row drops its head's first byte.
 
     JSON ends with ``"dimension"``, the orbit-weighted total of the rows:
-    ``dimension`` when given (``cmd_table`` passes the one its walk counted,
-    ``meta["dimension"]``), else ``dimension_audit(table)[0]``, a pass over
-    the rows, for tables with no such count (read by ``table_from_json`` or
-    built by hand). It is an argument and not read from ``meta``, which no
-    writer reads, so a table changed with ``dataclasses.replace`` cannot
-    write a total that no longer fits its rows.
+    ``dimension`` when given (``cmd_table`` passes Weyl's, ``weyl_dimension``,
+    which the total equals for every table ``build_table`` makes), else
+    ``dimension_audit(table)[0]``, a pass over the rows, for a table read by
+    ``table_from_json`` or built by hand. It is an argument and not read from
+    ``meta``, which no writer reads, so a table changed with
+    ``dataclasses.replace`` cannot write a total that no longer fits its rows.
 
     With ``full``, the text of the full table ``build_table(spec, k, l)``, written
     from the orbits of the dominant-only ``table``: no full row is built, formatted
@@ -386,7 +387,7 @@ def cmd_table(args) -> int:
     table = build_table(algebra(args.family, args.rank), args.k, args.l, dominant_only=True)
     try:
         _write_out(table_text(table, args.format, not args.dominant_only,
-                              table.meta["dimension"]), args.out)
+                              weyl_dimension(table.spec, table.k, table.l)), args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 3

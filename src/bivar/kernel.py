@@ -18,9 +18,7 @@ no multiply. For A the sum is the y^l coefficient of the product of g_a = 1
 + y + ... + y^min(a, l), and the combination subtracts its y^(l-1) one
 (:func:`_packing_a`). A dominant table is one walk (:func:`dominant_rows`)
 that carries the started product of each prefix with its trailing zeros,
-one masked multiply per child, and reads every candidate from it. It
-carries that weight's orbit size too, so it counts the table's
-orbit-weighted total, the dimension, as it goes.
+one masked multiply per child, and reads every candidate from it.
 
 The half-integral depth parameter ``r`` is passed as its doubled value
 ``r2`` so floors are plain integer division; no floats appear anywhere.
@@ -178,10 +176,9 @@ def _product(packed, mask, factors, f, l, ell):
 
 def dominant_rows(family, n, k, l):
     """Rows (mu, m), m > 0, of the dominant weights of k e1 + l e2 in family
-    A-D of rank n, unsorted, and the counts of candidates, kept rows,
+    A-D of rank n, unsorted, and the counts of candidates, kept rows and
     products (the walk's masked multiplies: one per child, besides the root's
-    one power of f_0) and dimension (the sum of orbit size times m over the
-    rows: the representation's dimension).
+    one power of f_0).
 
     k >= l >= 0 unchecked. Walks weakly decreasing mu >= 0, mu_1 <= k (larger
     mu_1 gives 0), depth first: n coordinates of one-norm <= k + l (even r2
@@ -191,16 +188,6 @@ def dominant_rows(family, n, k, l):
     zeros: the root is the start value times f_0^n, and a child at level a
     multiplies its parent by r_a = f_a / f_0 (g_a for A, as g_0 = 1). So a
     candidate costs only its reader: C for B/C/D, (c_l - c_(l-1),) for A.
-
-    Each node also carries the orbit size of its weight, under permutations
-    for A and signed permutations for B/C/D. The root's is 1. A child at a
-    turns one of the zero_count zeros into a, so its size is the parent's
-    times zero_count (times 2 for the sign, B/C/D), divided exactly by the
-    new run length of a: 1 below cap, and one more than the entries equal to
-    a that end the weakly decreasing prefix at a == cap. The walk emits
-    no D mirror rows: a D weight with no zero gets its signed-permutation
-    orbit, the two Weyl orbits of it and its mirror, so the total is the
-    dimension for D too.
     """
     if family == "A":
         coords, step, slack = n + 1, 1, 0  # slack: how far the one-norm may fall short
@@ -218,19 +205,15 @@ def dominant_rows(family, n, k, l):
         ratios = [factor * quotient & mask for factor in factors]
         # C_i meets binom(r2 // 2 - l + d + i, d) = binoms[r2 // 2 + i]
         binoms = [comb(t, d) if t >= 0 else 0 for t in range(d - l, (k + l) // 2 + d + 1)]
-    signs = 0 if family == "A" else 1  # log2 of the sign flips a nonzero coordinate adds
-    rows, candidates, products, dimension = [], 0, 0, 0
-    # prefix, its product, cap on what follows, r2, the orbit size of the prefix
-    # followed by zeros
-    stack = [((), root, k, k + l, 1)]
+    rows, candidates, products = [], 0, 0
+    stack = [((), root, k, k + l)]  # prefix, its product, cap on what follows, r2
     while stack:
-        prefix, packed, cap, r2, size = stack.pop()
+        prefix, packed, cap, r2 = stack.pop()
         zero_count = coords - len(prefix)
         if r2 <= slack and r2 % step == 0:
             candidates += 1
             if m := sum(map(mul, reads[r2 & 1](packed), binoms[r2 // 2:])):
                 rows.append((prefix + (0,) * zero_count, m))
-                dimension += size * m
         if zero_count:
             low = max(1, (r2 - slack - 1) // zero_count + 1)  # ceil((r2 - slack) / zero_count)
             high = min(cap, r2)
@@ -238,11 +221,6 @@ def dominant_rows(family, n, k, l):
             stride = step if zero_count == 1 else 1
             children = range(high - (r2 - high) % stride, low - 1, -stride)
             products += len(children)
-            # a child turns one of the zero_count zeros into a, with its sign
-            # choices; only a == cap extends a run, the prefix.count(a) last entries
-            grown = size * zero_count << signs
-            stack += [(prefix + (a,), packed * ratios[min(a, l)] & mask, a, r2 - a,
-                       grown if a < cap else grown // (prefix.count(a) + 1))
+            stack += [(prefix + (a,), packed * ratios[min(a, l)] & mask, a, r2 - a)
                       for a in children]
-    return rows, {"candidates": candidates, "kept": len(rows), "products": products,
-                  "dimension": dimension}
+    return rows, {"candidates": candidates, "kept": len(rows), "products": products}

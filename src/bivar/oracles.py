@@ -33,6 +33,7 @@ from .root_systems import (
     check_weight,
     is_dominant,
     one_norm,
+    rho_twice,
     weyl_canonical,
 )
 
@@ -79,13 +80,13 @@ def freudenthal_diagram(spec: AlgebraSpec, lam) -> WeightDiagram:
         raise NotDominant(f"{lam} is not dominant for family {spec.family}")
     lam = canonical_weight(spec, lam)
     fam, size, top = spec.family, len(lam), one_norm(lam)
-    shift = {"A": 0, "B": 1, "C": 0, "D": 2}[fam]  # (2 rho)_i = 2(n - i) - shift
+    rho2 = rho_twice(spec)
     # the roots: e_i - e_j (A) or +-e_i +-e_j by their signs at (i, j), then +-e_i (B), +-2e_i (C)
     signs = ((1, -1), (-1, 1)) if fam == "A" else ((1, 1), (1, -1), (-1, 1), (-1, -1))
     lone = {"B": (1, -1), "C": (2, -2)}.get(fam, ())
 
     def norm(parts):  # |mu+rho|^2 - |rho|^2 of the weight whose leading coordinates are parts
-        return sum(a * (a + 2 * (spec.rank - i) - shift) for i, a in enumerate(parts))
+        return sum(a * (a + r) for a, r in zip(parts, rho2))
 
     def lookup(parts):  # m of the weight whose coordinates are parts and zeros
         body = sorted(filter(None, parts if fam == "A" else map(abs, parts)), reverse=True)

@@ -17,8 +17,9 @@ recursions, are available separately as :func:`weyl_canonical`.
 """
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import factorial
+from math import perm
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -251,16 +252,6 @@ def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
     return tuple(_fuse_tuples(_expand_orbits(spec, [(mu, None)], lambda m: [()], _fuse_tuples)))
 
 
-def _perm_count(values: Sequence[int]) -> int:
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    total = factorial(len(values))
-    for c in counts.values():
-        total //= factorial(c)
-    return total
-
-
 def orbit_size(spec: AlgebraSpec, mu: Sequence[int]) -> int:
     """Size of the orbit produced by :func:`orbit`, computed without enumeration."""
     return _orbit_size(spec.family, canonical_weight(spec, mu), False)
@@ -277,13 +268,21 @@ def weyl_orbit_size(spec: AlgebraSpec, mu: Sequence[int]) -> int:
 
 
 def _orbit_size(family: str, coords: Weight, weyl: bool) -> int:
-    # orbit_size (weyl_orbit_size if ``weyl``) of coordinates already checked
+    # orbit_size (weyl_orbit_size if ``weyl``) of coordinates already checked: the
+    # placements of the nonzero parts, over the orderings within each run of equal
+    # parts, times a sign per nonzero part for B/C/D. The cost is a sort, with the
+    # arithmetic in the nonzero parts alone.
+    values = sorted(coords) if family == "A" else sorted(map(abs, coords))
+    start = bisect_left(values, 0)
+    parts = values[:start] + values[bisect_right(values, 0, start):]
+    size, run = perm(len(values), len(parts)), 1
+    for before, a in zip(parts, parts[1:]):
+        run = run + 1 if a == before else 1
+        size //= run  # exact: a run of r divides by 2, ..., r in turn
     if family == "A":
-        return _perm_count(coords)
-    body = [abs(a) for a in coords]
-    nonzero = sum(1 for a in body if a)
-    size = _perm_count(body) << nonzero
-    return size // 2 if weyl and family == "D" and nonzero == len(body) else size
+        return size
+    size <<= len(parts)
+    return size // 2 if weyl and family == "D" and len(parts) == len(values) else size
 
 
 def positive_roots(spec: AlgebraSpec) -> Tuple[Weight, ...]:

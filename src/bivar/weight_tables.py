@@ -61,11 +61,9 @@ class MultiplicityTable:
     every multiplicity positive. ``meta`` carries provenance (engine
     version, kernel backend, elapsed seconds, creation timestamp) and,
     for :func:`build_table`, how many dominant candidates were evaluated
-    and kept, how many masked multiplies the walk made, and the
-    orbit-weighted total of the multiplicities that the walk counted, the
-    Weyl dimension (``candidates``, ``kept``, ``products``, ``dimension``).
-    It never takes part in comparisons or serialization: ``bivar table``
-    hands ``dimension`` to the writer as an argument.
+    and kept and how many masked multiplies the walk made (``candidates``,
+    ``kept``, ``products``). It never takes part in comparisons or
+    serialization.
     """
 
     spec: AlgebraSpec

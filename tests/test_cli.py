@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from bivar import cli, root_systems
 from bivar.errors import InvalidHighestWeight, LengthMismatch, NotAnInteger
 from bivar.partitions import count_one_norm_sphere
-from bivar.root_systems import algebra, weight_length
+from bivar.root_systems import algebra, weight_length, weyl_dimension
 from bivar.weight_tables import MultiplicityTable, build_table, dimension_audit
 
 
@@ -279,13 +279,13 @@ class TestTable:
     @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_passed_dimension_and_audit_write_the_same_bytes(self, family, rank, fmt):
-        # cmd_table passes the walk's total; a table read back or built by hand
-        # has none, and the writer sums its rows instead
-        dominant = build_table(algebra(family, rank), 4, 2, dominant_only=True)
-        full = build_table(algebra(family, rank), 4, 2)
-        assert dominant.meta["dimension"] == full.meta["dimension"]
+        # cmd_table passes Weyl's dimension; given none, as for a table read back
+        # or built by hand, the writer sums the rows instead
+        spec = algebra(family, rank)
+        dominant = build_table(spec, 4, 2, dominant_only=True)
+        full = build_table(spec, 4, 2)
         for table, as_full in ((dominant, False), (dominant, True), (full, False)):
-            passed = b"".join(cli.table_text(table, fmt, as_full, table.meta["dimension"]))
+            passed = b"".join(cli.table_text(table, fmt, as_full, weyl_dimension(spec, 4, 2)))
             assert passed == b"".join(cli.table_text(table, fmt, as_full))
             if fmt == "json":
                 read_back = cli.table_from_json(passed.decode())

@@ -4,7 +4,7 @@ import dataclasses
 import json
 import time
 from itertools import permutations, product
-from math import prod
+from math import factorial, prod
 from operator import mul
 
 import pytest
@@ -34,7 +34,7 @@ from bivar.root_systems import (
     weyl_dimension,
     weyl_orbit_size,
 )
-from bivar.weight_tables import MultiplicityTable
+from bivar.weight_tables import MultiplicityTable, build_table, dimension_audit
 
 SMALL_SPECS = [algebra(f, n) for f, n in
                [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("A", 2), ("A", 3)]]
@@ -201,6 +201,61 @@ class TestOrbit:
         assert orbit_size(spec, (2, 1, 1)) == 2 * weyl_orbit_size(spec, (2, 1, 1))
         assert orbit_size(spec, (2, 1, 0)) == weyl_orbit_size(spec, (2, 1, 0))
         assert weyl_orbit_size(spec, (2, 1, 1)) == weyl_orbit_size(spec, (2, 1, -1))
+
+
+def factorial_orbit_size(spec, mu, weyl):
+    # the reference: (number of coordinates)! over the factorial of each value's
+    # count, times 2 per nonzero coordinate for B/C/D, halved for a D Weyl orbit
+    # of a weight with no zero
+    coords = canonical_weight(spec, mu)
+    body = coords if spec.family == "A" else [abs(a) for a in coords]
+    size = factorial(len(body))
+    for value in set(body):
+        size //= factorial(body.count(value))
+    if spec.family == "A":
+        return size
+    nonzero = sum(1 for a in body if a)
+    size <<= nonzero
+    return size // 2 if weyl and spec.family == "D" and nonzero == len(body) else size
+
+
+def sparse_weights(spec):
+    # a few nonzero parts, some repeated, some negative, anywhere among the
+    # coordinates; for D also weights with no zero, where the Weyl orbit halves
+    length = spec.rank + 1 if spec.family == "A" else spec.rank
+    out = []
+    for parts in [(), (3,), (2, 2, 1), (1, 1, 1, 1), (-1, 2, 2, -2, 5), (4, -4, 4, 1, -1, 1, 1)]:
+        for place in (0, length // 3, length - len(parts)):
+            mu = [0] * length
+            mu[place:place + len(parts)] = parts
+            out.append(tuple(mu))
+    out += [(1,) * length, (3,) + (1,) * (length - 2) + (-1,), (2, 2) + (1,) * (length - 2)]
+    return out
+
+
+class TestOrbitSize:
+    @pytest.mark.parametrize("spec", [algebra(f, n) for f in "ABCD"
+                                      for n in range(3 if f == "D" else 2, 7)], ids=str)
+    def test_small_weights_match_the_factorial_formula(self, spec):
+        for mu in small_weights(spec, 2 if spec.rank < 5 else 1):
+            assert orbit_size(spec, mu) == factorial_orbit_size(spec, mu, False), mu
+            assert weyl_orbit_size(spec, mu) == factorial_orbit_size(spec, mu, True), mu
+
+    @pytest.mark.parametrize("family", "ABCD")
+    @pytest.mark.parametrize("n", [100, 1000, 5000])
+    def test_sparse_weights_at_high_rank_match_the_factorial_formula(self, family, n):
+        spec = algebra(family, n)
+        for mu in sparse_weights(spec):
+            assert orbit_size(spec, mu) == factorial_orbit_size(spec, mu, False), mu
+            assert weyl_orbit_size(spec, mu) == factorial_orbit_size(spec, mu, True), mu
+
+    def test_audit_at_high_rank_is_fast(self):
+        # the audit's cost per row grows with the rank only through a sort
+        table = build_table(algebra("C", 5000), 8, 6, dominant_only=True)
+        started = time.perf_counter()
+        computed, expected, ok = dimension_audit(table)
+        assert time.perf_counter() - started < 0.25
+        assert ok, (computed, expected)
 
 
 class TestWeylCanonical:
