@@ -6,19 +6,22 @@ accumulated values are arbitrary precision.
 
 Each sum reads one packed product per weight, one factor per coordinate
 chosen by its level. Apart from that product a sum sees the weight only
-through its coordinate count f, so the digit width, the factors, the start
-values and the readers are built once per key, cached, and read by every
-sum. For B/C/D the product holds the blocks N <= l of the sum
-(:func:`_packing`), and it starts from the binomial kernel K0 V (K0 for one
-tensor sum) instead of 1, so the four tensor sums of the virtual-ring
-combination come out folded into one vector C, mult = sum_j C_j binom(r2 //
-2 + j - l + d, d), which depends on the depth only through the parity of
-r2. A reader takes C from the product with one shift-add and a digit read,
-no multiply. For A the sum is the y^l coefficient of the product of g_a = 1
-+ y + ... + y^min(a, l), and the combination subtracts its y^(l-1) one
-(:func:`_packing_a`). A dominant table is one walk (:func:`dominant_rows`)
-that carries the started product of each prefix with its trailing zeros,
-one masked multiply per child, and reads every candidate from it.
+through its coordinate count f, so the digit width, the roots, the ratios
+and the readers are built once per key, by shifts and adds, cached, and
+read by every sum. For B/C/D the product holds the blocks N <= l of the sum
+(:func:`_packing`). Its root is the level-0 factor to the power f times the
+binomial kernel K0 V (K0 for one tensor sum), in closed form, and each
+coordinate at a level a >= 1 multiplies in one ratio r_a; so the four tensor
+sums of the virtual-ring combination come out folded into one vector C,
+mult = sum_j C_j binom(r2 // 2 + j - l + d, d), which depends on the depth
+only through the parity of r2. A reader takes C from the product with one
+shift-add and a digit read, no multiply. For A the sum is the y^l
+coefficient of the product of g_a = 1 + y + ... + y^min(a, l), and the
+combination subtracts its y^(l-1) one (:func:`_packing_a`, in the same
+fields, root 1 and ratios g_a). A dominant table is one walk
+(:func:`dominant_rows`) that carries the started product of each prefix with
+its trailing zeros, from the root and one masked multiply by a ratio per
+child, and reads every candidate from it.
 
 The half-integral depth parameter ``r`` is passed as its doubled value
 ``r2`` so floors are plain integer division; no floats appear anywhere.
@@ -60,15 +63,14 @@ def fold_bcd(n, d, l, ell, step, parity, virtual=True):
     for r2 of this parity: C_i multiplies binom(r2 // 2 + i - l + d, d)."""
     if l < 0:
         return ()
-    _, mask, factors, starts, reads = _packing(max(n, sum(ell[:l]), 1), d, l, step)
-    return tuple(reads[parity](_product(starts[virtual], mask, factors, n, l, ell)))
+    _, mask, roots, ratios, reads = _packing(max(n, sum(ell[:l])), d, l, step)
+    return tuple(reads[parity](_product(roots[virtual], mask, ratios, n, l, ell)))
 
 
 @lru_cache(maxsize=None)
 def _packing(f, d, l, step):
     # What a B/C/D sum over f coordinates needs besides the weight: digit width,
-    # mask to y-degree <= l, factors f_0..f_l, start values [virtual] and
-    # readers [r2 % 2].
+    # mask to y-degree <= l, roots [virtual], ratios r_0..r_l and readers [r2 % 2].
     # The product F of f_a = 1 + sum_{b >= 1} y^b (1 + x^min(a, b)), one per
     # coordinate at level a (levels l and up act as l), packed at x = 2**bits,
     # y = 2**((l + 1) bits) and masked to y^l: digit N (l + 1) + m counts the nu
@@ -80,44 +82,52 @@ def _packing(f, d, l, step):
     # binomials times x^((parity + j) // 2) are the y^j coefficients of K =
     # (1 + y, or 1 + x y for odd r2, at step 1) K0, K0 = (1 - x y^2)^-(d + 1);
     # so C_i is the y^l x^i digit of F K, or of F K V, V = (1 - y)(1 - x y), for
-    # the four virtual-ring terms. The product starts from K0 V or K0 rather
-    # than 1, and a reader takes on the step-1 factor and reads the digits.
+    # the four virtual-ring terms. As f_0 = (1 + y) / (1 - y), F = f_0^f times
+    # r_a = f_a / f_0 = f_a (1 - y) / (1 + y) per coordinate at level a >= 1: the
+    # product starts from a root, K0 f_0^f or K0 V f_0^f, multiplies the ratios
+    # in, and a reader takes on the step-1 factor and reads the digits.
     # The packing is a ring map Z[x, y]/(y^(l + 1)) -> Z/2^((l + 1)^2 bits) (x
-    # never outruns y in a factor), so a masked product with negative digits
+    # never outruns y in a root or ratio), so a masked product with negative digits
     # is still exact; only the polynomial read must fit its digits. They hold a
     # sign and every coefficient to y^l of F K V, at most
     # sum_N 4 binom((l - N) // 2 + d, d) E_N, where E_N = 2^min(f, N) C(f + N - 1, N)
-    # bounds the points of one-norm N
-    bits = (8 * sum(comb((l - big_n) // 2 + d, d) * comb(f + big_n - 1, big_n) << min(f, big_n)
+    # bounds the points of one-norm N (|f + N - 1| keeps it exact at f = 0: 1 at N = 0, else 0)
+    bits = (8 * sum(comb((l - big_n) // 2 + d, d) * comb(abs(f + big_n - 1), big_n) << min(f, big_n)
                     for big_n in range(l + 1))).bit_length()
     width = (l + 1) * bits
     mask = (1 << (l + 1) * width) - 1
-    # f_a = sum_{b <= l} y^b + sum_{1 <= b <= a} (x y)^b + x^a sum_{a < b <= l} y^b
-    ys = mask // ((1 << width) - 1)
-    diagonal = ((1 << (l + 1) * (width + bits)) - 1) // ((1 << width + bits) - 1) - 1
-    factors = [ys + (diagonal & (2 << a * (width + bits)) - 1)
-               + (ys >> (a + 1) * width << (a + 1) * width + a * bits) for a in range(l + 1)]
-    k0 = sum(comb(h + d, d) << h * (2 * width + bits) for h in range(l // 2 + 1))
-    starts = (k0, k0 - (k0 << width) - (k0 << width + bits) + (k0 << 2 * width + bits) & mask)
-    reads = [_reader(l, bits, width + parity * bits if step == 1 else None) for parity in (0, 1)]
-    return bits, mask, factors, starts, reads
-
-
-def _reader(l, bits, shift):
-    # The map from a packed product G to its C: times 1 + 2**shift (1 + y or
-    # 1 + x y) unless shift is None, then the digits of y^l, each biased by
-    # half its range so that none borrows from the next
-    width = (l + 1) * bits
-    half = ((1 << (l + 1) * width) - 1) // ((1 << bits) - 1) << bits - 1
+    # f_0^f has no x, and its y^b coefficients p_b follow from P' = 2f P / (1 - y^2):
+    # (b + 1) p_(b+1) = 2f p_b + (b - 1) p_(b-1)
+    f0_power, previous, p = 1, 1, 2 * f
+    for b in range(1, l + 1):
+        f0_power += p << b * width
+        previous, p = p, (2 * f * p + (b - 1) * previous) // (b + 1)
+    # K0 f_0^f: each binomial of K0 scales a shifted copy of f_0^f
+    root = sum(comb(h + d, d) * f0_power << h * (2 * width + bits) for h in range(l // 2 + 1)) & mask
+    roots = (root, root - (root << width) - (root << width + bits) + (root << 2 * width + bits) & mask)
+    # r_a = r_(a-1) + x^(a-1) y^a rise, rise = (x - 1) / (1 + y) = (x - 1)(1 - y) / (1 - y^2),
+    # and 1 / (1 - y^2) truncated is evens = 1 + y^2 + ... + y^(2 (l // 2))
+    evens = ((1 << 2 * width * (l // 2 + 1)) - 1) // ((1 << 2 * width) - 1)
+    rise = (evens << bits) - evens - (evens << width + bits) + (evens << width)
+    ratios = [1]
+    for a in range(1, l + 1):
+        ratios.append(ratios[-1] + (rise << a * width + (a - 1) * bits) & mask)
+    # The map from a packed product G to its C: times 1 + 2**shift (1 + y or 1 + x y)
+    # unless shift is None, then the digits of y^l, each biased by half its range so
+    # that none borrows from the next
+    half = mask // ((1 << bits) - 1) << bits - 1
     block, digit, bias = (1 << width) - 1, (1 << bits) - 1, 1 << bits - 1
     offsets = range(0, width, bits)
 
-    def read(packed):
-        if shift is not None:
-            packed += packed << shift
-        top = (packed + half >> l * width) & block
-        return [(top >> i & digit) - bias for i in offsets]
-    return read
+    def reader(shift):
+        def read(packed):
+            if shift is not None:
+                packed += packed << shift
+            top = (packed + half >> l * width) & block
+            return [(top >> i & digit) - bias for i in offsets]
+        return read
+    reads = [reader(width + parity * bits if step == 1 else None) for parity in (0, 1)]
+    return bits, mask, roots, ratios, reads
 
 
 def _evaluate(coeffs, d, l, r2):
@@ -127,8 +137,10 @@ def _evaluate(coeffs, d, l, r2):
 
 @lru_cache(maxsize=None)
 def _packing_a(f, l):
-    # What an A sum over f coordinates needs besides the weight: digit width, mask
-    # to y-degree <= l, factors g_0..g_l at y = 2**bits, the map to (c_l - c_(l-1),).
+    # What an A sum over f coordinates needs besides the weight, in the fields of
+    # _packing: digit width, mask to y-degree <= l, roots (1, 1), ratios g_0..g_l
+    # at y = 2**bits (g_0 = 1, so they are the factors) and the map to
+    # (c_l - c_(l-1),) for either parity.
     # Digit j, the ways to spread j over f coordinates, is <= C(l + f - 1, f - 1): no carry
     bits = comb(l + f - 1, f - 1).bit_length()
     mask = (1 << (l + 1) * bits) - 1
@@ -137,7 +149,7 @@ def _packing_a(f, l):
     def fold(packed):
         pair = packed >> (l - 1) * bits if l else packed << bits  # digits l, l - 1
         return ((pair >> bits) - (pair & (1 << bits) - 1),)
-    return bits, mask, [ones & (1 << (a + 1) * bits) - 1 for a in range(l + 1)], fold
+    return bits, mask, (1, 1), [ones & (1 << (a + 1) * bits) - 1 for a in range(l + 1)], (fold, fold)
 
 
 def tensor_sum_a(n, l, ell):
@@ -148,23 +160,24 @@ def tensor_sum_a(n, l, ell):
     """
     if l < 0:
         return 0
-    bits, mask, factors, _ = _packing_a(max(n + 1, sum(ell[:l])), l)
-    return _product(1, mask, factors, n + 1, l, ell) >> l * bits
+    bits, mask, roots, ratios, _ = _packing_a(max(n + 1, sum(ell[:l])), l)
+    return _product(roots[False], mask, ratios, n + 1, l, ell) >> l * bits
 
 
 def bivariate_sum_a(n, l, ell):
     """tensor_sum_a at l minus at l - 1, read from one product."""
     if l < 0:
         return 0
-    _, mask, factors, fold = _packing_a(max(n + 1, sum(ell[:l])), l)
-    return fold(_product(1, mask, factors, n + 1, l, ell))[0]
+    _, mask, roots, ratios, reads = _packing_a(max(n + 1, sum(ell[:l])), l)
+    return reads[0](_product(roots[True], mask, ratios, n + 1, l, ell))[0]
 
 
-def _product(packed, mask, factors, f, l, ell):
-    # packed times one factor per coordinate, each level's by binary powers
-    # (level a, number of factors): the f - sum(ell[:l]) coordinates not in ell sit at l
-    for a, count in [*enumerate(ell[:l]), (l, f - sum(ell[:l]))]:
-        factor = factors[a]
+def _product(packed, mask, ratios, f, l, ell):
+    # packed times the ratio of each coordinate at a level a >= 1 (r_0 = 1), each
+    # level's by binary powers (level a, number of coordinates): the
+    # f - sum(ell[:l]) coordinates not in ell, if any, sit at l, which at l = 0 is level 0
+    for a, count in [*enumerate(ell[1:l], 1), (l, f - sum(ell[:l]))][:l]:
+        factor = ratios[a]
         while count > 0:
             if count & 1:
                 packed = packed * factor & mask
@@ -177,36 +190,29 @@ def _product(packed, mask, factors, f, l, ell):
 def dominant_rows(family, n, k, l):
     """Rows (mu, m), m > 0, of the dominant weights of k e1 + l e2 in family
     A-D of rank n, unsorted, and the counts of candidates, kept rows and
-    products (the walk's masked multiplies: one per child, besides the root's
-    one power of f_0).
+    products (the walk's masked multiplies, one per child).
 
     k >= l >= 0 unchecked. Walks weakly decreasing mu >= 0, mu_1 <= k (larger
     mu_1 gives 0), depth first: n coordinates of one-norm <= k + l (even r2
     for C and D, so no last coordinate that leaves r2 odd), or for A n + 1
     summing to k + l, each child at least ceil(r2 / slots left). Each node
     carries the started product of :func:`fold_bcd` for its prefix followed by
-    zeros: the root is the start value times f_0^n, and a child at level a
-    multiplies its parent by r_a = f_a / f_0 (g_a for A, as g_0 = 1). So a
+    zeros, so the root is the packing's virtual root, and a child at level a
+    multiplies its parent by the packing's ratio r_a (g_a for A). So a
     candidate costs only its reader: C for B/C/D, (c_l - c_(l-1),) for A.
     """
     if family == "A":
         coords, step, slack = n + 1, 1, 0  # slack: how far the one-norm may fall short
-        _, mask, ratios, read = _packing_a(coords, l)
-        root, reads, binoms = 1, (read, read), [1]  # r2 = 0 at every A candidate
+        packing, binoms = _packing_a(coords, l), [1]  # r2 = 0 at every A candidate
     else:
         d, step = _degree(family, n), 1 if family == "B" else 2
         coords, slack = n, k + l
-        # sum(ell) <= n: fold_bcd's packing
-        bits, mask, factors, starts, reads = _packing(n, d, l, step)
-        root = pow(factors[0], n, mask + 1) * starts[True] & mask
-        # r_a = f_a (1 - y) / (1 + y), as (1 - y) / (1 + y) = 1 + 2 sum_{b >= 1} (-y)^b
-        width = (l + 1) * bits
-        quotient = 1 + 2 * sum((-1) ** b << b * width for b in range(1, l + 1))
-        ratios = [factor * quotient & mask for factor in factors]
+        packing = _packing(n, d, l, step)  # sum(ell) <= n: fold_bcd's packing
         # C_i meets binom(r2 // 2 - l + d + i, d) = binoms[r2 // 2 + i]
         binoms = [comb(t, d) if t >= 0 else 0 for t in range(d - l, (k + l) // 2 + d + 1)]
+    _, mask, roots, ratios, reads = packing
     rows, candidates, products = [], 0, 0
-    stack = [((), root, k, k + l)]  # prefix, its product, cap on what follows, r2
+    stack = [((), roots[True], k, k + l)]  # prefix, its product, cap on what follows, r2
     while stack:
         prefix, packed, cap, r2 = stack.pop()
         zero_count = coords - len(prefix)

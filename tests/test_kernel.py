@@ -14,7 +14,10 @@ the four-term combination of brute-force sums with the cached packing
 cold and warm, and on the wide keys against the same combination taken
 one block coefficient at a time.
 The packing's cache key is checked by interleaving families that share
-all but one of (f, d, l, step).
+all but one of (f, d, l, step). Its roots K0 f_0^f and K0 V f_0^f and its
+ratios r_a = f_a (1 - y) / (1 + y), built by shifts and adds, are checked
+against pow and multiply over the factor layout f_a (``reference_packing``)
+for f up to 10,000 and l up to 14.
 
 The literal evaluator below walks the partitions of bivar.partitions and
 the beta / alpha arrays of the test-side index_sets module, and
@@ -329,15 +332,55 @@ def test_packing_key_holds_f(n, l, ell):
         assert kernel.fold_bcd(n, d, l, ell, step, parity) == cold, (d, step, parity)
 
 
+def reference_packing(f, d, l, bits):
+    """Roots and ratios by pow and multiply, from the factor layout f_a of
+    ``_packing``: K0 (V) f_0^f and f_a (1 - y) / (1 + y), masked."""
+    width = (l + 1) * bits
+    mask = (1 << (l + 1) * width) - 1
+    # f_a = sum_{b <= l} y^b + sum_{1 <= b <= a} (x y)^b + x^a sum_{a < b <= l} y^b
+    ys = mask // ((1 << width) - 1)
+    diagonal = ((1 << (l + 1) * (width + bits)) - 1) // ((1 << width + bits) - 1) - 1
+    factors = [ys + (diagonal & (2 << a * (width + bits)) - 1)
+               + (ys >> (a + 1) * width << (a + 1) * width + a * bits) for a in range(l + 1)]
+    k0 = sum(binom(h + d, d) << h * (2 * width + bits) for h in range(l // 2 + 1))
+    v = 1 - (1 << width) - (1 << width + bits) + (1 << 2 * width + bits)  # (1 - y)(1 - x y)
+    power = pow(factors[0], f, mask + 1)
+    # (1 - y) / (1 + y) = 1 + 2 sum_{b >= 1} (-y)^b
+    quotient = 1 + 2 * sum((-1) ** b << b * width for b in range(1, l + 1))
+    return (k0 * power & mask, k0 * v * power & mask), [a * quotient & mask for a in factors]
+
+
+def test_packing_roots_and_ratios():
+    # the shift-and-add roots and ratios against pow and multiply on every
+    # key of the grid, f up to 10,000 and l up to 14
+    checked = 0
+    for f in (*range(1, 13), 100, 1_000, 10_000):
+        for d in {f - 1, max(f - 2, 0)}:
+            for l in range(15):
+                for step in (1, 2):
+                    bits, mask, roots, ratios, _ = kernel._packing(f, d, l, step)
+                    want_roots, want_ratios = reference_packing(f, d, l, bits)
+                    assert roots == want_roots, (f, d, l, step)
+                    assert ratios == want_ratios, (f, d, l, step)
+                    checked += 1
+    assert checked == 870
+
+
 cached_brute_block = lru_cache(maxsize=None)(brute_block)
 cached_stepped_block_poly = lru_cache(maxsize=None)(stepped_block_poly)
 
 
 def product_slots(n, l, ell):
     """The blocks N <= l of the packed product F, unpacked: the ``bits``-bit
-    digit N (l + 1) + m of F counts the nu of one-norm N with overlap m."""
-    bits, mask, factors, *_ = kernel._packing(max(n, sum(ell[:l]), 1), 0, l, 1)
-    packed = kernel._product(1, mask, factors, n, l, ell)
+    digit N (l + 1) + m of F counts the nu of one-norm N with overlap m.
+
+    The product starts from the root K0 f_0^f; at d = 0, K0 = 1 / (1 - x y^2),
+    so F is that product times 1 - x y^2.
+    """
+    f = max(n, sum(ell[:l]))
+    bits, mask, roots, ratios, _ = kernel._packing(f, 0, l, 1)
+    started = kernel._product(roots[False], mask, ratios, f, l, ell)
+    packed = started - (started << (2 * l + 3) * bits) & mask
     digit = (1 << bits) - 1
     return [tuple(packed >> (big_n * (l + 1) + m) * bits & digit for m in range(big_n + 1))
             for big_n in range(l + 1)]

@@ -29,7 +29,7 @@ from bivar.root_systems import (
     weight_length,
     weight_stats,
 )
-from bivar.oracles import convolution_mult, kostka_count, tensor_conv_mult
+from bivar.oracles import convolution_mult, freudenthal_diagram, kostka_count, tensor_conv_mult
 from bivar.partitions import partitions_le_length
 from bivar.weight_tables import candidate_dominants
 
@@ -206,6 +206,30 @@ class TestBivariate:
         # neither truncated to an int, parsed from a string nor read from a bool as 1 or 0
         with pytest.raises(NotAnInteger):
             call()
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_single_weight_matches_diagram_at_high_rank(data):
+    # bivariate_mult itself, one weight at a time, at l 3-6 and ranks 50-10,000,
+    # where the closed forms (l <= 2) do not reach and the walk is not used
+    spec = algebra(data.draw(st.sampled_from("BCD")), data.draw(st.integers(50, 10_000)))
+    l = data.draw(st.integers(3, 6))
+    k = data.draw(st.integers(l, l + 3))
+    # seeded: drawing 10,000 positions from hypothesis is too large an input
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    diagram = freudenthal_diagram(spec, highest_weight(spec, k, l))
+    for mu, m in diagram.entries.items():
+        # the rank exceeds k + l >= |mu|_1, so mu has a zero coordinate and every
+        # signed shuffle of it is a Weyl image, in D too
+        assert 0 in mu
+        # a signed shuffle: the nonzero parts, each of either sign, at distinct
+        # uniform positions
+        parts = [rng.choice((a, -a)) for a in mu if a]
+        nu = [0] * len(mu)
+        for i, a in zip(rng.sample(range(len(mu)), len(parts)), parts):
+            nu[i] = a
+        assert bivariate_mult(spec, k, l, nu) == m == diagram.multiplicity(nu), (spec, k, l, mu)
 
 
 class TestZeroWeight:
