@@ -16,10 +16,10 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import BivarError
@@ -78,7 +78,7 @@ def _walk_text(root: list, head: bytes) -> Iterator[bytes]:
 
 
 def table_text(table: MultiplicityTable, fmt: str, full: bool = False,
-               dimension: Optional[int] = None) -> Iterable[bytes]:
+               dimension: int | None = None) -> Iterable[bytes]:
     """The JSON or CSV text of ``table`` as ASCII bytes pieces; the first row drops its head's first byte.
 
     JSON ends with ``"dimension"``, the orbit-weighted total of the rows:
@@ -89,11 +89,14 @@ def table_text(table: MultiplicityTable, fmt: str, full: bool = False,
     ``meta``, which no writer reads, so a table changed with
     ``dataclasses.replace`` cannot write a total that no longer fits its rows.
 
-    With ``full``, the text of the full table ``build_table(spec, k, l)``, written
-    from the orbits of the dominant-only ``table``: no full row is built, formatted
-    or sorted. Its rows are all checked, and the first piece made, before this
-    returns. The rows come in lexicographic order of w over all the orbits
-    together, the order of the ``orbit`` outputs merged and sorted.
+    Without ``full``, the rows' text is one piece. With
+    ``full``, the text of the full table ``build_table(spec, k, l)``, written
+    from the orbits of the dominant-only ``table`` by the same lexicographic
+    walk, ``root_systems._expand_orbits``: no full row is built, formatted or
+    sorted. Its rows are all checked, and the first piece made, before this
+    returns, so ``cmd_table`` opens no output file for a bad request. The rows
+    come in lexicographic order of w over all the orbits together, the order
+    of the ``orbit`` outputs merged and sorted.
 
     What follows a multiset of coordinates is a tree: a multiset whose text
     fits in ``PIECE`` bytes holds it fused, one bytes object with a newline and
@@ -101,8 +104,11 @@ def table_text(table: MultiplicityTable, fmt: str, full: bool = False,
     pairs. An explicit stack walks the nodes from the root (a chain of nodes
     can outgrow the recursion limit) and carries the prefix
     ``head + "v_1,...,v_j,"``; each fused child under it is one piece, one
-    ``bytes.replace`` of its newlines by that prefix and v. So every output
-    byte is made once and no longer multiset text is kept.
+    ``bytes.replace`` of its newlines by that prefix and v. Each leaf's tail is
+    formatted and encoded once, so no line is encoded on its own. So every
+    output byte is made once, a piece holds at most ``PIECE`` bytes of fused
+    text plus one prefix per row, and no longer multiset text, nor any level
+    of the table's text, is kept: memory stays flat in the table's size.
     """
     spec = table.spec
     head, tail = ROW_TEXT[fmt]
@@ -130,10 +136,12 @@ def table_text(table: MultiplicityTable, fmt: str, full: bool = False,
 
 
 def table_to_json(table: MultiplicityTable) -> str:
+    """The JSON text of ``table``: the pieces of :func:`table_text` joined and decoded once."""
     return b"".join(table_text(table, "json")).decode()
 
 
 def table_to_csv(table: MultiplicityTable) -> str:
+    """The CSV text of ``table``: the pieces of :func:`table_text` joined and decoded once."""
     return b"".join(table_text(table, "csv")).decode()
 
 
@@ -155,6 +163,22 @@ def _field(obj, name: str, where: str):
 
 
 def table_from_json(text: str) -> MultiplicityTable:
+    """The :class:`MultiplicityTable` of a JSON table, checked row by row.
+
+    It raises on a row that cannot belong to the table its header names:
+    a multiplicity that is not a positive integer (a decimal string or a JSON
+    integer; a float is refused, not truncated); a weight of the wrong
+    length; a weight outside the support of k*e1 + l*e2, by the rule every
+    single-weight entry point applies, ``multiplicity._support`` (A: a
+    negative coordinate or a sum other than k + l; every family: a coordinate
+    whose absolute value exceeds k; B/C/D: one-norm above k + l; C/D: k + l
+    minus the one-norm odd); in a dominant-only table, a weight that is not
+    dominant; or a weight that appears twice. JSON ``true`` or ``false`` as a
+    multiplicity, a weight coordinate, the rank, ``k`` or ``l`` raises
+    :class:`NotAnInteger`, never read as 1 or 0. A missing field raises
+    ``ValueError`` naming it. Rows are sorted by weight on load, so a file
+    with its rows reordered loads as the table ``build_table`` gives.
+    """
     obj = json.loads(text)
     spec = algebra(_field(obj, "family", "table"), _field(obj, "rank", "table"))
     k, l = check_highest_weight(_field(obj, "k", "table"), _field(obj, "l", "table"))
@@ -191,7 +215,13 @@ def table_from_json(text: str) -> MultiplicityTable:
     return MultiplicityTable(spec, k, l, dominant_only, tuple(rows))
 
 
-def csv_rows(text: str) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+def csv_rows(text: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (weight, multiplicity) rows of a CSV table as ints, in file order.
+
+    The header line and empty lines are skipped, and each field is read by
+    :func:`integer`. No other check is made: a CSV table names no algebra or
+    highest weight to check the rows against.
+    """
     lines = [ln for ln in text.splitlines() if ln]
     rows = []
     for ln in lines[1:]:
@@ -206,8 +236,10 @@ BLOCK = 1 << 18  # bytes: the buffer of the file _write_out writes
 def _write_out(pieces: Iterable[bytes], path: str) -> None:
     """Write the bytes ``pieces`` to the file ``path``, through a ``BLOCK`` buffer, or to stdout for "-".
 
-    Stdout is flushed first, so text printed before comes out ahead of the table;
-    the pieces go to its binary ``buffer``, or decoded to a stdout that has none.
+    The pieces go to one ``writelines``, on the file opened ``"wb"`` or on
+    stdout's binary ``buffer``; stdout is flushed first, so text printed before
+    comes out ahead of the table, and a stdout with no ``buffer`` gets them
+    decoded. A reader that closes stdout early ends the write quietly.
     """
     if path != "-":
         with open(path, "wb", buffering=BLOCK) as handle:
@@ -274,13 +306,13 @@ def _grid_specs(families, ranks):
     return out
 
 
-def run_verification(families, ranks, maxsum, oracle) -> Tuple[int, List[str]]:
+def run_verification(families, ranks, maxsum, oracle) -> tuple[int, list[str]]:
     """Compare the formula engine against the selected oracles on a grid.
 
     Returns (number of comparisons, list of mismatch descriptions).
     """
     specs = _grid_specs(families, ranks)
-    mismatches: List[str] = []
+    mismatches: list[str] = []
     checked = 0
 
     def record(spec, k, l, mu, lhs, rhs, which):
@@ -330,7 +362,7 @@ def run_verification(families, ranks, maxsum, oracle) -> Tuple[int, List[str]]:
 # argument handling
 
 
-def _parse_mu(raw: str) -> Tuple[int, ...]:
+def _parse_mu(raw: str) -> tuple[int, ...]:
     try:
         return tuple(integer(part) for part in raw.split(","))
     except ValueError:
@@ -409,7 +441,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,30 +1,19 @@
-"""Evaluation of the tensor weight sums.
+"""The tensor weight sums behind every multiplicity, in pure Python with exact integers.
 
-The two tensor sums here carry the hot inner loop of every
-multiplicity. Everything is exact: loop bookkeeping is small ints,
-accumulated values are arbitrary precision.
+:func:`tensor_sum_bcd` and :func:`tensor_sum_a` give one tensor sum;
+:func:`bivariate_sum_bcd` and :func:`bivariate_sum_a` give the combination of
+them that :func:`bivar.multiplicity.bivariate_mult` needs, from one product.
+:func:`fold_bcd` gives the coefficient vector the B/C/D sums reduce to, and
+:func:`dominant_rows` the dominant rows of a whole table, in one walk.
 
-Each sum reads one packed product per weight, one factor per coordinate
-chosen by its level. Apart from that product a sum sees the weight only
-through its coordinate count f, so the digit width, the roots, the ratios
-and the readers are built once per key, by shifts and adds, cached, and
-read by every sum. For B/C/D the product holds the blocks N <= l of the sum
-(:func:`_packing`). Its root is the level-0 factor to the power f times the
-binomial kernel K0 V (K0 for one tensor sum), in closed form, and each
-coordinate at a level a >= 1 multiplies in one ratio r_a; so the four tensor
-sums of the virtual-ring combination come out folded into one vector C,
-mult = sum_j C_j binom(r2 // 2 + j - l + d, d), which depends on the depth
-only through the parity of r2. A reader takes C from the product with one
-shift-add and a digit read, no multiply. For A the sum is the y^l
-coefficient of the product of g_a = 1 + y + ... + y^min(a, l), and the
-combination subtracts its y^(l-1) one (:func:`_packing_a`, in the same
-fields, root 1 and ratios g_a). A dominant table is one walk
-(:func:`dominant_rows`) that carries the started product of each prefix with
-its trailing zeros, from the root and one masked multiply by a ratio per
-child, and reads every candidate from it.
+Each sum reads one packed product per weight. All else it needs depends on
+the algebra and l, not on the weight, so it is built once per key, by shifts
+and adds, and cached. How the product is packed, and why it is exact, is
+written once: in the comment of :func:`_packing`, and of :func:`_packing_a`
+for type A.
 
-The half-integral depth parameter ``r`` is passed as its doubled value
-``r2`` so floors are plain integer division; no floats appear anywhere.
+The half-integral depth r is passed as its doubled value ``r2``, so floors
+are plain integer division; no floats appear anywhere.
 """
 
 from functools import lru_cache
@@ -71,21 +60,35 @@ def fold_bcd(n, d, l, ell, step, parity, virtual=True):
 def _packing(f, d, l, step):
     # What a B/C/D sum over f coordinates needs besides the weight: digit width,
     # mask to y-degree <= l, roots [virtual], ratios r_0..r_l and readers [r2 % 2].
-    # The product F of f_a = 1 + sum_{b >= 1} y^b (1 + x^min(a, b)), one per
-    # coordinate at level a (levels l and up act as l), packed at x = 2**bits,
-    # y = 2**((l + 1) bits) and masked to y^l: digit N (l + 1) + m counts the nu
-    # in Z^f of one-norm N whose overlap with mu, the sum of min(|mu_i|, |nu_i|)
-    # where mu_i and nu_i share a sign, is m. Block N needs ell[:N] alone, as f_a
-    # and f_N agree up to y^N for a >= N.
+    # f = max(n, sum(ell[:l])) is n for every weight of rank n, so a process builds
+    # one packing per (family, rank, l) it asks for, and tensor_mult, bivariate_mult
+    # and the dominant_rows walk all read it. C is not cached: a weight costs its
+    # started product (_product) and one read.
+    # Block N of the sum counts the nu in Z^f of one-norm N by their overlap with
+    # mu, the sum of min(|mu_i|, |nu_i|) where mu_i and nu_i share a sign: it is the
+    # y^N coefficient of the product of f_a = 1 + sum_{b >= 1} y^b (1 + x^min(a, b)),
+    # one per coordinate at level a. Block N needs ell[:N] alone, as f_a and f_N
+    # agree up to y^N for a >= N; so levels l and up act as l, and one product F,
+    # truncated at y^l, holds every block N <= l. F is packed by Kronecker
+    # substitution, x = 2**bits and y = 2**((l + 1) bits), and masked to y^l, so a
+    # multiply is one big-int multiply and a mask, and digit N (l + 1) + m counts
+    # the nu of one-norm N with overlap m.
     # Coefficient m of block N enters the sum at (L, r2) times binom((r2 - L -
     # N) // 2 + m + d, d) C((L - N) // 2 + d, d). Over j = L - N, the outer
     # binomials times x^((parity + j) // 2) are the y^j coefficients of K =
     # (1 + y, or 1 + x y for odd r2, at step 1) K0, K0 = (1 - x y^2)^-(d + 1);
-    # so C_i is the y^l x^i digit of F K, or of F K V, V = (1 - y)(1 - x y), for
-    # the four virtual-ring terms. As f_0 = (1 + y) / (1 - y), F = f_0^f times
-    # r_a = f_a / f_0 = f_a (1 - y) / (1 + y) per coordinate at level a >= 1: the
-    # product starts from a root, K0 f_0^f or K0 V f_0^f, multiplies the ratios
-    # in, and a reader takes on the step-1 factor and reads the digits.
+    # so C_i is the y^l x^i digit of F K for one tensor sum, and of F K V,
+    # V = (1 - y)(1 - x y), for the four virtual-ring terms of bivariate_mult (at
+    # l, l - 1, l - 1 and l - 2), whose signs V folds in at no multiply of its own.
+    # Then mult = sum_i C_i binom(r2 // 2 + i - l + d, d) (_evaluate): l + 1
+    # binomials, and C depends on r2 only through its parity.
+    # As f_0 = (1 + y) / (1 - y), F = f_0^f times r_a = f_a / f_0 = f_a (1 - y) / (1 + y)
+    # per coordinate at level a >= 1. So f_0^f, which holds the only count that
+    # grows with the rank, comes in closed form in a root, K0 f_0^f or K0 V f_0^f;
+    # _product multiplies in each level's ratio, raised to its count by squaring;
+    # and a reader takes on the step-1 factor by one shift-add and reads the l + 1
+    # digits of y^l. Shifts and adds build the packing (below), with no pow and no
+    # product of two packed ints.
     # The packing is a ring map Z[x, y]/(y^(l + 1)) -> Z/2^((l + 1)^2 bits) (x
     # never outruns y in a root or ratio), so a masked product with negative digits
     # is still exact; only the polynomial read must fit its digits. They hold a
@@ -137,10 +140,13 @@ def _evaluate(coeffs, d, l, r2):
 
 @lru_cache(maxsize=None)
 def _packing_a(f, l):
-    # What an A sum over f coordinates needs besides the weight, in the fields of
-    # _packing: digit width, mask to y-degree <= l, roots (1, 1), ratios g_0..g_l
-    # at y = 2**bits (g_0 = 1, so they are the factors) and the map to
-    # (c_l - c_(l-1),) for either parity.
+    # What an A sum over f = max(n + 1, sum(ell[:l])) coordinates needs besides the
+    # weight, in the fields of _packing: digit width, mask to y-degree <= l, roots
+    # (1, 1), ratios g_0..g_l at y = 2**bits and the map to (c_l - c_(l-1),) for
+    # either parity. The sum is c_l, the y^l coefficient of the product of
+    # g_a = 1 + y + ... + y^min(a, l), one per coordinate at level a; g_0 = 1, so
+    # the ratios are the factors. tensor_sum_a reads digit l and bivariate_sum_a
+    # digit l minus digit l - 1 of the same product: one kernel call per weight.
     # Digit j, the ways to spread j over f coordinates, is <= C(l + f - 1, f - 1): no carry
     bits = comb(l + f - 1, f - 1).bit_length()
     mask = (1 << (l + 1) * bits) - 1
@@ -194,12 +200,14 @@ def dominant_rows(family, n, k, l):
 
     k >= l >= 0 unchecked. Walks weakly decreasing mu >= 0, mu_1 <= k (larger
     mu_1 gives 0), depth first: n coordinates of one-norm <= k + l (even r2
-    for C and D, so no last coordinate that leaves r2 odd), or for A n + 1
-    summing to k + l, each child at least ceil(r2 / slots left). Each node
-    carries the started product of :func:`fold_bcd` for its prefix followed by
-    zeros, so the root is the packing's virtual root, and a child at level a
-    multiplies its parent by the packing's ratio r_a (g_a for A). So a
-    candidate costs only its reader: C for B/C/D, (c_l - c_(l-1),) for A.
+    for C and D: a last coordinate that leaves r2 odd is no candidate and no
+    parent, so it is not pushed), or for A n + 1 summing to k + l, each child
+    at least ceil(r2 / slots left). Each node carries the started product of
+    :func:`fold_bcd` for its prefix followed by zeros, from the packing at
+    f = n (n + 1 for A): the root is the packing's virtual root, and a child at
+    level a multiplies its parent by the packing's ratio r_a (g_a for A). So a
+    candidate costs only its reader, C for B/C/D and (c_l - c_(l-1),) for A,
+    and a sum against binomials computed once per walk.
     """
     if family == "A":
         coords, step, slack = n + 1, 1, 0  # slack: how far the one-norm may fall short

@@ -2,10 +2,12 @@
 
 The general entry point is :func:`bivariate_mult`. For families B, C, D
 it combines four tensor sums (evaluated by :mod:`bivar.kernel`); for
-family A it combines two, read from one product. Closed-form fast paths
-cover the single-row case, l = 0/1/2 and the zero weight. Each of them
-decides whether a weight can occur, and at what depth, by one rule,
-:func:`_support`, which also checks the inputs.
+family A it combines two, read from one product. :func:`tensor_mult` gives
+the tensor-product multiplicity, and closed-form fast paths cover the
+single-row case, l = 0/1/2 and the zero weight. Every entry point here, and
+``cli.table_from_json``, checks its inputs and decides whether a weight can
+occur, and at what depth, by one rule, :func:`_support`; each then has one
+family branch, the choice of kernel sum or closed form.
 
 Depth arguments are carried as doubled integers (``r2``), never floats:
 the depth (k + l - |mu|)/2 is genuinely half-integral for family B.

@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Tuple
 
 from .errors import NotDominant, ShapeContentMismatch
 from .partitions import partitions_le_length
@@ -37,7 +36,7 @@ from .root_systems import (
     weyl_canonical,
 )
 
-Weight = Tuple[int, ...]
+Weight = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +49,7 @@ class WeightDiagram:
 
     spec: AlgebraSpec
     highest: Weight
-    entries: Dict[Weight, int] = field(default_factory=dict)
+    entries: dict[Weight, int] = field(default_factory=dict)
 
     def multiplicity(self, mu) -> int:
         return self.entries.get(weyl_canonical(self.spec, mu), 0)
@@ -159,7 +158,7 @@ def freudenthal_diagram(spec: AlgebraSpec, lam) -> WeightDiagram:
 
 
 @lru_cache(maxsize=None)
-def _compositions_table(n: int, cap: int) -> Tuple[int, ...]:
+def _compositions_table(n: int, cap: int) -> tuple[int, ...]:
     """ways[m] = compositions of m into n non-negative ordered parts, m <= cap.
 
     Built by repeated prefix sums (one per coordinate), so it never

@@ -7,8 +7,8 @@ of lattice points on a one-norm sphere.
 Streams are lazy generators.
 """
 
+from collections.abc import Iterator
 from math import comb
-from typing import Iterator, Tuple
 
 
 def binom(b: int, a: int) -> int:
@@ -21,7 +21,7 @@ def binom(b: int, a: int) -> int:
     return comb(b, a)
 
 
-def partitions_le_length(total: int, max_parts: int) -> Iterator[Tuple[int, ...]]:
+def partitions_le_length(total: int, max_parts: int) -> Iterator[tuple[int, ...]]:
     """Yield the partitions of ``total`` with at most ``max_parts`` parts.
 
     Tuples are zero-padded to length ``max_parts`` and come out in

@@ -18,9 +18,9 @@ recursions, are available separately as :func:`weyl_canonical`.
 
 import operator
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from math import perm
-from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidHighestWeight,
@@ -30,13 +30,13 @@ from .errors import (
     RankOutOfRange,
 )
 
-Weight = Tuple[int, ...]
+Weight = tuple[int, ...]
 
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 3}
 _INT = {int}  # the one coordinate type as_integers takes as it is
 
 
-def as_integers(values: Iterable, what: str) -> Tuple[int, ...]:
+def as_integers(values: Iterable, what: str) -> tuple[int, ...]:
     """Tuple of ``values`` as exact ints, taken with ``operator.index``.
 
     Floats, strings, bools and other non-integral values raise
@@ -54,7 +54,7 @@ def as_integers(values: Iterable, what: str) -> Tuple[int, ...]:
         raise NotAnInteger(f"{what} must be integers, got {values!r}") from None
 
 
-def check_highest_weight(k: int, l: int) -> Tuple[int, int]:
+def check_highest_weight(k: int, l: int) -> tuple[int, int]:
     """Return (k, l) as ints, raising unless k >= l >= 0."""
     k, l = as_integers((k, l), "k and l")
     if not (k >= l >= 0):
@@ -128,7 +128,7 @@ def one_norm(mu: Sequence[int]) -> int:
     return sum(abs(a) for a in mu)
 
 
-def weight_stats(spec: AlgebraSpec, mu: Sequence[int], l: int) -> Tuple[int, Tuple[int, ...]]:
+def weight_stats(spec: AlgebraSpec, mu: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
     """One-norm of ``mu`` and the level counts (l_0, ..., l_{l-1}).
 
     l_t counts coordinates of absolute value t; for family A absolute
@@ -197,7 +197,7 @@ def _orbit_representative(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
     return coords
 
 
-def _expand_orbits(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object]],
+def _expand_orbits(spec: AlgebraSpec, rows: Iterable[tuple[Sequence[int], object]],
                    leaf: Callable[[object], object], fuse: Callable[[list], object]) -> list:
     """Every orbit of the dominant ``rows`` in lexicographic order.
 
@@ -213,6 +213,10 @@ def _expand_orbits(spec: AlgebraSpec, rows: Iterable[Tuple[Sequence[int], object
     or upward (A), child being what the multiset with one |v| more holds;
     ``fuse`` joins them or keeps the pairs as a node. The empty
     multiset's pairs are returned as they are.
+
+    It is the one orbit walk: :func:`orbit` reads one orbit from it as
+    tuples, ``weight_tables.build_table`` a full table's rows and
+    ``cli.table_text`` a full table's text. This module handles no bytes.
     """
     signed = spec.family != "A"
     level = {}  # multiset, as an ascending tuple -> what may follow it
@@ -241,7 +245,7 @@ def _fuse_tuples(order: list) -> list:
     return [(v,) + w for v, tails in order for w in tails]
 
 
-def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> Tuple[Weight, ...]:
+def orbit(spec: AlgebraSpec, mu: Sequence[int]) -> tuple[Weight, ...]:
     """Full orbit of a dominant weight, sorted lexicographically.
 
     B/C/D: all signed permutations of the coordinates (group W_n);
@@ -285,8 +289,12 @@ def _orbit_size(family: str, coords: Weight, weyl: bool) -> int:
     return size // 2 if weyl and family == "D" and len(parts) == len(values) else size
 
 
-def positive_roots(spec: AlgebraSpec) -> Tuple[Weight, ...]:
-    """Positive roots as coordinate tuples (length n, or n+1 for A)."""
+def positive_roots(spec: AlgebraSpec) -> tuple[Weight, ...]:
+    """Positive roots as coordinate tuples (length n, or n+1 for A).
+
+    The list serves ``weight_tables.freudenthal_table``; :func:`weyl_dimension`
+    builds none.
+    """
     n = spec.rank
     fam = spec.family
     roots = []
@@ -319,7 +327,7 @@ def positive_roots(spec: AlgebraSpec) -> Tuple[Weight, ...]:
     return tuple(roots)
 
 
-def simple_roots(spec: AlgebraSpec) -> Tuple[Weight, ...]:
+def simple_roots(spec: AlgebraSpec) -> tuple[Weight, ...]:
     """Simple roots in the standard ordering for each family."""
     n = spec.rank
     fam = spec.family
@@ -359,7 +367,7 @@ def rho_twice(spec: AlgebraSpec) -> Weight:
     return tuple(2 * (n - i - 1) for i in range(n))
 
 
-def _shift_to_sum(coords: Weight, target: int) -> Optional[Weight]:
+def _shift_to_sum(coords: Weight, target: int) -> Weight | None:
     # checked type-A coordinates shifted to sum to ``target``; None when no shift
     # does (the defect is only defined modulo the length) or one leaves a negative
     shift, rest = divmod(target - sum(coords), len(coords))

@@ -1,19 +1,14 @@
 """Full weight tables for the representations k*e1 + l*e2.
 
-:func:`build_table` follows the candidate-enumeration algorithm: for
-every family one walk, :func:`bivar.kernel.dominant_rows`, visits the
-weakly decreasing non-negative weights that can occur (first coordinate
-at most k; B/C/D: one-norm at most k + l, of the parity of k + l for C
-and D; A: summing to k + l) and carries the packed product. It does not
-call :func:`candidate_dominants`, the wider candidate list that ``bivar
-verify`` and the tests read. A full table then expands the orbits of the
-kept candidates all at once, in lexicographic order, with the one level
-loop over multisets, ``root_systems._expand_orbits``, that
-``root_systems.orbit`` and the full-table text of ``cli.table_text`` use
-too (the latter keeps a multiset's text only while it fits in one piece
-and walks the larger ones lazily); a
-dominant-only table for family D emits the extra mirror weight
-(a_1, ..., -a_n) alongside (a_1, ..., a_n) and sorts.
+:func:`build_table` follows the candidate-enumeration algorithm: it checks k
+and l once (its spec was checked when built) and takes the dominant rows of
+every family from one kernel walk, :func:`bivar.kernel.dominant_rows`. It does
+not call :func:`candidate_dominants`, the wider candidate list that ``bivar
+verify`` and the tests read. A full table then expands the orbits of the kept
+rows in lexicographic order, through :func:`bivar.root_systems._expand_orbits`;
+a dominant-only table for family D emits the extra mirror weight
+(a_1, ..., -a_n) alongside (a_1, ..., a_n) and sorts. :func:`dimension_audit`
+checks a table's rows against Weyl's dimension.
 
 :func:`freudenthal_table` is the classical alternative engine: it walks
 the whole weight system level by level, computing every multiplicity
@@ -25,9 +20,9 @@ that it reaches any rank, is :func:`bivar.oracles.freudenthal_diagram`.
 """
 
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from . import __version__, kernel
 from .partitions import partitions_le_length
@@ -47,8 +42,8 @@ from .root_systems import (
     weyl_dimension,
 )
 
-Weight = Tuple[int, ...]
-Row = Tuple[Weight, int]
+Weight = tuple[int, ...]
+Row = tuple[Weight, int]
 
 ENGINE_VERSION = f"bivar {__version__}"
 
@@ -70,7 +65,7 @@ class MultiplicityTable:
     k: int
     l: int
     dominant_only: bool
-    rows: Tuple[Row, ...]
+    rows: tuple[Row, ...]
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -121,8 +116,16 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
     return MultiplicityTable(spec, k, l, dominant_only, tuple(rows), meta)
 
 
-def dimension_audit(table: MultiplicityTable) -> Tuple[int, int, bool]:
-    """Compare the orbit-weighted multiplicity total with the Weyl dimension."""
+def dimension_audit(table: MultiplicityTable) -> tuple[int, int, bool]:
+    """Compare the orbit-weighted multiplicity total with the Weyl dimension.
+
+    Returns (total, ``weyl_dimension``, whether they agree). In a dominant
+    table each multiplicity is weighted by its orbit size, taken from the row
+    tuple with no per-row weight check by ``root_systems._orbit_size``: a sort
+    of the row and arithmetic over its nonzero parts only, so a row at rank
+    5,000 costs little more than its sort. ``bivar table`` does not call it, as it writes
+    Weyl's dimension.
+    """
     if table.dominant_only:
         # orbit sizes straight from the row tuples, with no per-row weight check
         computed = sum(_orbit_size(table.spec.family, mu, True) * m for mu, m in table.rows)
@@ -175,7 +178,7 @@ class _Geometry:
             return 4 * (self.spec.rank + 1) ** 2 * value
         return 4 * value
 
-    def freudenthal_sum(self, mu: Weight, lookup: Callable[[Weight], Optional[int]]) -> int:
+    def freudenthal_sum(self, mu: Weight, lookup: Callable[[Weight], int | None]) -> int:
         """sum_{a>0} sum_{t>=1} m(mu+ta) <mu+ta, a>, scaled like :meth:`pairing`.
 
         m is ``lookup``; each root's run over t stops at the first weight
@@ -212,7 +215,7 @@ def freudenthal_table(spec: AlgebraSpec, k: int, l: int,
     simple = simple_roots(spec)
     canon = (lambda w: canonical_weight(spec, w)) if spec.family == "A" else (lambda w: w)
 
-    mult: Dict[Weight, int] = {canon(lam): 1}
+    mult: dict[Weight, int] = {canon(lam): 1}
     lookup = (lambda w: mult.get(canon(w))) if spec.family == "A" else mult.get
     frontier = [canon(lam)]
     while frontier:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bivar
 from bivar import cli, root_systems
 from bivar.errors import InvalidHighestWeight, LengthMismatch, NotAnInteger
 from bivar.partitions import count_one_norm_sphere
@@ -539,3 +541,45 @@ def test_reader_closing_stdout_early_exits_quietly():
         err = child.stderr.read().decode()
         assert child.wait(timeout=120) == 0
     assert err == ""  # no message, and no "Exception ignored" traceback from the exit flush
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(language, after):
+    """The lines of README's first ``language`` fenced block after the first line
+    that starts with ``after``."""
+    lines = README.read_text().splitlines()
+    heading = next(i for i, line in enumerate(lines) if line.startswith(after))
+    start = lines.index(f"```{language}", heading)
+    return lines[start + 1:lines.index("```", start)]
+
+
+def test_readme_cli_lines_run_and_its_json_example_is_the_real_output(capsys, tmp_path):
+    output = {}  # README line -> the bytes it wrote
+    for line in readme_block("sh", "## CLI"):
+        if not line.startswith("bivar "):
+            continue
+        argv = shlex.split(line)[1:]
+        out = tmp_path / f"{len(output)}.out"
+        if argv[0] == "table":  # to a file in tmp_path, whether or not the line names one
+            if "--out" in argv:
+                argv[argv.index("--out") + 1] = str(out)
+            else:
+                argv += ["--out", str(out)]
+        assert cli.main(argv) == 0, line
+        output[line] = out.read_bytes() if argv[0] == "table" else capsys.readouterr().out.encode()
+    example = "\n".join(readme_block("json", "JSON table schema")) + "\n"
+    assert example.encode() == output["bivar table --family B --rank 2 --k 1 --l 0 --format json"]
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [(bivar, name) for name in sorted(bivar.__all__)]
+    + [(cli, name) for name in ("table_text", "table_to_json", "table_to_csv", "table_from_json", "csv_rows")],
+    ids=lambda v: getattr(v, "__name__", v))
+def test_public_names_have_docstrings_of_their_own(owner, name):
+    # a class does not inherit __doc__ (it is None when the class has none), but
+    # dataclass writes the signature there when there is none
+    doc = getattr(owner, name).__doc__
+    assert doc and doc.strip() and not doc.startswith(f"{name}(")
