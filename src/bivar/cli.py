@@ -46,6 +46,9 @@ from .weight_tables import MultiplicityTable, build_table, candidate_dominants, 
 
 # Each format's row text, spelled only here: head, "w_1,...,w_n", then tail % m.
 ROW_TEXT = {"json": (',{"mu":[', '],"mult":"%s"}'), "csv": ("\n", ",%s")}
+# The one integer syntax of the command line and the readers, and a CSV row of it.
+INTEGER = re.compile("-?[0-9]+")
+CSV_LINE = re.compile(f"(?:{INTEGER.pattern},)*{INTEGER.pattern}")
 
 PIECE = 1 << 15  # bytes: the largest multiset text that is joined and kept
 
@@ -148,9 +151,14 @@ def table_to_csv(table: MultiplicityTable) -> str:
 def integer(text: str) -> int:
     """An optional '-' and ASCII digits as an int; ValueError on any other text,
     such as the '_', '+', spaces or non-ASCII digits that ``int()`` takes."""
-    if re.fullmatch(r"-?[0-9]+", text) is None:
+    if INTEGER.fullmatch(text) is None:
         raise ValueError(f"expected an integer, got {text!r}")
     return int(text)
+
+
+def _count(value, what: str) -> int:
+    # a decimal string, as table_to_json writes it, or else a JSON integer
+    return integer(value) if isinstance(value, str) else as_integers((value,), what)[0]
 
 
 def _field(obj, name: str, where: str):
@@ -173,8 +181,10 @@ def table_from_json(text: str) -> MultiplicityTable:
     negative coordinate or a sum other than k + l; every family: a coordinate
     whose absolute value exceeds k; B/C/D: one-norm above k + l; C/D: k + l
     minus the one-norm odd); in a dominant-only table, a weight that is not
-    dominant; or a weight that appears twice. JSON ``true`` or ``false`` as a
-    multiplicity, a weight coordinate, the rank, ``k`` or ``l`` raises
+    dominant; or a weight that appears twice. Then the ``"dimension"``, read
+    like a multiplicity, must equal the rows' orbit-weighted total, and that
+    ``weyl_dimension``. JSON ``true`` or ``false`` as a multiplicity, the
+    dimension, a weight coordinate, the rank, ``k`` or ``l`` raises
     :class:`NotAnInteger`, never read as 1 or 0. A missing field raises
     ``ValueError`` naming it. Rows are sorted by weight on load, so a file
     with its rows reordered loads as the table ``build_table`` gives.
@@ -190,12 +200,7 @@ def table_from_json(text: str) -> MultiplicityTable:
         raise ValueError(f"rows must be a JSON array, got {raw_rows!r}")
     rows = []
     for r in raw_rows:
-        mult = _field(r, "mult", "row")
-        # table_to_json writes decimal strings; any other value must be an int
-        if isinstance(mult, str):
-            mult = integer(mult)
-        else:
-            (mult,) = as_integers((mult,), "multiplicity")
+        mult = _count(_field(r, "mult", "row"), "multiplicity")
         mu = check_weight(spec, _field(r, "mu", "row"))
         if mult <= 0:
             raise ValueError(f"row {mu}: multiplicity must be positive, got {mult}")
@@ -212,21 +217,27 @@ def table_from_json(text: str) -> MultiplicityTable:
     for (mu, _), (nu, _) in zip(rows, rows[1:]):
         if mu == nu:
             raise ValueError(f"row {mu}: weight appears more than once")
-    return MultiplicityTable(spec, k, l, dominant_only, tuple(rows))
+    table = MultiplicityTable(spec, k, l, dominant_only, tuple(rows))
+    stated = _count(_field(obj, "dimension", "table"), "dimension")
+    total, weyl, _ = dimension_audit(table)
+    if not stated == total == weyl:
+        raise ValueError(f"dimension {stated}: the rows add up to {total}, Weyl's is {weyl}")
+    return table
 
 
 def csv_rows(text: str) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The (weight, multiplicity) rows of a CSV table as ints, in file order.
 
-    The header line and empty lines are skipped, and each field is read by
-    :func:`integer`. No other check is made: a CSV table names no algebra or
-    highest weight to check the rows against.
+    The header line and empty lines are skipped; a line that is not ``CSV_LINE``
+    raises as :func:`integer` does. No other check is made: a CSV table names
+    no algebra or highest weight to check the rows against.
     """
-    lines = [ln for ln in text.splitlines() if ln]
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        rows.append((tuple(integer(p) for p in parts[:-1]), integer(parts[-1])))
+    for ln in [ln for ln in text.splitlines() if ln][1:]:
+        fields = ln.split(",")
+        if CSV_LINE.fullmatch(ln) is None:
+            list(map(integer, fields))  # raises: some field is not INTEGER
+        rows.append((tuple(map(int, fields[:-1])), int(fields[-1])))
     return tuple(rows)
 
 

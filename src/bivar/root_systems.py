@@ -171,39 +171,23 @@ def weyl_canonical(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
 
 
 def is_dominant(spec: AlgebraSpec, mu: Sequence[int]) -> bool:
-    """Dominance in the family's own sense.
-
-    B/C: weakly decreasing and non-negative; D: weakly decreasing down to
-    ``a_{n-1} >= |a_n|``; A: weakly decreasing coordinates.
-    """
+    """Dominance in the family's own sense: weakly decreasing coordinates,
+    and then B/C: ``a_n >= 0``; D: ``a_{n-1} >= |a_n|``."""
     coords = check_weight(spec, mu)
-    fam = spec.family
-    if fam == "A":
-        return all(coords[i] >= coords[i + 1] for i in range(len(coords) - 1))
-    if any(coords[i] < coords[i + 1] for i in range(len(coords) - 1)):
+    if not all(map(operator.ge, coords, coords[1:])):
         return False
-    if fam == "D":
-        return len(coords) < 2 or coords[-2] >= abs(coords[-1])
-    return coords[-1] >= 0
-
-
-def _orbit_representative(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
-    """``mu`` as an int tuple, raising unless it is the sorted representative
-    that :func:`orbit` expands (B/C/D: also non-negative)."""
-    coords = check_weight(spec, mu)
-    decreasing = all(coords[i] >= coords[i + 1] for i in range(len(coords) - 1))
-    if not decreasing or (spec.family != "A" and coords[-1] < 0):
-        raise NotDominant(f"weight {coords} is not a sorted non-negative representative")
-    return coords
+    if spec.family == "D":
+        return coords[-2] >= abs(coords[-1])
+    return spec.family == "A" or coords[-1] >= 0
 
 
 def _expand_orbits(spec: AlgebraSpec, rows: Iterable[tuple[Sequence[int], object]],
                    leaf: Callable[[object], object], fuse: Callable[[list], object]) -> list:
     """Every orbit of the dominant ``rows`` in lexicographic order.
 
-    ``rows`` holds (mu, m) pairs, each mu a representative that
-    :func:`orbit` accepts and no two alike; all are checked before this
-    returns (else :class:`NotDominant` or ``ValueError``).
+    ``rows`` holds (mu, m) pairs, each mu dominant (:func:`is_dominant`)
+    with, for B/C/D, ``a_n >= 0``, and no two alike; all are checked before
+    this returns (else :class:`NotDominant` or ``ValueError``).
 
     Below a prefix w_1..w_j what may follow depends only on the multiset
     of |w_1|..|w_j| (family A: of the values themselves), so it is built
@@ -221,7 +205,9 @@ def _expand_orbits(spec: AlgebraSpec, rows: Iterable[tuple[Sequence[int], object
     signed = spec.family != "A"
     level = {}  # multiset, as an ascending tuple -> what may follow it
     for mu, m in rows:
-        coords = _orbit_representative(spec, mu)
+        coords = check_weight(spec, mu)
+        if not is_dominant(spec, coords) or (signed and coords[-1] < 0):
+            raise NotDominant(f"weight {coords} is not a sorted non-negative representative")
         key = coords[::-1]
         if key in level:
             raise ValueError(f"weight {coords} appears twice")

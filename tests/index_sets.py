@@ -7,13 +7,13 @@ The kernel does not use these sets, so they live with the tests,
 together with the bounded rows the beta arrays are made of.
 """
 
+from collections.abc import Iterator, Sequence
 from itertools import product
-from typing import Iterator, Sequence, Tuple
 
-Triangular = Tuple[Tuple[int, ...], ...]
+Triangular = tuple[tuple[int, ...], ...]
 
 
-def rows_bounded(length: int, cap: int) -> Iterator[Tuple[int, ...]]:
+def rows_bounded(length: int, cap: int) -> Iterator[tuple[int, ...]]:
     """Yield every non-negative integer tuple of ``length`` with sum <= ``cap``.
 
     These are the candidate beta rows: row j of a beta array has j entries
@@ -28,7 +28,7 @@ def rows_bounded(length: int, cap: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
-def part_counts(q: Sequence[int]) -> Tuple[int, ...]:
+def part_counts(q: Sequence[int]) -> tuple[int, ...]:
     """Profile vector (s_1, ..., s_N) with s_j = #{i : q_i = j}, N = sum(q)."""
     total = sum(q)
     s = [0] * total

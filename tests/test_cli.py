@@ -25,6 +25,7 @@ from bivar.weight_tables import MultiplicityTable, build_table, dimension_audit
 
 
 MISSING = object()  # a header value that deletes the field
+B2_K1_L0 = [{"mu": [0, 0], "mult": "1"}, {"mu": [1, 0], "mult": "1"}]  # its dominant rows
 
 
 def run(capsys, argv):
@@ -212,6 +213,15 @@ class TestTable:
         ([{"mu": [0, 0], "mult": "1"}], {"l": False}, NotAnInteger),
         ([{"mu": [True, False], "mult": "1"}], {}, NotAnInteger),
         ([{"mu": [0, 0], "mult": True}], {}, NotAnInteger),
+        # rows that pass every row check, so the dimension check, made last, raises:
+        # the stated dimension must be their orbit-weighted total, and that Weyl's 5
+        (B2_K1_L0, {}, ValueError),
+        (B2_K1_L0, {"dimension": "6"}, ValueError),
+        (B2_K1_L0, {"dimension": True}, NotAnInteger),
+        (B2_K1_L0[1:], {"dimension": "5"}, ValueError),
+        (B2_K1_L0[1:], {"dimension": "4"}, ValueError),
+        ([{"mu": mu, "mult": "1"} for mu in ([0, -1], [0, 0], [0, 1], [1, 0])],
+         {"dominant_only": False, "dimension": "4"}, ValueError),
     ], ids=["wrong-length", "negative-mult", "string-k", "k-below-l",
             "non-bool-dominant", "float-mult", "norm-above-k-plus-l", "not-dominant",
             "a-wrong-sum", "a-negative-coordinate", "wrong-parity", "above-k",
@@ -219,7 +229,9 @@ class TestTable:
             "missing-header-field", "missing-row-field", "underscore-mult",
             "space-mult", "plus-mult", "non-ascii-mult", "rows-number", "rows-null",
             "rows-object", "rows-string", "bool-rank", "bool-k", "bool-l", "bool-mu",
-            "bool-mult"])
+            "bool-mult", "dimension-missing", "dimension-wrong", "dimension-bool",
+            "row-dropped", "row-dropped-dimension-lowered",
+            "full-row-dropped-dimension-lowered"])
     def test_json_rejects_bad_rows(self, rows, header, error):
         obj = {"family": "B", "rank": 2, "k": 1, "l": 0, "dominant_only": True,
                "rows": rows}
@@ -242,6 +254,9 @@ class TestTable:
         table = build_table(algebra("D", 3), 2, 1, dominant_only=dominant_only)
         obj = json.loads(cli.table_to_json(table))
         obj["rows"].reverse()
+        assert cli.table_from_json(json.dumps(obj)) == table
+        # the dimension, like a multiplicity, may be a JSON integer
+        obj["dimension"] = int(obj["dimension"])
         assert cli.table_from_json(json.dumps(obj)) == table
 
     @pytest.mark.parametrize("dominant_only", [False, True], ids=["full", "dominant"])
@@ -311,8 +326,17 @@ class TestTable:
         rows = cli.csv_rows(out)
         rebuilt = MultiplicityTable(algebra("C", 2), 2, 1, False, rows)
         assert cli.table_to_csv(rebuilt) == out
-        with pytest.raises(ValueError):
-            cli.csv_rows("mu_1,mu_2,mult\n1_0,0,1\n")
+        # int() would read the first four; the last two leave a field empty
+        for line in ("1_0,0,1", " 1,0,1", "+1,0,1", "\u0661,0,1", "1,,1", "1,0,1,"):
+            with pytest.raises(ValueError):
+                cli.csv_rows(f"mu_1,mu_2,mult\n0,0,1\n{line}\n")
+
+    def test_high_rank_dominant_table_reads_back(self):
+        # D300 k6 l4: 74 rows of 300 coordinates, JSON and CSV read back
+        table = build_table(algebra("D", 300), 6, 4, dominant_only=True)
+        text = cli.table_to_json(table)
+        assert cli.table_to_json(cli.table_from_json(text)) == text
+        assert cli.csv_rows(cli.table_to_csv(table)) == table.rows
 
     def test_out_file_and_io_error(self, capsys, tmp_path):
         target = tmp_path / "t.csv"

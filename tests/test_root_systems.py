@@ -140,6 +140,41 @@ class TestDominantRepresentative:
         assert seen > 0
 
 
+def reference_is_dominant(spec, coords):
+    # is_dominant as it read with its own decreasing pass per family branch
+    fam = spec.family
+    if fam == "A":
+        return all(coords[i] >= coords[i + 1] for i in range(len(coords) - 1))
+    if any(coords[i] < coords[i + 1] for i in range(len(coords) - 1)):
+        return False
+    if fam == "D":
+        return len(coords) < 2 or coords[-2] >= abs(coords[-1])
+    return coords[-1] >= 0
+
+
+def reference_orbit_accepts(spec, coords):
+    # the orbit walk's row check as it read when written apart from is_dominant
+    decreasing = all(coords[i] >= coords[i + 1] for i in range(len(coords) - 1))
+    return decreasing and (spec.family == "A" or coords[-1] >= 0)
+
+
+@pytest.mark.parametrize("spec", [algebra(f, n) for f, n in [
+    ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)]], ids=str)
+def test_dominance_and_orbit_rows_match_the_separate_predicates(spec):
+    # every weight with coordinates in [-3, 3]: is_dominant and orbit accept
+    # and reject exactly what the two hand-written predicates did
+    accepted = 0
+    for mu in small_weights(spec, 3):
+        assert is_dominant(spec, mu) == reference_is_dominant(spec, mu), mu
+        if reference_orbit_accepts(spec, mu):
+            assert mu in orbit(spec, mu)
+            accepted += 1
+        else:
+            with pytest.raises(NotDominant, match=r"^weight \(.*\) is not a sorted non-negative"):
+                orbit(spec, mu)
+    assert accepted > 0
+
+
 class TestOrbit:
     def test_examples(self):
         assert set(orbit(algebra("B", 2), (1, 0))) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
