@@ -26,6 +26,7 @@ from .errors import BivarError
 from .multiplicity import _support, bivariate_mult, tensor_mult
 from .oracles import convolution_mult, freudenthal_diagram, kostka_count, tensor_conv_mult
 from .root_systems import (
+    _dominant,
     _expand_orbits,
     algebra,
     as_integers,
@@ -33,7 +34,6 @@ from .root_systems import (
     check_highest_weight,
     check_weight,
     highest_weight,
-    is_dominant,
     weight_length,
     weyl_dimension,
 )
@@ -209,7 +209,7 @@ def table_from_json(text: str) -> MultiplicityTable:
                              f"non-negative and sum to k + l = {k + l}")
         if _support(spec, k, l, mu) is None:
             raise ValueError(f"row {mu}: not a weight of k*e1 + l*e2 with k = {k}, l = {l}")
-        if dominant_only and not is_dominant(spec, mu):
+        if dominant_only and not _dominant(spec.family, mu):
             raise ValueError(f"row {mu}: not dominant in a dominant-only table")
         rows.append((mu, mult))
     # the order build_table gives, so a reordered file loads as the same table
@@ -229,14 +229,14 @@ def csv_rows(text: str) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The (weight, multiplicity) rows of a CSV table as ints, in file order.
 
     The header line and empty lines are skipped; a line that is not ``CSV_LINE``
-    raises as :func:`integer` does. No other check is made: a CSV table names
+    raises ``ValueError``. No other check is made: a CSV table names
     no algebra or highest weight to check the rows against.
     """
     rows = []
     for ln in [ln for ln in text.splitlines() if ln][1:]:
-        fields = ln.split(",")
         if CSV_LINE.fullmatch(ln) is None:
-            list(map(integer, fields))  # raises: some field is not INTEGER
+            raise ValueError(f"expected integers, got {ln!r}")
+        fields = ln.split(",")
         rows.append((tuple(map(int, fields[:-1])), int(fields[-1])))
     return tuple(rows)
 

@@ -171,14 +171,16 @@ def weyl_canonical(spec: AlgebraSpec, mu: Sequence[int]) -> Weight:
 
 
 def is_dominant(spec: AlgebraSpec, mu: Sequence[int]) -> bool:
-    """Dominance in the family's own sense: weakly decreasing coordinates,
-    and then B/C: ``a_n >= 0``; D: ``a_{n-1} >= |a_n|``."""
-    coords = check_weight(spec, mu)
+    """Dominance: weakly decreasing coordinates, then B/C ``a_n >= 0``, D ``a_{n-1} >= |a_n|``."""
+    return _dominant(spec.family, check_weight(spec, mu))
+
+
+def _dominant(family: str, coords: Weight) -> bool:  # coords: as check_weight returns them
     if not all(map(operator.ge, coords, coords[1:])):
         return False
-    if spec.family == "D":
+    if family == "D":
         return coords[-2] >= abs(coords[-1])
-    return spec.family == "A" or coords[-1] >= 0
+    return family == "A" or coords[-1] >= 0
 
 
 def _expand_orbits(spec: AlgebraSpec, rows: Iterable[tuple[Sequence[int], object]],
@@ -206,7 +208,7 @@ def _expand_orbits(spec: AlgebraSpec, rows: Iterable[tuple[Sequence[int], object
     level = {}  # multiset, as an ascending tuple -> what may follow it
     for mu, m in rows:
         coords = check_weight(spec, mu)
-        if not is_dominant(spec, coords) or (signed and coords[-1] < 0):
+        if not _dominant(spec.family, coords) or (signed and coords[-1] < 0):
             raise NotDominant(f"weight {coords} is not a sorted non-negative representative")
         key = coords[::-1]
         if key in level:

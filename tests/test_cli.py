@@ -176,52 +176,61 @@ class TestTable:
         parsed = cli.table_from_json(out)
         assert cli.table_to_json(parsed) == out
 
-    @pytest.mark.parametrize("rows, header, error", [
-        ([{"mu": [0, 0, 7], "mult": "1"}], {}, LengthMismatch),
-        ([{"mu": [0, 0], "mult": "-3"}], {}, ValueError),
-        ([{"mu": [0, 0], "mult": "1"}], {"k": "1"}, NotAnInteger),
-        ([{"mu": [0, 0], "mult": "1"}], {"k": 0, "l": 1}, InvalidHighestWeight),
-        ([{"mu": [0, 0], "mult": "1"}], {"dominant_only": "yes"}, ValueError),
-        ([{"mu": [0, 0], "mult": 1.5}], {}, NotAnInteger),
-        ([{"mu": [5, 5], "mult": "5"}], {"dominant_only": False}, ValueError),
-        ([{"mu": [0, 1], "mult": "1"}], {}, ValueError),
-        ([{"mu": [2, 0, 0], "mult": "1"}], {"family": "A", "dominant_only": False}, ValueError),
-        ([{"mu": [2, 0, -1], "mult": "1"}], {"family": "A", "dominant_only": False}, ValueError),
+    # each case breaks one rule, and the match is that rule's own message, so
+    # the case fails if its check goes; the base header states B2 k1 l0's
+    # dimension 5, so a row that passes every row check loads
+    @pytest.mark.parametrize("rows, header, error, match", [
+        ([{"mu": [0, 0, 7], "mult": "1"}], {}, LengthMismatch, "length mismatch"),
+        ([{"mu": [0, 0], "mult": "-3"}], {}, ValueError, "multiplicity must be positive"),
+        ([{"mu": [0, 0], "mult": "1"}], {"k": "1"}, NotAnInteger, "k and l"),
+        ([{"mu": [0, 0], "mult": "1"}], {"k": 0, "l": 1}, InvalidHighestWeight, "k >= l"),
+        ([{"mu": [0, 0], "mult": "1"}], {"dominant_only": "yes"}, ValueError,
+         "dominant_only must be"),
+        ([{"mu": [0, 0], "mult": 1.5}], {}, NotAnInteger, "multiplicity"),
+        ([{"mu": [5, 5], "mult": "5"}], {"dominant_only": False}, ValueError, "not a weight of"),
+        ([{"mu": [0, 1], "mult": "1"}], {}, ValueError, "not dominant in"),
+        ([{"mu": [2, 0, 0], "mult": "1"}], {"family": "A", "dominant_only": False}, ValueError,
+         "type A weights"),
+        ([{"mu": [2, 0, -1], "mult": "1"}], {"family": "A", "dominant_only": False}, ValueError,
+         "type A weights"),
         # one-norm within k + l, yet not weights of the table the header names
-        ([{"mu": [1, 0], "mult": "1"}], {"family": "C", "k": 1, "l": 1}, ValueError),
-        ([{"mu": [3, 0, 0], "mult": "1"}], {"rank": 3, "k": 2, "l": 1}, ValueError),
-        ([{"mu": [3, 0, 0], "mult": "1"}], {"family": "A", "k": 2, "l": 1}, ValueError),
+        ([{"mu": [1, 0], "mult": "1"}], {"family": "C", "k": 1, "l": 1}, ValueError,
+         "not a weight of"),
+        ([{"mu": [3, 0, 0], "mult": "1"}], {"rank": 3, "k": 2, "l": 1}, ValueError,
+         "not a weight of"),
+        ([{"mu": [3, 0, 0], "mult": "1"}], {"family": "A", "k": 2, "l": 1}, ValueError,
+         "not a weight of"),
         # a full B2 k1 l0 table with (1, 0) twice and (0, -1) missing: its
         # multiplicities still add up to the dimension 5
         ([{"mu": mu, "mult": "1"} for mu in ([1, 0], [1, 0], [0, 0], [-1, 0], [0, 1])],
-         {"dominant_only": False}, ValueError),
-        ([{"mu": [0, 0], "mult": "1"}], {"rank": MISSING}, ValueError),
-        ([{"mu": [0, 0]}], {}, ValueError),
+         {"dominant_only": False}, ValueError, "more than once"),
+        ([{"mu": [0, 0], "mult": "1"}], {"rank": MISSING}, ValueError, "'rank'"),
+        ([{"mu": [0, 0]}], {}, ValueError, "'mult'"),
         # int() would read these as 1
-        ([{"mu": [0, 0], "mult": "0_1"}], {}, ValueError),
-        ([{"mu": [0, 0], "mult": " 1"}], {}, ValueError),
-        ([{"mu": [0, 0], "mult": "+1"}], {}, ValueError),
-        ([{"mu": [0, 0], "mult": "\u0661"}], {}, ValueError),
+        ([{"mu": [0, 0], "mult": "0_1"}], {}, ValueError, "expected an integer"),
+        ([{"mu": [0, 0], "mult": " 1"}], {}, ValueError, "expected an integer"),
+        ([{"mu": [0, 0], "mult": "+1"}], {}, ValueError, "expected an integer"),
+        ([{"mu": [0, 0], "mult": "\u0661"}], {}, ValueError, "expected an integer"),
         # rows that are not a JSON array
-        (5, {}, ValueError),
-        (None, {}, ValueError),
-        ({"a": 1}, {}, ValueError),
-        ("ab", {}, ValueError),
+        (5, {}, ValueError, "rows must be a JSON array"),
+        (None, {}, ValueError, "rows must be a JSON array"),
+        ({"a": 1}, {}, ValueError, "rows must be a JSON array"),
+        ("ab", {}, ValueError, "rows must be a JSON array"),
         # JSON true/false are not integers, though Python's bool is an int
-        ([{"mu": [0, 0], "mult": "1"}], {"rank": True}, NotAnInteger),
-        ([{"mu": [0, 0], "mult": "1"}], {"k": True}, NotAnInteger),
-        ([{"mu": [0, 0], "mult": "1"}], {"l": False}, NotAnInteger),
-        ([{"mu": [True, False], "mult": "1"}], {}, NotAnInteger),
-        ([{"mu": [0, 0], "mult": True}], {}, NotAnInteger),
+        ([{"mu": [0, 0], "mult": "1"}], {"rank": True}, NotAnInteger, "rank"),
+        ([{"mu": [0, 0], "mult": "1"}], {"k": True}, NotAnInteger, "k and l"),
+        ([{"mu": [0, 0], "mult": "1"}], {"l": False}, NotAnInteger, "k and l"),
+        ([{"mu": [True, False], "mult": "1"}], {}, NotAnInteger, "weight coordinates"),
+        ([{"mu": [0, 0], "mult": True}], {}, NotAnInteger, "multiplicity"),
         # rows that pass every row check, so the dimension check, made last, raises:
         # the stated dimension must be their orbit-weighted total, and that Weyl's 5
-        (B2_K1_L0, {}, ValueError),
-        (B2_K1_L0, {"dimension": "6"}, ValueError),
-        (B2_K1_L0, {"dimension": True}, NotAnInteger),
-        (B2_K1_L0[1:], {"dimension": "5"}, ValueError),
-        (B2_K1_L0[1:], {"dimension": "4"}, ValueError),
+        (B2_K1_L0, {"dimension": MISSING}, ValueError, "'dimension'"),
+        (B2_K1_L0, {"dimension": "6"}, ValueError, "the rows add up to"),
+        (B2_K1_L0, {"dimension": True}, NotAnInteger, "dimension"),
+        (B2_K1_L0[1:], {}, ValueError, "the rows add up to"),
+        (B2_K1_L0[1:], {"dimension": "4"}, ValueError, "the rows add up to"),
         ([{"mu": mu, "mult": "1"} for mu in ([0, -1], [0, 0], [0, 1], [1, 0])],
-         {"dominant_only": False, "dimension": "4"}, ValueError),
+         {"dominant_only": False, "dimension": "4"}, ValueError, "the rows add up to"),
     ], ids=["wrong-length", "negative-mult", "string-k", "k-below-l",
             "non-bool-dominant", "float-mult", "norm-above-k-plus-l", "not-dominant",
             "a-wrong-sum", "a-negative-coordinate", "wrong-parity", "above-k",
@@ -232,13 +241,20 @@ class TestTable:
             "bool-mult", "dimension-missing", "dimension-wrong", "dimension-bool",
             "row-dropped", "row-dropped-dimension-lowered",
             "full-row-dropped-dimension-lowered"])
-    def test_json_rejects_bad_rows(self, rows, header, error):
+    def test_json_rejects_bad_rows(self, rows, header, error, match):
         obj = {"family": "B", "rank": 2, "k": 1, "l": 0, "dominant_only": True,
-               "rows": rows}
+               "dimension": "5", "rows": rows}
         obj.update(header)
         obj = {key: value for key, value in obj.items() if value is not MISSING}
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             cli.table_from_json(json.dumps(obj))
+
+    def test_json_base_table_loads(self):
+        # the header test_json_rejects_bad_rows starts from, with B2 k1 l0's dominant rows
+        obj = {"family": "B", "rank": 2, "k": 1, "l": 0, "dominant_only": True,
+               "dimension": "5", "rows": B2_K1_L0}
+        assert cli.table_from_json(json.dumps(obj)) == build_table(
+            algebra("B", 2), 1, 0, dominant_only=True)
 
     def test_json_missing_field_is_named(self):
         obj = {"family": "B", "k": 1, "l": 0, "dominant_only": True,
