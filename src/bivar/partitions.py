@@ -58,8 +58,12 @@ def partitions_le_length(total: int, max_parts: int) -> Iterator[tuple[int, ...]
 
 
 def count_one_norm_sphere(n: int, total: int) -> int:
-    """Number of integer vectors in Z^n with one-norm exactly ``total``."""
+    """Number of integer vectors in Z^n with one-norm exactly ``total``.
+
+    Sums over t, the number of nonzero coordinates, which is at most
+    ``total``: O(min(n, total)) binomials, so the count is cheap at any rank.
+    """
     if n == 0:
         # the empty vector; the sum below reads C(total - 1, -1) = 0
         return int(total == 0)
-    return sum(binom(n, t) * binom(total - t + n - 1, n - 1) for t in range(n + 1))
+    return sum(binom(n, t) * binom(total - t + n - 1, n - 1) for t in range(min(n, total) + 1))

@@ -20,7 +20,7 @@ that it reaches any rank, is :func:`bivar.oracles.freudenthal_diagram`.
 """
 
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -31,8 +31,6 @@ from .root_systems import (
     _expand_orbits,
     _orbit_size,
     _fuse_tuples,
-    _shift_to_sum,
-    canonical_weight,
     check_highest_weight,
     highest_weight,
     is_dominant,
@@ -139,112 +137,63 @@ def dimension_audit(table: MultiplicityTable) -> tuple[int, int, bool]:
 # classical full-lattice Freudenthal engine
 
 
-class _Geometry:
-    """Exact inner-product data for one algebra.
-
-    Weights are scaled by 2 (families B/C/D) or by 2(n+1) with the mean
-    subtracted (family A, where weights are shift classes) so that every
-    quantity in Freudenthal's recursion is an integer.
-    """
-
-    def __init__(self, spec: AlgebraSpec):
-        self.spec = spec
-        self.roots = positive_roots(spec)
-        self.supports = [
-            tuple((i, c) for i, c in enumerate(root) if c) for root in self.roots
-        ]
-        n = spec.rank
-        if spec.family == "A":
-            rho = tuple(n - i for i in range(n + 1))
-            self._srho = self.scaled(rho)
-        else:
-            self._srho = rho_twice(spec)
-
-    def scaled(self, coords: Weight) -> Weight:
-        if self.spec.family == "A":
-            m = len(coords)
-            total = sum(coords)
-            return tuple(2 * m * a - 2 * total for a in coords)
-        return tuple(2 * a for a in coords)
-
-    def norm_shifted(self, coords: Weight) -> int:
-        """Squared norm of (scaled weight) + (scaled rho)."""
-        return sum((a + b) ** 2 for a, b in zip(self.scaled(coords), self._srho))
-
-    def pairing(self, coords: Weight, root_index: int) -> int:
-        """Scaled inner product of a raw weight with a positive root."""
-        value = sum(c * coords[i] for i, c in self.supports[root_index])
-        if self.spec.family == "A":
-            return 4 * (self.spec.rank + 1) ** 2 * value
-        return 4 * value
-
-    def freudenthal_sum(self, mu: Weight, lookup: Callable[[Weight], int | None]) -> int:
-        """sum_{a>0} sum_{t>=1} m(mu+ta) <mu+ta, a>, scaled like :meth:`pairing`.
-
-        m is ``lookup``; each root's run over t stops at the first weight
-        where it gives 0 or None.
-        """
-        acc = 0
-        for idx, root in enumerate(self.roots):
-            t = 1
-            while True:
-                nu = tuple(a + t * c for a, c in zip(mu, root))
-                m_up = lookup(nu)
-                if not m_up:
-                    break
-                acc += m_up * self.pairing(nu, idx)
-                t += 1
-        return acc
-
-
 def freudenthal_table(spec: AlgebraSpec, k: int, l: int,
                       dominant_only: bool = False) -> MultiplicityTable:
     """Weight table computed by the textbook Freudenthal algorithm.
 
-    Starting from the highest weight, each level is generated by
+    Starting from the highest weight lam, each level is generated by
     subtracting simple roots and every candidate's multiplicity is
     evaluated by the recursion directly, one weight at a time, over the
     whole weight system (no orbit reduction). Deliberately the classical
     formulation: this is the baseline engine of performance gate 8b.
+
+    Every quantity is an exact integer: the norm |mu+rho|^2 - |rho|^2 is
+    sum a (a + 2 rho_i) with 2 rho from :func:`rho_twice`, the pairing of
+    a weight with a positive root is its sum over the root's support, and
+    m(mu) = 2 sum_{a>0} sum_{t>=1} m(mu+ta) (mu+ta, a) / (norm(lam) - norm(mu)),
+    each root's run over t stopping at the first weight not yet found.
+    A non-weight's sum is 0, so it is dropped. Type A needs no special
+    case: its simple roots sum to 0, so every candidate stays in the
+    hyperplane of (k, l, 0, ..., 0), where these norms differ from the
+    projected ones by one constant and pairings with e_i - e_j do not
+    change, and the weights come out as the representatives summing to
+    k + l.
     """
     k, l = check_highest_weight(k, l)
     started = time.perf_counter()
     lam = highest_weight(spec, k, l)
-    geo = _Geometry(spec)
-    lam_norm = geo.norm_shifted(lam)
+    rho2 = rho_twice(spec)
+    roots = [(root, [(i, c) for i, c in enumerate(root) if c]) for root in positive_roots(spec)]
     simple = simple_roots(spec)
-    canon = (lambda w: canonical_weight(spec, w)) if spec.family == "A" else (lambda w: w)
 
-    mult: dict[Weight, int] = {canon(lam): 1}
-    lookup = (lambda w: mult.get(canon(w))) if spec.family == "A" else mult.get
-    frontier = [canon(lam)]
+    def norm(mu: Weight) -> int:  # |mu+rho|^2 - |rho|^2
+        return sum(a * (a + r) for a, r in zip(mu, rho2))
+
+    lam_norm = norm(lam)
+    mult = {lam: 1}
+    frontier = [lam]
     while frontier:
-        candidates = sorted(
-            {canon(tuple(a - c for a, c in zip(w, root)))
-             for w in frontier for root in simple}
-        )
-        kept = []
-        for cand in candidates:
-            if cand in mult:
-                continue
-            acc = geo.freudenthal_sum(cand, lookup)
+        # one level down: every weight in it lies one simple root below the level above
+        candidates = {tuple(a - c for a, c in zip(w, root)) for w in frontier for root in simple}
+        frontier = []
+        for mu in candidates:
+            acc = 0
+            for root, support in roots:
+                nu = tuple(a + c for a, c in zip(mu, root))
+                while m := mult.get(nu):
+                    acc += m * sum(c * nu[i] for i, c in support)
+                    nu = tuple(a + c for a, c in zip(nu, root))
             if acc == 0:
                 continue
-            denom = lam_norm - geo.norm_shifted(cand)
+            denom = lam_norm - norm(mu)
             if denom <= 0 or (2 * acc) % denom:
                 raise AssertionError("inconsistent Freudenthal step")
-            mult[cand] = (2 * acc) // denom
-            kept.append(cand)
-        frontier = kept
+            mult[mu] = 2 * acc // denom
+            frontier.append(mu)
 
-    if spec.family == "A":
-        # present each weight by its representative summing to k + l
-        rows = [(_shift_to_sum(key, k + l), m) for key, m in mult.items()]
-    else:
-        rows = list(mult.items())
+    rows = sorted(mult.items())
     if dominant_only:
         rows = [(w, m) for w, m in rows if is_dominant(spec, w)]
-    rows.sort()
     meta = {
         "engine": ENGINE_VERSION + " (freudenthal)",
         "backend": "recursion",

@@ -3,6 +3,7 @@ fast paths, and the structural identities that tie them together."""
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,21 @@ class TestZeroWeight:
                     k = total - l
                     assert zero_weight_mult(spec, k, l) == \
                         bivariate_mult(spec, k, l, zero), (spec, k, l)
+
+    @pytest.mark.parametrize("family", "BCD")
+    @pytest.mark.parametrize("n", [1000, 10000])
+    @pytest.mark.parametrize("k,l", [(20, 14), (11, 7), (8, 8)])
+    def test_high_rank_matches_bivariate_in_milliseconds(self, family, n, k, l):
+        # each sphere count sums over at most l + 1 numbers of nonzero
+        # coordinates, not n + 1: about 3 ms a call at rank 10,000
+        spec = algebra(family, n)
+        runs = []
+        for _ in range(3):
+            started = time.perf_counter()
+            value = zero_weight_mult(spec, k, l)
+            runs.append(time.perf_counter() - started)
+        assert value == bivariate_mult(spec, k, l, (0,) * n), (spec, k, l)
+        assert min(runs) < 0.05, f"{spec} k{k} l{l}: {min(runs) * 1000:.0f} ms"
 
     def test_family_a_rejected(self):
         with pytest.raises(ValueError) as caught:

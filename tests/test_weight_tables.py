@@ -242,7 +242,10 @@ class TestDimensionAudit:
 
 class TestFreudenthalEngine:
     @pytest.mark.parametrize(
-        "spec,k,l", [(B2, 2, 1), (C2, 2, 2), (C3, 3, 1), (D3, 2, 2), (A2, 3, 1)],
+        "spec,k,l", [(B2, 2, 1), (C2, 2, 2), (C3, 3, 1), (D3, 2, 2), (A2, 3, 1),
+                     # the two A points have weights with every coordinate positive
+                     (algebra("A", 3), 4, 2), (algebra("A", 4), 3, 3),
+                     (algebra("B", 3), 3, 2), (C3, 3, 3), (algebra("D", 4), 3, 2)],
         ids=lambda v: str(v))
     def test_agrees_with_bivariate_engine(self, spec, k, l):
         for dominant in (False, True):
