@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from . import __version__
 from .errors import BivarError
-from .multiplicity import _support, bivariate_mult, tensor_mult
+from .multiplicity import _checked_support, bivariate_mult, tensor_mult
 from .oracles import convolution_mult, freudenthal_diagram, kostka_count, tensor_conv_mult
 from .root_systems import (
     _dominant,
@@ -177,17 +177,18 @@ def table_from_json(text: str) -> MultiplicityTable:
     a multiplicity that is not a positive integer (a decimal string or a JSON
     integer; a float is refused, not truncated); a weight of the wrong
     length; a weight outside the support of k*e1 + l*e2, by the rule every
-    single-weight entry point applies, ``multiplicity._support`` (A: a
-    negative coordinate or a sum other than k + l; every family: a coordinate
-    whose absolute value exceeds k; B/C/D: one-norm above k + l; C/D: k + l
-    minus the one-norm odd); in a dominant-only table, a weight that is not
-    dominant; or a weight that appears twice. Then the ``"dimension"``, read
-    like a multiplicity, must equal the rows' orbit-weighted total, and that
-    ``weyl_dimension``. JSON ``true`` or ``false`` as a multiplicity, the
-    dimension, a weight coordinate, the rank, ``k`` or ``l`` raises
-    :class:`NotAnInteger`, never read as 1 or 0. A missing field raises
-    ``ValueError`` naming it. Rows are sorted by weight on load, so a file
-    with its rows reordered loads as the table ``build_table`` gives.
+    single-weight entry point applies, ``multiplicity._support``, on the
+    weight as checked once (A: a negative coordinate or a sum other than
+    k + l; every family: a coordinate whose absolute value exceeds k; B/C/D:
+    one-norm above k + l; C/D: k + l minus the one-norm odd); in a
+    dominant-only table, a weight that is not dominant; or a weight that
+    appears twice. Then the ``"dimension"``, read like a multiplicity, must
+    equal the rows' orbit-weighted total, and that ``weyl_dimension``. JSON
+    ``true`` or ``false`` as a multiplicity, the dimension, a weight
+    coordinate, the rank, ``k`` or ``l`` raises :class:`NotAnInteger`, never
+    read as 1 or 0. A missing field raises ``ValueError`` naming it. Rows are
+    sorted by weight on load, so a file with its rows reordered loads as the
+    table ``build_table`` gives.
     """
     obj = json.loads(text)
     spec = algebra(_field(obj, "family", "table"), _field(obj, "rank", "table"))
@@ -207,7 +208,7 @@ def table_from_json(text: str) -> MultiplicityTable:
         if spec.family == "A" and (min(mu) < 0 or sum(mu) != k + l):
             raise ValueError(f"row {mu}: type A weights of k*e1 + l*e2 are "
                              f"non-negative and sum to k + l = {k + l}")
-        if _support(spec, k, l, mu) is None:
+        if _checked_support(spec.family, k, l, mu) is None:
             raise ValueError(f"row {mu}: not a weight of k*e1 + l*e2 with k = {k}, l = {l}")
         if dominant_only and not _dominant(spec.family, mu):
             raise ValueError(f"row {mu}: not dominant in a dominant-only table")

@@ -8,9 +8,11 @@ them that :func:`bivar.multiplicity.bivariate_mult` needs, from one product.
 
 Each sum reads one packed product per weight. All else it needs depends on
 the algebra and l, not on the weight, so it is built once per key, by shifts
-and adds, and cached. How the product is packed, and why it is exact, is
-written once: in the comment of :func:`_packing`, and of :func:`_packing_a`
-for type A.
+and adds, and cached. The product depends on the weight only through its
+level counts, so :func:`dominant_rows` makes one product and one read per
+level class and parity of r2, and spreads the read over the class's weights.
+How the product is packed, and why it is exact, is written once: in the
+comment of :func:`_packing`, and of :func:`_packing_a` for type A.
 
 The half-integral depth r is passed as its doubled value ``r2``, so floors
 are plain integer division; no floats appear anywhere.
@@ -63,7 +65,8 @@ def _packing(f, d, l, step):
     # f = max(n, sum(ell[:l])) is n for every weight of rank n, so a process builds
     # one packing per (family, rank, l) it asks for, and tensor_mult, bivariate_mult
     # and the dominant_rows walk all read it. C is not cached: a weight costs its
-    # started product (_product) and one read.
+    # started product (_product) and one read, and in the dominant_rows walk a
+    # level class does, shared by all its weights of one parity of r2.
     # Block N of the sum counts the nu in Z^f of one-norm N by their overlap with
     # mu, the sum of min(|mu_i|, |nu_i|) where mu_i and nu_i share a sign: it is the
     # y^N coefficient of the product of f_a = 1 + sum_{b >= 1} y^b (1 + x^min(a, b)),
@@ -195,19 +198,23 @@ def _product(packed, mask, ratios, f, l, ell):
 
 def dominant_rows(family, n, k, l):
     """Rows (mu, m), m > 0, of the dominant weights of k e1 + l e2 in family
-    A-D of rank n, unsorted, and the counts of candidates, kept rows and
-    products (the walk's masked multiplies, one per child).
+    A-D of rank n, unsorted, and the counts of candidates, kept rows,
+    products (the walk's masked multiplies) and reads (C vectors read).
 
-    k >= l >= 0 unchecked. Walks weakly decreasing mu >= 0, mu_1 <= k (larger
-    mu_1 gives 0), depth first: n coordinates of one-norm <= k + l (even r2
-    for C and D: a last coordinate that leaves r2 odd is no candidate and no
-    parent, so it is not pushed), or for A n + 1 summing to k + l, each child
-    at least ceil(r2 / slots left). Each node carries the started product of
-    :func:`fold_bcd` for its prefix followed by zeros, from the packing at
-    f = n (n + 1 for A): the root is the packing's virtual root, and a child at
-    level a multiplies its parent by the packing's ratio r_a (g_a for A). So a
-    candidate costs only its reader, C for B/C/D and (c_l - c_(l-1),) for A,
-    and a sum against binomials computed once per walk.
+    k >= l >= 0 unchecked. The candidates are the weakly decreasing mu >= 0
+    with mu_1 <= k (larger mu_1 gives 0): n coordinates of one-norm <= k + l
+    (even r2 for C and D), or for A n + 1 summing to k + l. A weight's
+    product is the started product of :func:`fold_bcd` (the packing at f = n,
+    n + 1 for A; its virtual root times the ratio r_a, g_a for A, of each
+    coordinate at level a), so it depends on mu only through its level class:
+    c, the number of coordinates at level l, and the small parts, those in
+    [1, l - 1]. The walk steps c up from 0, one multiply by r_l each, and below
+    each c walks the weakly decreasing small parts depth first, one multiply
+    by r_a per child, pushing only children that some candidate completes.
+    A class reads C once per parity of r2 and spreads it over its weights:
+    the big parts, c values in [max(l, 1), k] weakly decreasing, listed once
+    per c and grouped by their sum S, which sets r2 and so the binomials the
+    class's C meets, computed once per walk.
     """
     if family == "A":
         coords, step, slack = n + 1, 1, 0  # slack: how far the one-norm may fall short
@@ -219,22 +226,60 @@ def dominant_rows(family, n, k, l):
         # C_i meets binom(r2 // 2 - l + d + i, d) = binoms[r2 // 2 + i]
         binoms = [comb(t, d) if t >= 0 else 0 for t in range(d - l, (k + l) // 2 + d + 1)]
     _, mask, roots, ratios, reads = packing
-    rows, candidates, products = [], 0, 0
-    stack = [((), roots[True], k, k + l)]  # prefix, its product, cap on what follows, r2
-    while stack:
-        prefix, packed, cap, r2 = stack.pop()
-        zero_count = coords - len(prefix)
-        if r2 <= slack and r2 % step == 0:
-            candidates += 1
-            if m := sum(map(mul, reads[r2 & 1](packed), binoms[r2 // 2:])):
-                rows.append((prefix + (0,) * zero_count, m))
-        if zero_count:
-            low = max(1, (r2 - slack - 1) // zero_count + 1)  # ceil((r2 - slack) / zero_count)
-            high = min(cap, r2)
-            # for C and D a last coordinate that leaves r2 odd is no candidate
-            stride = step if zero_count == 1 else 1
-            children = range(high - (r2 - high) % stride, low - 1, -stride)
-            products += len(children)
-            stack += [(prefix + (a,), packed * ratios[min(a, l)] & mask, a, r2 - a)
-                      for a in children]
-    return rows, {"candidates": candidates, "kept": len(rows), "products": products}
+    low, top = max(l, 1), max(l - 1, 0)  # big parts lie in [low, k], small parts in [1, top]
+
+    def sums(c, total, more):
+        # the one-norms E of c big parts plus small parts summing to at most `more`
+        # that leave a candidate's r2 = total - E: 0 <= r2 <= slack, r2 % step == 0
+        high = min(total, c * k + more)
+        return range(high - (total - high) % step, max(c * low, total - slack) - 1, -step)
+
+    # the counts c of big parts that some candidate has
+    big_counts = [c for c in range(min(coords, (k + l) // low) + 1)
+              if sums(c, k + l, top * (coords - c))]
+    cmax = big_counts[-1]
+    # the least sum the big parts must reach at cmax, where small parts fill the rest
+    need = k + l - slack - top * (coords - cmax)
+    rows, candidates, products, read_count = [], 0, 0, 0
+    bigs, packed = {0: [()]}, roots[True]  # the c-tuples of big parts by sum; root times r_l^c
+    for c in range(cmax + 1):
+        if c:
+            packed = packed * ratios[l] & mask
+            products += 1
+            grown = {}
+            for norm, parts in bigs.items():
+                for part in parts:
+                    # each part added up to cmax is at most a: keep the sums that reach need
+                    for a in range(max(low, (need - norm - 1) // (cmax - c + 1) + 1),
+                                   min(part[-1] if part else k, k + l - norm) + 1):
+                        grown.setdefault(norm + a, []).append(part + (a,))
+            bigs = grown
+        spans = [sums(c, total, 0) for total in range(k + l + 1)]  # a class's big sums by total
+        stack = [((), packed, k + l, top)] if c in big_counts else []
+        while stack:  # class: small parts, product, k + l minus their sum, largest next part
+            small, product, total, last = stack.pop()
+            room = coords - c - len(small)
+            if spans[total]:
+                tail, read = small + (0,) * room, [None, None]
+                for norm in spans[total]:
+                    r2 = total - norm
+                    if read[r2 & 1] is None:
+                        read[r2 & 1] = reads[r2 & 1](product)
+                        read_count += 1
+                    candidates += len(bigs[norm])
+                    if m := sum(map(mul, read[r2 & 1], binoms[r2 // 2:])):
+                        rows += [(part + tail, m) for part in bigs[norm]]
+            if room:
+                # a child a leaves a class that some candidate completes when
+                # a <= total - c low (what the big parts need at least), a room >=
+                # total - slack - c k (A: the rest must reach k + l), and, for C and
+                # D, r2 stays even if a fills the last slot beside a fixed big sum
+                stride = step if room == 1 and c * (k - low) == 0 else 1
+                high = min(last, total - c * low)
+                children = range(high - (total - c * k - high) % stride,
+                                 max(0, (total - slack - c * k - 1) // room), -stride)
+                products += len(children)
+                stack += [(small + (a,), product * ratios[a] & mask, total - a, a)
+                          for a in children]
+    return rows, {"candidates": candidates, "kept": len(rows), "products": products,
+                  "reads": read_count}

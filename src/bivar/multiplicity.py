@@ -4,10 +4,11 @@ The general entry point is :func:`bivariate_mult`. For families B, C, D
 it combines four tensor sums (evaluated by :mod:`bivar.kernel`); for
 family A it combines two, read from one product. :func:`tensor_mult` gives
 the tensor-product multiplicity, and closed-form fast paths cover the
-single-row case, l = 0/1/2 and the zero weight. Every entry point here, and
-``cli.table_from_json``, checks its inputs and decides whether a weight can
-occur, and at what depth, by one rule, :func:`_support`; each then has one
-family branch, the choice of kernel sum or closed form.
+single-row case, l = 0/1/2 and the zero weight. Every entry point here
+checks its inputs and decides whether a weight can occur, and at what depth,
+by one rule, :func:`_support`; each then has one family branch, the choice of
+kernel sum or closed form. ``cli.table_from_json``, which has checked each
+row already, applies the same rule through :func:`_checked_support`.
 
 Depth arguments are carried as doubled integers (``r2``), never floats:
 the depth (k + l - |mu|)/2 is genuinely half-integral for family B.
@@ -38,15 +39,19 @@ def _support(spec: AlgebraSpec, k: int, l: int, mu, tensor: bool = False):
     representative sums to k + l.
     """
     k, l = check_highest_weight(k, l)
-    mu = check_weight(spec, mu)
-    if spec.family == "A":
+    return _checked_support(spec.family, k, l, check_weight(spec, mu), tensor)
+
+
+def _checked_support(family: str, k: int, l: int, mu, tensor: bool = False):
+    """:func:`_support` of k, l and ``mu`` as its checks return them, checking nothing."""
+    if family == "A":
         mu = _shift_to_sum(mu, k + l)
         if mu is None:
             return None
     levels = [abs(a) for a in mu]
     norm = sum(levels)
     r2 = k + l - norm
-    if r2 < 0 or (r2 % 2 and spec.family in ("C", "D")):
+    if r2 < 0 or (r2 % 2 and family in ("C", "D")):
         return None
     cap = k + l if tensor else k
     # |mu_i| <= |mu|_1: only a one-norm past the cap can put a coordinate past it

@@ -53,10 +53,10 @@ class MultiplicityTable:
     Rows are lexicographically sorted (weight, multiplicity) pairs with
     every multiplicity positive. ``meta`` carries provenance (engine
     version, kernel backend, elapsed seconds, creation timestamp) and,
-    for :func:`build_table`, how many dominant candidates were evaluated
-    and kept and how many masked multiplies the walk made (``candidates``,
-    ``kept``, ``products``). It never takes part in comparisons or
-    serialization.
+    for :func:`build_table`, the walk's four counts: dominant candidates
+    evaluated (``candidates``), rows kept (``kept``), masked multiplies
+    (``products``) and coefficient vectors read (``reads``). It never takes
+    part in comparisons or serialization.
     """
 
     spec: AlgebraSpec
@@ -91,7 +91,8 @@ def build_table(spec: AlgebraSpec, k: int, l: int,
     arguments; weights in a table are unique, so this is the order of
     the (weight, multiplicity) pairs too. A full table gets its rows in
     that order straight from the orbit walk of :mod:`bivar.root_systems`,
-    with no sort.
+    with no sort. A dominant-only table is sorted: the kernel walk emits
+    its rows by level class, not by weight, and D adds its mirror rows.
     """
     k, l = check_highest_weight(k, l)
     started = time.perf_counter()

@@ -113,26 +113,34 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("spec,k,l", [(B2, 3, 3), (C3, 4, 3), (D3, 4, 2),
                                           (algebra("D", 4), 5, 3), (A2, 3, 3),
-                                          (algebra("A", 4), 6, 4)], ids=str)
+                                          (algebra("A", 4), 6, 4), (C3, 20, 8),
+                                          (algebra("B", 4), 12, 1), (algebra("D", 5), 9, 0),
+                                          (algebra("C", 6), 9, 9)], ids=str)
     def test_walk_counters(self, spec, k, l):
         first = build_table(spec, k, l, dominant_only=True)
         second = build_table(spec, k, l, dominant_only=True)
         assert second == first
-        counts = [first.meta[c] for c in ("candidates", "kept", "products")]
-        assert counts == [second.meta[c] for c in ("candidates", "kept", "products")]
-        candidates, kept, products = counts
-        # the walk returns these three counts and nothing else
-        assert kernel.dominant_rows(spec.family, spec.rank, k, l)[1] == \
-            {"candidates": candidates, "kept": kept, "products": products}
+        names = ("candidates", "kept", "products", "reads")
+        counts = [first.meta[c] for c in names]
+        assert counts == [second.meta[c] for c in names]
+        candidates, kept, products, reads = counts
+        # the walk returns these four counts and nothing else
+        assert kernel.dominant_rows(spec.family, spec.rank, k, l)[1] == dict(zip(names, counts))
         # the walk skips the candidates with mu_1 > k, or odd r2 for C and D,
         # whose multiplicity is 0
         walked = [mu for mu in candidate_dominants(spec, k, l) if mu[0] <= k
                   and (spec.family in "AB" or (k + l - sum(mu)) % 2 == 0)]
         assert candidates == len(walked)
-        # one masked multiply per child, and every child is the positive part
-        # of some walked candidate cut after a coordinate: no child leads nowhere
-        parts = [tuple(a for a in mu if a) for mu in walked]
-        assert products == len({part[:j] for part in parts for j in range(1, len(part) + 1)})
+        # a product depends on mu only through the levels min(a, l) of its nonzero
+        # parts, largest first: one masked multiply per level prefix, and each
+        # prefix is cut from some walked candidate, so no multiply leads nowhere
+        levels = [tuple(min(a, l) for a in mu if a) for mu in walked]
+        assert products == len({seq[:j] for seq in levels for j in range(1, len(seq) + 1)})
+        # so never more than one per prefix of the nonzero values themselves
+        assert products <= len({tuple(a for a in mu if a)[:j]
+                                for mu in walked for j in range(1, len(mu) + 1)})
+        # one C per level class and parity of r2 that some walked candidate has
+        assert reads == len({(seq, (k + l - sum(mu)) % 2) for seq, mu in zip(levels, walked)})
         # kept rows are the dominant weights; the D mirrors are added after
         assert kept == sum(1 for mu, _ in first.rows if mu[-1] >= 0)
 
@@ -145,6 +153,13 @@ class TestBuildTable:
     @example(A2, 0, 0)
     @example(A2, 1, 0)
     @example(algebra("A", 7), 8, 9)
+    # k far above l, where one level class holds many weights: big parts up
+    # to k, both parities of r2 in one class for B, D mirror rows
+    @example(C3, 8, 40)
+    @example(algebra("B", 4), 1, 29)
+    @example(algebra("A", 3), 2, 23)
+    @example(algebra("D", 4), 0, 20)
+    @example(algebra("D", 5), 4, 36)
     @settings(max_examples=80, deadline=None)
     def test_walk_matches_candidate_evaluation(self, spec, l, excess):
         k = l + excess
