@@ -1,16 +1,22 @@
 """The tensor weight sums behind every multiplicity, in pure Python with exact integers.
 
-:func:`tensor_sum_bcd` and :func:`tensor_sum_a` give one tensor sum;
-:func:`bivariate_sum_bcd` and :func:`bivariate_sum_a` give the combination of
-them that :func:`bivar.multiplicity.bivariate_mult` needs, from one product.
-:func:`fold_bcd` gives the coefficient vector the B/C/D sums reduce to, and
-:func:`dominant_rows` the dominant rows of a whole table, in one walk.
+:func:`weight_sum_bcd` and :func:`weight_sum_a` give, in one call, the sum that
+:func:`bivar.multiplicity.bivariate_mult` needs at one weight (that
+:func:`~bivar.multiplicity.tensor_mult` needs, if not ``virtual``), from the
+weight's |mu_i|. :func:`tensor_sum_bcd`, :func:`bivariate_sum_bcd`,
+:func:`tensor_sum_a` and :func:`bivariate_sum_a` give the same sums from level
+counts ell, and :func:`fold_bcd` the coefficient vector the B/C/D sums reduce
+to: each spells ell as a weight's nonzero parts and takes the same product.
+:func:`dominant_rows` gives the dominant rows of a whole table, in one walk.
 
 Each sum reads one packed product per weight. All else it needs depends on
 the algebra and l, not on the weight, so it is built once per key, by shifts
 and adds, and cached. The product depends on the weight only through its
-level counts, so :func:`dominant_rows` makes one product and one read per
-level class and parity of r2, and spreads the read over the class's weights.
+level counts, which :func:`_product` counts over the weight's nonzero parts as
+it multiplies, so a single weight costs the same at any rank but for passes
+over its coordinates at C speed; and :func:`dominant_rows` makes one product
+and one read per level class and parity of r2, and spreads the read over the
+class's weights.
 How the product is packed, and why it is exact, is written once: in the
 comment of :func:`_packing`, and of :func:`_packing_a` for type A.
 
@@ -32,6 +38,41 @@ def _degree(family, n):
     return n - 2 if family == "D" else n - 1
 
 
+def weight_sum_bcd(n, d, l, r2, levels, step, virtual=True):
+    """The B/C/D sum of :func:`bivar.multiplicity.bivariate_mult` (of
+    :func:`~bivar.multiplicity.tensor_mult` if not ``virtual``) at a weight of
+    rank n: d the binomial degree, r2 twice the depth, ``levels`` the |mu_i|
+    and ``step`` 1 for B, 2 for C and D. l >= 0 unchecked.
+    """
+    _, mask, roots, ratios, reads = _packing(n, d, l, step)
+    # C_i multiplies binom(t, d), t = r2 // 2 + i - l + d; a plain loop, as a
+    # generator's set-up costs more than its l + 1 terms
+    total, t = 0, r2 // 2 - l + d
+    for c in reads[r2 & 1](_product(roots[virtual], mask, ratios, l, levels)):
+        if c and t >= 0:
+            total += c * comb(t, d)
+        t += 1
+    return total
+
+
+def weight_sum_a(n, l, levels, virtual=True):
+    """The type A sum of :func:`bivar.multiplicity.bivariate_mult` (of
+    :func:`~bivar.multiplicity.tensor_mult` if not ``virtual``) at a weight of
+    rank n, ``levels`` its representative summing to k + l. l >= 0 unchecked.
+    """
+    bits, mask, roots, ratios, reads = _packing_a(n + 1, l)
+    packed = _product(roots[virtual], mask, ratios, l, levels)
+    return reads[0](packed)[0] if virtual else packed >> l * bits
+
+
+def _parts(f, l, ell):
+    # ell spelled as the nonzero parts of a weight of f coordinates: ell[a] at
+    # each level a in [1, l - 1] (entries from l on ignored), and the
+    # f - sum(ell[:l]) coordinates not in ell at l (at l = 0, level 0)
+    parts = [a for a, count in enumerate(ell[1:l], 1) for _ in range(count)]
+    return parts + [l] * (f - sum(ell[:l]))
+
+
 def tensor_sum_bcd(n, d, l, r2, ell, step):
     """Tensor weight sum for families B/C/D.
 
@@ -41,12 +82,18 @@ def tensor_sum_bcd(n, d, l, r2, ell, step):
     step: 1 sums over every N <= l, 2 restricts to N == l (mod 2).
     Returns 0 for negative l.
     """
-    return _evaluate(fold_bcd(n, d, l, ell, step, r2 % 2, False), d, l, r2)
+    if l < 0:
+        return 0
+    f = max(n, sum(ell[:l]))
+    return weight_sum_bcd(f, d, l, r2, _parts(f, l, ell), step, virtual=False)
 
 
 def bivariate_sum_bcd(n, d, l, r2, ell, step):
     """tensor_sum_bcd at (l, r2) - (l - 1, r2) - (l - 1, r2 - 2) + (l - 2, r2 - 2)."""
-    return _evaluate(fold_bcd(n, d, l, ell, step, r2 % 2), d, l, r2)
+    if l < 0:
+        return 0
+    f = max(n, sum(ell[:l]))
+    return weight_sum_bcd(f, d, l, r2, _parts(f, l, ell), step)
 
 
 def fold_bcd(n, d, l, ell, step, parity, virtual=True):
@@ -54,19 +101,21 @@ def fold_bcd(n, d, l, ell, step, parity, virtual=True):
     for r2 of this parity: C_i multiplies binom(r2 // 2 + i - l + d, d)."""
     if l < 0:
         return ()
-    _, mask, roots, ratios, reads = _packing(max(n, sum(ell[:l])), d, l, step)
-    return tuple(reads[parity](_product(roots[virtual], mask, ratios, n, l, ell)))
+    f = max(n, sum(ell[:l]))
+    _, mask, roots, ratios, reads = _packing(f, d, l, step)
+    return tuple(reads[parity](_product(roots[virtual], mask, ratios, l, _parts(f, l, ell))))
 
 
 @lru_cache(maxsize=None)
 def _packing(f, d, l, step):
     # What a B/C/D sum over f coordinates needs besides the weight: digit width,
     # mask to y-degree <= l, roots [virtual], ratios r_0..r_l and readers [r2 % 2].
-    # f = max(n, sum(ell[:l])) is n for every weight of rank n, so a process builds
-    # one packing per (family, rank, l) it asks for, and tensor_mult, bivariate_mult
-    # and the dominant_rows walk all read it. C is not cached: a weight costs its
-    # started product (_product) and one read, and in the dominant_rows walk a
-    # level class does, shared by all its weights of one parity of r2.
+    # f is n for every weight of rank n (only level counts ell with sum(ell[:l]) > n
+    # ask for more), so a process builds one packing per (family, rank, l) it asks
+    # for, and tensor_mult, bivariate_mult and the dominant_rows walk all read it.
+    # C is not cached: a weight costs one product over its nonzero parts
+    # (_product) and one read, and in the dominant_rows walk a level class does,
+    # shared by all its weights of one parity of r2.
     # Block N of the sum counts the nu in Z^f of one-norm N by their overlap with
     # mu, the sum of min(|mu_i|, |nu_i|) where mu_i and nu_i share a sign: it is the
     # y^N coefficient of the product of f_a = 1 + sum_{b >= 1} y^b (1 + x^min(a, b)),
@@ -83,7 +132,7 @@ def _packing(f, d, l, step):
     # so C_i is the y^l x^i digit of F K for one tensor sum, and of F K V,
     # V = (1 - y)(1 - x y), for the four virtual-ring terms of bivariate_mult (at
     # l, l - 1, l - 1 and l - 2), whose signs V folds in at no multiply of its own.
-    # Then mult = sum_i C_i binom(r2 // 2 + i - l + d, d) (_evaluate): l + 1
+    # Then mult = sum_i C_i binom(r2 // 2 + i - l + d, d) (weight_sum_bcd): l + 1
     # binomials, and C depends on r2 only through its parity.
     # As f_0 = (1 + y) / (1 - y), F = f_0^f times r_a = f_a / f_0 = f_a (1 - y) / (1 + y)
     # per coordinate at level a >= 1. So f_0^f, which holds the only count that
@@ -136,20 +185,15 @@ def _packing(f, d, l, step):
     return bits, mask, roots, ratios, reads
 
 
-def _evaluate(coeffs, d, l, r2):
-    start = r2 // 2 - l + d
-    return sum(c * comb(t, d) for t, c in enumerate(coeffs, start) if c and t >= 0)
-
-
 @lru_cache(maxsize=None)
 def _packing_a(f, l):
-    # What an A sum over f = max(n + 1, sum(ell[:l])) coordinates needs besides the
+    # What an A sum over f coordinates (n + 1 for a weight of rank n) needs besides the
     # weight, in the fields of _packing: digit width, mask to y-degree <= l, roots
     # (1, 1), ratios g_0..g_l at y = 2**bits and the map to (c_l - c_(l-1),) for
     # either parity. The sum is c_l, the y^l coefficient of the product of
     # g_a = 1 + y + ... + y^min(a, l), one per coordinate at level a; g_0 = 1, so
-    # the ratios are the factors. tensor_sum_a reads digit l and bivariate_sum_a
-    # digit l minus digit l - 1 of the same product: one kernel call per weight.
+    # the ratios are the factors. weight_sum_a reads digit l for tensor_mult and
+    # digit l minus digit l - 1 for bivariate_mult: one kernel call per weight.
     # Digit j, the ways to spread j over f coordinates, is <= C(l + f - 1, f - 1): no carry
     bits = comb(l + f - 1, f - 1).bit_length()
     mask = (1 << (l + 1) * bits) - 1
@@ -169,23 +213,29 @@ def tensor_sum_a(n, l, ell):
     """
     if l < 0:
         return 0
-    bits, mask, roots, ratios, _ = _packing_a(max(n + 1, sum(ell[:l])), l)
-    return _product(roots[False], mask, ratios, n + 1, l, ell) >> l * bits
+    f = max(n + 1, sum(ell[:l]))
+    return weight_sum_a(f - 1, l, _parts(f, l, ell), virtual=False)
 
 
 def bivariate_sum_a(n, l, ell):
     """tensor_sum_a at l minus at l - 1, read from one product."""
     if l < 0:
         return 0
-    _, mask, roots, ratios, reads = _packing_a(max(n + 1, sum(ell[:l])), l)
-    return reads[0](_product(roots[True], mask, ratios, n + 1, l, ell))[0]
+    f = max(n + 1, sum(ell[:l]))
+    return weight_sum_a(f - 1, l, _parts(f, l, ell))
 
 
-def _product(packed, mask, ratios, f, l, ell):
+def _product(packed, mask, ratios, l, levels):
     # packed times the ratio of each coordinate at a level a >= 1 (r_0 = 1), each
-    # level's by binary powers (level a, number of coordinates): the
-    # f - sum(ell[:l]) coordinates not in ell, if any, sit at l, which at l = 0 is level 0
-    for a, count in [*enumerate(ell[1:l], 1), (l, f - sum(ell[:l]))][:l]:
+    # level's by binary powers. Levels from l on act as l, and at l = 0 every
+    # coordinate is at level 0. The zeros are dropped at C speed, so the counts
+    # run over the at most k + l nonzero parts: those in [1, l - 1] one level at
+    # a time, and the rest at l.
+    parts = list(filter(None, levels))
+    rest = len(parts)
+    for a in range(1, l + 1):
+        count = parts.count(a) if a < l else rest
+        rest -= count
         factor = ratios[a]
         while count > 0:
             if count & 1:
@@ -204,9 +254,10 @@ def dominant_rows(family, n, k, l):
     k >= l >= 0 unchecked. The candidates are the weakly decreasing mu >= 0
     with mu_1 <= k (larger mu_1 gives 0): n coordinates of one-norm <= k + l
     (even r2 for C and D), or for A n + 1 summing to k + l. A weight's
-    product is the started product of :func:`fold_bcd` (the packing at f = n,
-    n + 1 for A; its virtual root times the ratio r_a, g_a for A, of each
-    coordinate at level a), so it depends on mu only through its level class:
+    product is the one :func:`weight_sum_bcd` and :func:`weight_sum_a` take
+    (the packing at f = n, n + 1 for A; its virtual root times the ratio r_a,
+    g_a for A, of each coordinate at level a), so it depends on mu only
+    through its level class:
     c, the number of coordinates at level l, and the small parts, those in
     [1, l - 1]. The walk steps c up from 0, one multiply by r_l each, and below
     each c walks the weakly decreasing small parts depth first, one multiply
@@ -222,7 +273,7 @@ def dominant_rows(family, n, k, l):
     else:
         d, step = _degree(family, n), 1 if family == "B" else 2
         coords, slack = n, k + l
-        packing = _packing(n, d, l, step)  # sum(ell) <= n: fold_bcd's packing
+        packing = _packing(n, d, l, step)  # weight_sum_bcd's packing
         # C_i meets binom(r2 // 2 - l + d + i, d) = binoms[r2 // 2 + i]
         binoms = [comb(t, d) if t >= 0 else 0 for t in range(d - l, (k + l) // 2 + d + 1)]
     _, mask, roots, ratios, reads = packing

@@ -1,14 +1,18 @@
 """Weight multiplicity formulas for highest weights k*e1 + l*e2.
 
 The general entry point is :func:`bivariate_mult`. For families B, C, D
-it combines four tensor sums (evaluated by :mod:`bivar.kernel`); for
-family A it combines two, read from one product. :func:`tensor_mult` gives
-the tensor-product multiplicity, and closed-form fast paths cover the
-single-row case, l = 0/1/2 and the zero weight. Every entry point here
-checks its inputs and decides whether a weight can occur, and at what depth,
-by one rule, :func:`_support`; each then has one family branch, the choice of
-kernel sum or closed form. ``cli.table_from_json``, which has checked each
-row already, applies the same rule through :func:`_checked_support`.
+it combines four tensor sums; for family A it combines two. :mod:`bivar.kernel`
+reads either from one product. :func:`tensor_mult` gives the tensor-product
+multiplicity, and closed-form fast paths cover the single-row case,
+l = 0/1/2 and the zero weight. Every entry point here checks its inputs and
+decides whether a weight can occur, and at what depth, by one rule,
+:func:`_support`, which hands on the weight's |mu_i|; each then has one family
+branch, the choice of kernel sum or closed form. So a query is two calls: the
+support pass and the kernel sum (:func:`bivar.kernel.weight_sum_bcd` or
+:func:`bivar.kernel.weight_sum_a`), which counts the levels over the weight's
+nonzero parts as it multiplies. The closed forms count l_0 and l_1 from the
+|mu_i| themselves. ``cli.table_from_json``, which has checked each row already,
+applies the same rule through :func:`_checked_support`.
 
 Depth arguments are carried as doubled integers (``r2``), never floats:
 the depth (k + l - |mu|)/2 is genuinely half-integral for family B.
@@ -27,16 +31,17 @@ from .root_systems import (
 
 
 def _support(spec: AlgebraSpec, k: int, l: int, mu, tensor: bool = False):
-    """(l, r2, ell) of ``mu`` in the sums for k*e1 + l*e2; None when every term is 0.
+    """(l, r2, levels) of ``mu`` in the sums for k*e1 + l*e2; None when every term is 0.
 
     The input checks and the one support rule of every single-weight entry point.
     k and l are checked before ``mu`` (k >= l >= 0, then ints of the length of
     ``spec``'s weights). r2 = k + l - |mu|_1 is the doubled depth and
-    ell = (l_0, ..., l_{l-1}) the level counts. Type A reads the representative
-    summing to k + l, so r2 = 0. None when r2 < 0, when r2 is odd for C and D,
-    when some |mu_i| exceeds the cap (k for the irreducible and the closed forms,
-    k + l for the ``tensor`` product) or, for A, when no non-negative
-    representative sums to k + l.
+    ``levels`` the list of |mu_i|, from which the kernel and the closed forms
+    count the level counts l_a they need. Type A reads the representative
+    summing to k + l, so r2 = 0 and ``levels`` is that representative. None
+    when r2 < 0, when r2 is odd for C and D, when some |mu_i| exceeds the cap
+    (k for the irreducible and the closed forms, k + l for the ``tensor``
+    product) or, for A, when no non-negative representative sums to k + l.
     """
     k, l = check_highest_weight(k, l)
     return _checked_support(spec.family, k, l, check_weight(spec, mu), tensor)
@@ -48,7 +53,7 @@ def _checked_support(family: str, k: int, l: int, mu, tensor: bool = False):
         mu = _shift_to_sum(mu, k + l)
         if mu is None:
             return None
-    levels = [abs(a) for a in mu]
+    levels = list(map(abs, mu))
     norm = sum(levels)
     r2 = k + l - norm
     if r2 < 0 or (r2 % 2 and family in ("C", "D")):
@@ -57,7 +62,7 @@ def _checked_support(family: str, k: int, l: int, mu, tensor: bool = False):
     # |mu_i| <= |mu|_1: only a one-norm past the cap can put a coordinate past it
     if norm > cap and max(levels) > cap:
         return None
-    return l, r2, tuple(map(levels.count, range(l)))
+    return l, r2, levels
 
 
 def single_row_mult(spec: AlgebraSpec, k: int, mu) -> int:
@@ -80,11 +85,12 @@ def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     support = _support(spec, k, l, mu, tensor=True)
     if support is None:
         return 0
-    l, r2, ell = support
+    l, r2, levels = support
     n, fam = spec.rank, spec.family
     if fam == "A":
-        return kernel.tensor_sum_a(n, l, ell)
-    return kernel.tensor_sum_bcd(n, kernel._degree(fam, n), l, r2, ell, 1 if fam == "B" else 2)
+        return kernel.weight_sum_a(n, l, levels, virtual=False)
+    step = 1 if fam == "B" else 2
+    return kernel.weight_sum_bcd(n, kernel._degree(fam, n), l, r2, levels, step, virtual=False)
 
 
 def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
@@ -92,12 +98,12 @@ def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     support = _support(spec, k, l, mu)
     if support is None:
         return 0
-    l, r2, ell = support
+    l, r2, levels = support
     n, fam = spec.rank, spec.family
     if fam == "A":
-        return kernel.bivariate_sum_a(n, l, ell)
+        return kernel.weight_sum_a(n, l, levels)
     # virtual-ring combination: the four tensor factors at depths r, r, r-1, r-1
-    return kernel.bivariate_sum_bcd(n, kernel._degree(fam, n), l, r2, ell, 1 if fam == "B" else 2)
+    return kernel.weight_sum_bcd(n, kernel._degree(fam, n), l, r2, levels, 1 if fam == "B" else 2)
 
 
 def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:
@@ -137,7 +143,8 @@ def l1_mult(spec: AlgebraSpec, k: int, mu) -> int:
     support = _support(spec, k, 1, mu)
     if support is None:
         return 0
-    _, r2, (ell0,) = support
+    _, r2, levels = support
+    ell0 = levels.count(0)
     n = spec.rank
     fam = spec.family
     if fam == "A":
@@ -161,7 +168,8 @@ def l2_mult_d(n: int, k: int, mu) -> int:
     support = _support(spec, k, 2, mu)
     if support is None:
         return 0
-    _, r2, (ell0, ell1) = support
+    _, r2, levels = support
+    ell0, ell1 = levels.count(0), levels.count(1)
     r = r2 // 2
     open_pairs = binom(n - ell0, 2)
     return (
@@ -178,5 +186,6 @@ def l2_mult_a(n: int, k: int, mu) -> int:
     support = _support(spec, k, 2, mu)
     if support is None:
         return 0
-    _, _, (ell0, ell1) = support
+    _, _, levels = support
+    ell0, ell1 = levels.count(0), levels.count(1)
     return binom(n + 1 - ell0, 2) - ell1

@@ -359,7 +359,7 @@ def _shift_to_sum(coords: Weight, target: int) -> Weight | None:
     # checked type-A coordinates shifted to sum to ``target``; None when no shift
     # does (the defect is only defined modulo the length) or one leaves a negative
     shift, rest = divmod(target - sum(coords), len(coords))
-    shifted = tuple(a + shift for a in coords)
+    shifted = tuple(map(shift.__add__, coords)) if shift else coords
     return None if rest or min(shifted) < 0 else shifted
 
 

@@ -34,6 +34,13 @@ product, and the difference of its y^l and y^(l-1) digits that
 :func:`bivar.kernel.bivariate_sum_a` reads, are compared with it on every
 key with rank 2-5 and l <= 6, and on keys whose values need more than 64
 bits.
+
+:func:`bivar.multiplicity.tensor_mult` and
+:func:`~bivar.multiplicity.bivariate_mult` hand the kernel a weight's |mu_i|
+(for A, its shifted representative), which it counts over the nonzero parts.
+They are checked against the sums fed the l-tuple of level counts, on sparse
+signed weights at ranks up to 10,000 with parts above l, and for type A with
+negative coordinates against Kostka numbers and the direct convolution.
 """
 
 from functools import lru_cache
@@ -45,8 +52,9 @@ from hypothesis import strategies as st
 
 from bivar import kernel
 from bivar.multiplicity import bivariate_mult, tensor_mult
+from bivar.oracles import kostka_count, tensor_conv_mult
 from bivar.partitions import binom, count_one_norm_sphere, partitions_le_length
-from bivar.root_systems import algebra
+from bivar.root_systems import algebra, weight_length
 from bivar.weight_tables import candidate_dominants
 from index_sets import alpha_indices, beta_indices, part_counts
 
@@ -379,7 +387,7 @@ def product_slots(n, l, ell):
     """
     f = max(n, sum(ell[:l]))
     bits, mask, roots, ratios, _ = kernel._packing(f, 0, l, 1)
-    started = kernel._product(roots[False], mask, ratios, f, l, ell)
+    started = kernel._product(roots[False], mask, ratios, l, weight_from_levels(f, ell[:l], l))
     packed = started - (started << (2 * l + 3) * bits) & mask
     digit = (1 << bits) - 1
     return [tuple(packed >> (big_n * (l + 1) + m) * bits & digit for m in range(big_n + 1))
@@ -455,3 +463,84 @@ def test_product_more_levels_than_rank(n, l, ell):
     # must be wide enough for sum(ell) coordinates, not n
     assert sum(ell) > n
     assert_slots_are_blocks(n, l, ell, stepped_block_poly)
+
+
+@st.composite
+def signed_sparse_weights(draw):
+    """(spec, k, l, mu): a weight of A-D at rank 3-12 or 1,000-10,000, l <= 14
+    and k <= l + 20, with a few nonzero parts of any size up to k + l, so
+    that parts above l, and for the irreducible above k, occur. For B/C/D
+    the parts take random signs and, for C and D, leave k + l - |mu| even;
+    for A they are the representative summing to k + l, and mu is that
+    representative shifted by a random integer, often to negative coordinates.
+    """
+    family = draw(st.sampled_from("ABCD"))
+    spec = algebra(family, draw(st.one_of(st.integers(3, 12), st.integers(1000, 10000))))
+    l = draw(st.integers(0, 14))
+    k = draw(st.integers(l, l + 20))
+    size, budget, parts = weight_length(spec), k + l, []
+    while budget and len(parts) < min(size - 1, 10) and draw(st.booleans()):
+        parts.append(draw(st.integers(1, budget)))
+        budget -= parts[-1]
+    if family == "A" and budget:
+        parts.append(budget)
+    elif family in "CD" and budget % 2:
+        parts.append(1)
+    slots = draw(st.lists(st.integers(0, size - 1), min_size=len(parts),
+                          max_size=len(parts), unique=True))
+    mu = [0] * size
+    for slot, part in zip(slots, parts):
+        mu[slot] = part if family == "A" or draw(st.booleans()) else -part
+    if family == "A":
+        shift = draw(st.integers(-k - l - 3, 3))
+        mu = [a + shift for a in mu]
+    return spec, k, l, tuple(mu)
+
+
+def level_count_sums(spec, k, l, mu):
+    """The kernel's tensor and irreducible sums fed mu's level counts
+    (l_0, ..., l_{l-1}), of the representative summing to k + l for A."""
+    n, family = spec.rank, spec.family
+    if family == "A":
+        shift = (k + l - sum(mu)) // (n + 1)
+        levels = [a + shift for a in mu]
+    else:
+        levels = [abs(a) for a in mu]
+    ell = tuple(map(levels.count, range(l)))
+    if family == "A":
+        return levels, kernel.tensor_sum_a(n, l, ell), kernel.bivariate_sum_a(n, l, ell)
+    d, step, r2 = kernel._degree(family, n), 1 if family == "B" else 2, k + l - sum(levels)
+    return (levels, kernel.tensor_sum_bcd(n, d, l, r2, ell, step),
+            kernel.bivariate_sum_bcd(n, d, l, r2, ell, step))
+
+
+@given(signed_sparse_weights())
+@settings(max_examples=120, deadline=None)
+def test_entry_points_match_level_count_sums(case):
+    # tensor_mult and bivariate_mult hand the kernel the weight's |mu_i|, which
+    # it counts over the nonzero parts; the l-tuple of level counts must give
+    # the same sums, and the irreducible is 0 once a part passes k
+    spec, k, l, mu = case
+    levels, tensor, irreducible = level_count_sums(spec, k, l, mu)
+    assert tensor_mult(spec, k, l, mu) == tensor
+    assert bivariate_mult(spec, k, l, mu) == (irreducible if max(levels) <= k else 0)
+
+
+@pytest.mark.parametrize("n, k, l, mu, mult, tensor", [
+    (3, 3, 2, (1, 1, 0, -1), 2, 5),
+    (3, 2, 2, (-5, -5, -5, -5), 2, 6),
+    (4, 5, 3, (1, 0, 0, -1, -2), 5, 14),
+    (5, 6, 4, (1, 0, -1, -2, -3, -3), 5, 20),
+    (3, 6, 2, (3, -3, -4, -4), 0, 2),
+    (6, 4, 4, (2, 2, 0, 0, -1, -1, -1), 2, 14),
+    (4, 8, 6, (-2, -3, -4, -5, -7), 8, 49),
+])
+def test_type_a_negative_coordinates_shift(n, k, l, mu, mult, tensor):
+    # type A reads the representative summing to k + l: the kernel's levels are
+    # the shifted coordinates, not |mu_i|, and Kostka numbers and the direct
+    # convolution agree on both sums
+    spec = algebra("A", n)
+    levels, tensor_sum, bivariate_sum = level_count_sums(spec, k, l, mu)
+    assert min(mu) < 0 <= min(levels) and sum(levels) == k + l
+    assert bivariate_mult(spec, k, l, mu) == bivariate_sum == kostka_count((k, l), levels) == mult
+    assert tensor_mult(spec, k, l, mu) == tensor_sum == tensor_conv_mult(spec, k, l, mu) == tensor
