@@ -1,13 +1,13 @@
 """The tensor weight sums behind every multiplicity, in pure Python with exact integers.
 
-:func:`weight_sum_bcd` and :func:`weight_sum_a` give, in one call, the sum that
-:func:`bivar.multiplicity.bivariate_mult` needs at one weight (that
+One call, :func:`weight_sum`, gives the sum that
+:func:`bivar.multiplicity.bivariate_mult` needs at one weight of any family (that
 :func:`~bivar.multiplicity.tensor_mult` needs, if not ``virtual``), from the
-weight's |mu_i|. :func:`tensor_sum_bcd`, :func:`bivariate_sum_bcd`,
-:func:`tensor_sum_a` and :func:`bivariate_sum_a` give the same sums from level
-counts ell, and :func:`fold_bcd` the coefficient vector the B/C/D sums reduce
-to: each spells ell as a weight's nonzero parts and takes the same product.
-:func:`dominant_rows` gives the dominant rows of a whole table, in one walk.
+weight's |mu_i|; which packing a family takes is settled here alone.
+:func:`tensor_sum_bcd` and :func:`tensor_sum_a` give the tensor sums from level
+counts ell, spelled as a weight's nonzero parts, for the tests and the
+benchmark's tracer. :func:`dominant_rows` gives the dominant rows of a whole
+table, in one walk.
 
 Each sum reads one packed product per weight. All else it needs depends on
 the algebra and l, not on the weight, so it is built once per key, by shifts
@@ -38,13 +38,21 @@ def _degree(family, n):
     return n - 2 if family == "D" else n - 1
 
 
-def weight_sum_bcd(n, d, l, r2, levels, step, virtual=True):
-    """The B/C/D sum of :func:`bivar.multiplicity.bivariate_mult` (of
+def weight_sum(family, n, l, r2, levels, virtual=True):
+    """The sum of :func:`bivar.multiplicity.bivariate_mult` (of
     :func:`~bivar.multiplicity.tensor_mult` if not ``virtual``) at a weight of
-    rank n: d the binomial degree, r2 twice the depth, ``levels`` the |mu_i|
-    and ``step`` 1 for B, 2 for C and D. l >= 0 unchecked.
+    family A-D and rank n: r2 twice the depth and ``levels`` the |mu_i|, for A
+    the representative summing to k + l (r2 unused). l >= 0 unchecked.
     """
-    _, mask, roots, ratios, reads = _packing(n, d, l, step)
+    if family == "A":
+        _, mask, roots, ratios, reads = _packing_a(n + 1, l)
+        return reads[0](_product(roots[virtual], mask, ratios, l, levels))[0]
+    return _sum_bcd(n, _degree(family, n), l, r2, levels, 1 if family == "B" else 2, virtual)
+
+
+def _sum_bcd(f, d, l, r2, levels, step, virtual):
+    # the B/C/D sum over f coordinates at binomial degree d and step (1 for B, 2 for C and D)
+    _, mask, roots, ratios, reads = _packing(f, d, l, step)
     # C_i multiplies binom(t, d), t = r2 // 2 + i - l + d; a plain loop, as a
     # generator's set-up costs more than its l + 1 terms
     total, t = 0, r2 // 2 - l + d
@@ -53,16 +61,6 @@ def weight_sum_bcd(n, d, l, r2, levels, step, virtual=True):
             total += c * comb(t, d)
         t += 1
     return total
-
-
-def weight_sum_a(n, l, levels, virtual=True):
-    """The type A sum of :func:`bivar.multiplicity.bivariate_mult` (of
-    :func:`~bivar.multiplicity.tensor_mult` if not ``virtual``) at a weight of
-    rank n, ``levels`` its representative summing to k + l. l >= 0 unchecked.
-    """
-    bits, mask, roots, ratios, reads = _packing_a(n + 1, l)
-    packed = _product(roots[virtual], mask, ratios, l, levels)
-    return reads[0](packed)[0] if virtual else packed >> l * bits
 
 
 def _parts(f, l, ell):
@@ -85,25 +83,7 @@ def tensor_sum_bcd(n, d, l, r2, ell, step):
     if l < 0:
         return 0
     f = max(n, sum(ell[:l]))
-    return weight_sum_bcd(f, d, l, r2, _parts(f, l, ell), step, virtual=False)
-
-
-def bivariate_sum_bcd(n, d, l, r2, ell, step):
-    """tensor_sum_bcd at (l, r2) - (l - 1, r2) - (l - 1, r2 - 2) + (l - 2, r2 - 2)."""
-    if l < 0:
-        return 0
-    f = max(n, sum(ell[:l]))
-    return weight_sum_bcd(f, d, l, r2, _parts(f, l, ell), step)
-
-
-def fold_bcd(n, d, l, ell, step, parity, virtual=True):
-    """C of :func:`bivariate_sum_bcd` (:func:`tensor_sum_bcd` if not ``virtual``)
-    for r2 of this parity: C_i multiplies binom(r2 // 2 + i - l + d, d)."""
-    if l < 0:
-        return ()
-    f = max(n, sum(ell[:l]))
-    _, mask, roots, ratios, reads = _packing(f, d, l, step)
-    return tuple(reads[parity](_product(roots[virtual], mask, ratios, l, _parts(f, l, ell))))
+    return _sum_bcd(f, d, l, r2, _parts(f, l, ell), step, False)
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +112,7 @@ def _packing(f, d, l, step):
     # so C_i is the y^l x^i digit of F K for one tensor sum, and of F K V,
     # V = (1 - y)(1 - x y), for the four virtual-ring terms of bivariate_mult (at
     # l, l - 1, l - 1 and l - 2), whose signs V folds in at no multiply of its own.
-    # Then mult = sum_i C_i binom(r2 // 2 + i - l + d, d) (weight_sum_bcd): l + 1
+    # Then mult = sum_i C_i binom(r2 // 2 + i - l + d, d) (weight_sum): l + 1
     # binomials, and C depends on r2 only through its parity.
     # As f_0 = (1 + y) / (1 - y), F = f_0^f times r_a = f_a / f_0 = f_a (1 - y) / (1 + y)
     # per coordinate at level a >= 1. So f_0^f, which holds the only count that
@@ -188,21 +168,27 @@ def _packing(f, d, l, step):
 @lru_cache(maxsize=None)
 def _packing_a(f, l):
     # What an A sum over f coordinates (n + 1 for a weight of rank n) needs besides the
-    # weight, in the fields of _packing: digit width, mask to y-degree <= l, roots
-    # (1, 1), ratios g_0..g_l at y = 2**bits and the map to (c_l - c_(l-1),) for
-    # either parity. The sum is c_l, the y^l coefficient of the product of
-    # g_a = 1 + y + ... + y^min(a, l), one per coordinate at level a; g_0 = 1, so
-    # the ratios are the factors. weight_sum_a reads digit l for tensor_mult and
-    # digit l minus digit l - 1 for bivariate_mult: one kernel call per weight.
-    # Digit j, the ways to spread j over f coordinates, is <= C(l + f - 1, f - 1): no carry
+    # weight, in the fields of _packing: digit width, mask to y-degree <= l, roots,
+    # ratios g_0..g_l at y = 2**bits and, for either parity, the map to (digit l,).
+    # The tensor sum is c_l, the y^l coefficient of the product G of
+    # g_a = 1 + y + ... + y^min(a, l), one per coordinate at level a; g_0 = 1, so the
+    # ratios are the factors. The irreducible is h_k h_l - h_(k+1) h_(l-1) in the
+    # virtual ring, c_l - c_(l-1): digit l of (1 - y) G. So the roots are 1 and 1 - y,
+    # and the one reader serves both, as V in the root serves B/C/D.
+    # Digit j of G, the ways to spread j over f coordinates, is <= C(l + f - 1, f - 1)
+    # < 2**bits. Digit j <= l of (1 - y) G, c_j - c_(j-1), needs no sign bias: for a
+    # weight summing to k + l, k >= l, it is the Kostka number K_((k + l - j, j), mu),
+    # as j <= (k + l) / 2, so 0 <= c_j - c_(j-1) <= c_j and no digit borrows. That
+    # holds for the levels of a real weight only; three coordinates at level 1 with
+    # l = 3 give c_3 - c_2 = 1 - 3 = -2.
     bits = comb(l + f - 1, f - 1).bit_length()
     mask = (1 << (l + 1) * bits) - 1
     ones = mask // ((1 << bits) - 1)  # g_l = 1 + y + ... + y^l
 
-    def fold(packed):
-        pair = packed >> (l - 1) * bits if l else packed << bits  # digits l, l - 1
-        return ((pair >> bits) - (pair & (1 << bits) - 1),)
-    return bits, mask, (1, 1), [ones & (1 << (a + 1) * bits) - 1 for a in range(l + 1)], (fold, fold)
+    def read(packed):
+        return (packed >> l * bits,)
+    roots = (1, (1 - (1 << bits)) & mask)
+    return bits, mask, roots, [ones & (1 << (a + 1) * bits) - 1 for a in range(l + 1)], (read, read)
 
 
 def tensor_sum_a(n, l, ell):
@@ -214,15 +200,7 @@ def tensor_sum_a(n, l, ell):
     if l < 0:
         return 0
     f = max(n + 1, sum(ell[:l]))
-    return weight_sum_a(f - 1, l, _parts(f, l, ell), virtual=False)
-
-
-def bivariate_sum_a(n, l, ell):
-    """tensor_sum_a at l minus at l - 1, read from one product."""
-    if l < 0:
-        return 0
-    f = max(n + 1, sum(ell[:l]))
-    return weight_sum_a(f - 1, l, _parts(f, l, ell))
+    return weight_sum("A", f - 1, l, 0, _parts(f, l, ell), False)
 
 
 def _product(packed, mask, ratios, l, levels):
@@ -254,10 +232,9 @@ def dominant_rows(family, n, k, l):
     k >= l >= 0 unchecked. The candidates are the weakly decreasing mu >= 0
     with mu_1 <= k (larger mu_1 gives 0): n coordinates of one-norm <= k + l
     (even r2 for C and D), or for A n + 1 summing to k + l. A weight's
-    product is the one :func:`weight_sum_bcd` and :func:`weight_sum_a` take
-    (the packing at f = n, n + 1 for A; its virtual root times the ratio r_a,
-    g_a for A, of each coordinate at level a), so it depends on mu only
-    through its level class:
+    product is the one :func:`weight_sum` takes (the packing at f = n,
+    n + 1 for A; its virtual root times the ratio r_a, g_a for A, of each
+    coordinate at level a), so it depends on mu only through its level class:
     c, the number of coordinates at level l, and the small parts, those in
     [1, l - 1]. The walk steps c up from 0, one multiply by r_l each, and below
     each c walks the weakly decreasing small parts depth first, one multiply
@@ -273,7 +250,7 @@ def dominant_rows(family, n, k, l):
     else:
         d, step = _degree(family, n), 1 if family == "B" else 2
         coords, slack = n, k + l
-        packing = _packing(n, d, l, step)  # weight_sum_bcd's packing
+        packing = _packing(n, d, l, step)  # weight_sum's packing
         # C_i meets binom(r2 // 2 - l + d + i, d) = binoms[r2 // 2 + i]
         binoms = [comb(t, d) if t >= 0 else 0 for t in range(d - l, (k + l) // 2 + d + 1)]
     _, mask, roots, ratios, reads = packing

@@ -6,13 +6,12 @@ reads either from one product. :func:`tensor_mult` gives the tensor-product
 multiplicity, and closed-form fast paths cover the single-row case,
 l = 0/1/2 and the zero weight. Every entry point here checks its inputs and
 decides whether a weight can occur, and at what depth, by one rule,
-:func:`_support`, which hands on the weight's |mu_i|; each then has one family
-branch, the choice of kernel sum or closed form. So a query is two calls: the
-support pass and the kernel sum (:func:`bivar.kernel.weight_sum_bcd` or
-:func:`bivar.kernel.weight_sum_a`), which counts the levels over the weight's
-nonzero parts as it multiplies. The closed forms count l_0 and l_1 from the
-|mu_i| themselves. ``cli.table_from_json``, which has checked each row already,
-applies the same rule through :func:`_checked_support`.
+:func:`_support`, which hands on the weight's |mu_i|. So a query is two calls:
+the support pass and :func:`bivar.kernel.weight_sum`, which takes the family,
+picks its packing and counts the levels over the weight's nonzero parts as it
+multiplies. The closed forms count l_0 and l_1 from the |mu_i| themselves.
+``cli.table_from_json``, which has checked each row already, applies the same
+rule through :func:`_checked_support`.
 
 Depth arguments are carried as doubled integers (``r2``), never floats:
 the depth (k + l - |mu|)/2 is genuinely half-integral for family B.
@@ -86,11 +85,7 @@ def tensor_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     if support is None:
         return 0
     l, r2, levels = support
-    n, fam = spec.rank, spec.family
-    if fam == "A":
-        return kernel.weight_sum_a(n, l, levels, virtual=False)
-    step = 1 if fam == "B" else 2
-    return kernel.weight_sum_bcd(n, kernel._degree(fam, n), l, r2, levels, step, virtual=False)
+    return kernel.weight_sum(spec.family, spec.rank, l, r2, levels, virtual=False)
 
 
 def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
@@ -99,11 +94,9 @@ def bivariate_mult(spec: AlgebraSpec, k: int, l: int, mu) -> int:
     if support is None:
         return 0
     l, r2, levels = support
-    n, fam = spec.rank, spec.family
-    if fam == "A":
-        return kernel.weight_sum_a(n, l, levels)
-    # virtual-ring combination: the four tensor factors at depths r, r, r-1, r-1
-    return kernel.weight_sum_bcd(n, kernel._degree(fam, n), l, r2, levels, 1 if fam == "B" else 2)
+    # the virtual-ring combination, of four tensor sums (B/C/D) or two (A), sits in the
+    # root of the kernel's one product
+    return kernel.weight_sum(spec.family, spec.rank, l, r2, levels)
 
 
 def zero_weight_mult(spec: AlgebraSpec, k: int, l: int) -> int:

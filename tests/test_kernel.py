@@ -8,11 +8,12 @@ the packed product that ``bivar.kernel._packing`` lays out is checked
 against that count and against the same generating-function product
 multiplied out one coefficient at a time (``stepped_block_poly``), on a
 full grid of small keys and on keys whose coefficients need more than 64
-bits. The fold of :func:`bivar.kernel.bivariate_sum_bcd`, read from the
-product started at the binomial kernel instead of 1, is checked against
-the four-term combination of brute-force sums with the cached packing
-cold and warm, and on the wide keys against the same combination taken
-one block coefficient at a time.
+bits. The B/C/D irreducible of :func:`bivar.kernel.weight_sum`, read from
+the product started at the virtual root K0 V f_0^f instead of 1, is checked
+against the four-term combination of brute-force sums with the cached
+packing cold and warm; on the wide keys its C, read through ``_packing`` and
+``_product``, is checked against the same combination taken one block
+coefficient at a time.
 The packing's cache key is checked by interleaving families that share
 all but one of (f, d, l, step). Its roots K0 f_0^f and K0 V f_0^f and its
 ratios r_a = f_a (1 - y) / (1 + y), built by shifts and adds, are checked
@@ -29,18 +30,21 @@ count's (5, 2, 4, 2, 3)); the transcription fault is not yet found. So
 it is compared with the kernel only at l <= 3.
 
 For type A the reference is the partition-indexed sum, one slot-choice
-binomial per part size (``literal_tensor_sum_a``); the kernel's truncated
-product, and the difference of its y^l and y^(l-1) digits that
-:func:`bivar.kernel.bivariate_sum_a` reads, are compared with it on every
-key with rank 2-5 and l <= 6, and on keys whose values need more than 64
-bits.
+binomial per part size (``literal_tensor_sum_a``). The kernel's truncated
+product is compared with it on every key with rank 2-5 and l <= 6, and on
+keys whose values need more than 64 bits; on the same keys, wherever the
+level counts fit a weight summing to k + l with k >= l (``a_weight``), so is
+the irreducible of :func:`bivar.kernel.weight_sum`, digit l of the product
+started at 1 - y, against the difference of the reference at l and l - 1.
 
 :func:`bivar.multiplicity.tensor_mult` and
 :func:`~bivar.multiplicity.bivariate_mult` hand the kernel a weight's |mu_i|
 (for A, its shifted representative), which it counts over the nonzero parts.
-They are checked against the sums fed the l-tuple of level counts, on sparse
-signed weights at ranks up to 10,000 with parts above l, and for type A with
-negative coordinates against Kostka numbers and the direct convolution.
+On sparse signed weights at ranks up to 10,000 with parts above l,
+tensor_mult is checked against the tensor sum fed the l-tuple of level
+counts, and bivariate_mult against the virtual-ring combination of
+tensor_mult values. For type A with negative coordinates both are checked
+against Kostka numbers and the direct convolution too.
 """
 
 from functools import lru_cache
@@ -188,6 +192,18 @@ def literal_tensor_sum_a(n, l, ell):
     return total
 
 
+def a_weight(n, l, ell):
+    """A type A weight of rank n with ell[t] coordinates at level t < l,
+    summing to k + l with k >= l: the rest sit at l, and one of them is raised
+    until the sum reaches 2 l. None when no coordinate is left to raise."""
+    levels = list(weight_from_levels(n + 1, ell[:l], l))
+    if sum(levels) < 2 * l:
+        if sum(ell[:l]) >= n + 1:
+            return None
+        levels[-1] += 2 * l - sum(levels)
+    return levels
+
+
 class TestAgainstLiteralEvaluation:
     def test_bcd_small_grid(self):
         for n in (2, 3):
@@ -222,8 +238,9 @@ class TestAgainstLiteralEvaluation:
                         continue
                     expected = literal_tensor_sum_a(n, l, ell)
                     assert kernel.tensor_sum_a(n, l, ell) == expected, (n, l, ell)
-                    assert kernel.bivariate_sum_a(n, l, ell) == \
-                        expected - literal_tensor_sum_a(n, l - 1, ell), (n, l, ell)
+                    if (levels := a_weight(n, l, ell)) is not None:
+                        assert kernel.weight_sum("A", n, l, 0, levels) == \
+                            expected - literal_tensor_sum_a(n, l - 1, ell), (n, l, ell)
 
     @pytest.mark.parametrize("n, l, ell", [
         (80, 20, (0,) * 20),
@@ -236,17 +253,13 @@ class TestAgainstLiteralEvaluation:
         assert binom(l + n, n) > 2 ** 64
         expected = literal_tensor_sum_a(n, l, ell)
         assert kernel.tensor_sum_a(n, l, ell) == expected
-        assert kernel.bivariate_sum_a(n, l, ell) == \
+        assert kernel.weight_sum("A", n, l, 0, a_weight(n, l, ell)) == \
             expected - literal_tensor_sum_a(n, l - 1, ell)
 
     def test_negative_l_is_zero(self):
         assert kernel.tensor_sum_bcd(3, 2, -1, 4, (), 2) == 0
         assert kernel.tensor_sum_bcd(3, 2, -2, 4, (), 1) == 0
         assert kernel.tensor_sum_a(3, -1, ()) == 0
-        assert kernel.bivariate_sum_a(3, -1, ()) == 0
-        # all four tensor sums of the combination sit at negative l
-        assert kernel.bivariate_sum_bcd(3, 2, -1, 0, (), 1) == 0
-        assert kernel.bivariate_sum_bcd(3, 2, -2, 4, (), 2) == 0
 
     def test_l_zero_reduces_to_single_binomial(self):
         # only block N = 0 is left, so the sum collapses to the depth binomial
@@ -255,7 +268,7 @@ class TestAgainstLiteralEvaluation:
                 assert kernel.tensor_sum_bcd(n, d, 0, r2, (), 1) == \
                     binom(r2 // 2 + d, d)
         assert kernel.tensor_sum_a(3, 0, ()) == 1
-        assert kernel.bivariate_sum_a(3, 0, ()) == 1
+        assert kernel.weight_sum("A", 3, 0, 0, [2, 1, 0, 0]) == 1
 
     def test_big_values_stay_exact(self):
         # far beyond 64-bit: the sums are exact big integers
@@ -266,15 +279,15 @@ class TestAgainstLiteralEvaluation:
 
 @st.composite
 def bcd_calls(draw):
-    n = draw(st.integers(2, 5))
-    d = draw(st.sampled_from([n - 1, n - 2] if n >= 3 else [n - 1]))
+    family = draw(st.sampled_from("BCD"))
+    n = draw(st.integers(3 if family == "D" else 2, 5))
     l = draw(st.integers(0, 6))
     r2 = draw(st.integers(-2, 16))
     ell, left = [], n
     for _ in range(max(l, 1)):
         ell.append(draw(st.integers(0, left)))
         left -= ell[-1]
-    return n, d, l, r2, tuple(draw(st.permutations(ell))), draw(st.sampled_from([1, 2]))
+    return family, n, l, r2, tuple(draw(st.permutations(ell)))
 
 
 def brute_bivariate_sum_bcd(n, d, l, r2, ell, step):
@@ -288,18 +301,20 @@ def brute_bivariate_sum_bcd(n, d, l, r2, ell, step):
 @given(bcd_calls())
 @settings(max_examples=150, deadline=None)
 def test_fold_matches_brute_force_cold_and_warm(call):
-    n, d, l, r2, ell, step = call
+    family, n, l, r2, ell = call
+    d, step = kernel._degree(family, n), 1 if family == "B" else 2
+    levels = weight_from_levels(n, ell[:l], l)
     for depth in (r2, r2 + 1):
         expected = brute_bivariate_sum_bcd(n, d, l, depth, ell, step)
         kernel._packing.cache_clear()
-        assert kernel.bivariate_sum_bcd(n, d, l, depth, ell, step) == expected
+        assert kernel.weight_sum(family, n, l, depth, levels) == expected
         # refill the packing from another depth of the same parity and from
         # the other parity; the warm call then builds no new packing
         kernel._packing.cache_clear()
-        kernel.bivariate_sum_bcd(n, d, l, depth + 4, ell, step)
-        kernel.bivariate_sum_bcd(n, d, l, depth + 1, ell, step)
+        kernel.weight_sum(family, n, l, depth + 4, levels)
+        kernel.weight_sum(family, n, l, depth + 1, levels)
         misses = kernel._packing.cache_info().misses
-        assert kernel.bivariate_sum_bcd(n, d, l, depth, ell, step) == expected
+        assert kernel.weight_sum(family, n, l, depth, levels) == expected
         assert kernel._packing.cache_info().misses == misses
 
 
@@ -331,13 +346,16 @@ def test_packing_key_separates_families(n):
 ])
 def test_packing_key_holds_f(n, l, ell):
     # sum(ell) > n: f = sum(ell) sets the digit width, so the packing built
-    # for the same (n, d, l, step) at f = n must not serve this call
-    for d, step, parity in product((1, 2), (1, 2), (0, 1)):
+    # for the same (n, d, l, step) at f = n must not serve this call; the
+    # depths reach every coefficient C_i of both parities
+    depths = range(-6, 2 * l + 6)
+    for d, step in product((1, 2), (1, 2)):
         kernel._packing.cache_clear()
-        cold = kernel.fold_bcd(n, d, l, ell, step, parity)
+        cold = [kernel.tensor_sum_bcd(n, d, l, r2, ell, step) for r2 in depths]
         kernel._packing.cache_clear()
-        kernel.fold_bcd(n, d, l, (0,) * l, step, parity)
-        assert kernel.fold_bcd(n, d, l, ell, step, parity) == cold, (d, step, parity)
+        kernel.tensor_sum_bcd(n, d, l, 0, (0,) * l, step)
+        warm = [kernel.tensor_sum_bcd(n, d, l, r2, ell, step) for r2 in depths]
+        assert warm == cold, (d, step)
 
 
 def reference_packing(f, d, l, bits):
@@ -439,9 +457,10 @@ def test_product_wide_slots(n, l, ell):
     # the sphere count, which bounds every coefficient, needs over 64 bits
     assert count_one_norm_sphere(max(n, sum(ell)), l) > 2 ** 64
     assert_slots_are_blocks(n, l, ell, stepped_block_poly)
-    # the packed fold against the same combination taken one block
+    # C of the virtual root against the same combination taken one block
     # coefficient at a time
     slots = product_slots(n, l, ell)
+    levels = weight_from_levels(n, ell, l)
     for d, step, parity in product((n - 1, n - 2), (1, 2), (0, 1)):
         expected = [0] * (l + 1)
         for big_l, shift, sign in ((l, 0, 1), (l - 1, 0, -1), (l - 1, -1, -1), (l - 2, -1, 1)):
@@ -450,7 +469,8 @@ def test_product_wide_slots(n, l, ell):
                 base = (parity - big_l - big_n) // 2 + shift + l
                 for m, c in enumerate(slots[big_n]):
                     expected[base + m] += outer * c
-        assert kernel.fold_bcd(n, d, l, ell, step, parity) == tuple(expected)
+        _, mask, roots, ratios, reads = kernel._packing(n, d, l, step)
+        assert reads[parity](kernel._product(roots[True], mask, ratios, l, levels)) == expected
 
 
 @pytest.mark.parametrize("n, l, ell", [
@@ -497,9 +517,10 @@ def signed_sparse_weights(draw):
     return spec, k, l, tuple(mu)
 
 
-def level_count_sums(spec, k, l, mu):
-    """The kernel's tensor and irreducible sums fed mu's level counts
-    (l_0, ..., l_{l-1}), of the representative summing to k + l for A."""
+def level_count_tensor_sum(spec, k, l, mu):
+    """The levels the kernel reads (|mu_i|, or for A the representative
+    summing to k + l) and its tensor sum fed their level counts
+    (l_0, ..., l_{l-1})."""
     n, family = spec.rank, spec.family
     if family == "A":
         shift = (k + l - sum(mu)) // (n + 1)
@@ -508,22 +529,32 @@ def level_count_sums(spec, k, l, mu):
         levels = [abs(a) for a in mu]
     ell = tuple(map(levels.count, range(l)))
     if family == "A":
-        return levels, kernel.tensor_sum_a(n, l, ell), kernel.bivariate_sum_a(n, l, ell)
+        return levels, kernel.tensor_sum_a(n, l, ell)
     d, step, r2 = kernel._degree(family, n), 1 if family == "B" else 2, k + l - sum(levels)
-    return (levels, kernel.tensor_sum_bcd(n, d, l, r2, ell, step),
-            kernel.bivariate_sum_bcd(n, d, l, r2, ell, step))
+    return levels, kernel.tensor_sum_bcd(n, d, l, r2, ell, step)
+
+
+def virtual_combination(spec, k, l, mu):
+    """The irreducible as tensor_mult values in the virtual ring:
+    T(k, l) - T(k + 1, l - 1), and for B/C/D also - T(k - 1, l - 1) + T(k, l - 2);
+    a term with a negative second index counts as 0."""
+    terms = [(k, l, 1), (k + 1, l - 1, -1)]
+    if spec.family != "A":
+        terms += [(k - 1, l - 1, -1), (k, l - 2, 1)]
+    return sum(sign * tensor_mult(spec, a, b, mu) for a, b, sign in terms if b >= 0)
 
 
 @given(signed_sparse_weights())
 @settings(max_examples=120, deadline=None)
 def test_entry_points_match_level_count_sums(case):
-    # tensor_mult and bivariate_mult hand the kernel the weight's |mu_i|, which
-    # it counts over the nonzero parts; the l-tuple of level counts must give
-    # the same sums, and the irreducible is 0 once a part passes k
+    # tensor_mult hands the kernel the weight's |mu_i|, which it counts over the
+    # nonzero parts; the l-tuple of level counts must give the same sum. The
+    # irreducible, whose virtual factor sits in the kernel's root, must be the
+    # virtual-ring combination of tensor products, which is 0 once a part passes k
     spec, k, l, mu = case
-    levels, tensor, irreducible = level_count_sums(spec, k, l, mu)
+    _, tensor = level_count_tensor_sum(spec, k, l, mu)
     assert tensor_mult(spec, k, l, mu) == tensor
-    assert bivariate_mult(spec, k, l, mu) == (irreducible if max(levels) <= k else 0)
+    assert bivariate_mult(spec, k, l, mu) == virtual_combination(spec, k, l, mu)
 
 
 @pytest.mark.parametrize("n, k, l, mu, mult, tensor", [
@@ -540,7 +571,8 @@ def test_type_a_negative_coordinates_shift(n, k, l, mu, mult, tensor):
     # the shifted coordinates, not |mu_i|, and Kostka numbers and the direct
     # convolution agree on both sums
     spec = algebra("A", n)
-    levels, tensor_sum, bivariate_sum = level_count_sums(spec, k, l, mu)
+    levels, tensor_sum = level_count_tensor_sum(spec, k, l, mu)
     assert min(mu) < 0 <= min(levels) and sum(levels) == k + l
-    assert bivariate_mult(spec, k, l, mu) == bivariate_sum == kostka_count((k, l), levels) == mult
+    assert bivariate_mult(spec, k, l, mu) == virtual_combination(spec, k, l, mu) == \
+        kostka_count((k, l), levels) == mult
     assert tensor_mult(spec, k, l, mu) == tensor_sum == tensor_conv_mult(spec, k, l, mu) == tensor

@@ -17,7 +17,6 @@ from bivar.root_systems import (
     canonical_weight,
     highest_weight,
     one_norm,
-    weight_stats,
     weyl_dimension,
 )
 from bivar.weight_tables import (
@@ -177,16 +176,14 @@ class TestBuildTable:
     def test_candidates_beyond_k_are_zero(self, spec, k, l):
         beyond = [mu for mu in candidate_dominants(spec, k, l) if mu[0] > k]
         assert beyond
-        n = spec.rank
-        d, step = kernel._degree(spec.family, n), 1 if spec.family == "B" else 2
         for mu in beyond:
             # bivariate_mult answers 0 here before any sum; the oracle must agree
             assert bivariate_mult(spec, k, l, mu) == 0 == convolution_mult(spec, k, l, mu), mu
-            norm, ell = weight_stats(spec, mu, l)
-            r2 = k + l - norm
-            if spec.family != "A" and (step == 1 or r2 % 2 == 0):
+            levels = [abs(a) for a in mu]
+            r2 = k + l - sum(levels)
+            if spec.family in "AB" or r2 % 2 == 0:
                 # and the kernel's own sum, which the walk skips there too
-                assert kernel.bivariate_sum_bcd(n, d, l, r2, ell, step) == 0, mu
+                assert kernel.weight_sum(spec.family, spec.rank, l, r2, levels) == 0, mu
 
 
 # the 750 (family, rank, k, l) of the walk's digest
