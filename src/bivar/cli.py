@@ -2,9 +2,9 @@
 
 Subcommands: ``mult`` (one weight), ``table`` (full or dominant-only
 weight table as JSON or CSV, all written by ``table_text``, the one
-table writer) and ``verify`` (re-derive multiplicities through the
-independent oracles over a grid and compare exactly). Timings come
-from the benchmark in ``perfbench/``, not from this command.
+table writer) and ``verify`` (re-derive multiplicities over a grid through
+Freudenthal's table and the per-weight ``ORACLES``, and compare exactly).
+Timings come from the benchmark in ``perfbench/``, not from this command.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 I/O
 failure. Multiplicities serialize as decimal strings so consumers never
@@ -116,8 +116,8 @@ def table_text(table: MultiplicityTable, fmt: str, full: bool = False,
     spec = table.spec
     head, tail = ROW_TEXT[fmt]
     if full:
-        # the D mirror rows (mu_n < 0) lie in the W_n orbits of their partners
-        rows = [(mu, m) for mu, m in table.rows if mu[-1] >= 0]
+        # D's mirror rows (mu_n < 0) lie in the W_n orbits of their partners; others are checked
+        rows = [(mu, m) for mu, m in table.rows if spec.family != "D" or mu[-1] >= 0]
         # each leaf's tail is formatted and encoded once; %s never truncates (below)
         root = _expand_orbits(spec, rows, lambda m: b"\n" + (tail % m).encode(), _fuse_text)
         pieces = _walk_text(root, head.encode())
@@ -318,55 +318,48 @@ def _grid_specs(families, ranks):
     return out
 
 
+# The per-weight oracles of ``bivar verify``: for each ``--oracle`` name, the families it
+# covers and its checks (label, engine side: irreducible or tensor, oracle function).
+ORACLES = {
+    "convolution": ("ABCD", (("convolution", "irreducible", convolution_mult),
+                             ("tensor", "tensor", tensor_conv_mult))),
+    "kostka": ("A", (("kostka", "irreducible",
+                      lambda spec, k, l, mu: kostka_count((k, l) if l else (k,), mu)),)),
+}
+
+
 def run_verification(families, ranks, maxsum, oracle) -> tuple[int, list[str]]:
     """Compare the formula engine against the selected oracles on a grid.
 
-    Returns (number of comparisons, list of mismatch descriptions).
+    Per (algebra, k, l): the walk's dominant table against Freudenthal's
+    diagram, then one pass over ``candidate_dominants`` for each selected
+    ``ORACLES`` entry that covers the family. Returns (number of
+    comparisons, list of mismatch descriptions).
     """
-    specs = _grid_specs(families, ranks)
-    mismatches: list[str] = []
+    engine = {"irreducible": bivariate_mult, "tensor": tensor_mult}  # read at each call
     checked = 0
-
-    def record(spec, k, l, mu, lhs, rhs, which):
-        mismatches.append(
-            f"mismatch[{which}] family={spec.family} rank={spec.rank} "
-            f"k={k} l={l} mu={mu}: {lhs} != {rhs}"
-        )
-
-    for spec in specs:
+    mismatches: list[str] = []
+    for spec in _grid_specs(families, ranks):
+        passes = [checks for name, (covers, checks) in ORACLES.items()
+                  if oracle in (name, "all") and spec.family in covers]
         for total in range(maxsum + 1):
             for l in range(total // 2 + 1):
                 k = total - l
+                compared = []  # (label, weight, engine value, oracle value)
                 if oracle in ("freudenthal", "all"):
-                    diagram = freudenthal_diagram(spec, highest_weight(spec, k, l))
+                    diagram = freudenthal_diagram(spec, highest_weight(spec, k, l)).entries
                     table = build_table(spec, k, l, dominant_only=True)
                     got = {canonical_weight(spec, mu): m for mu, m in table.rows}
-                    for key in set(diagram.entries) | set(got):
-                        lhs = got.get(key, 0)
-                        rhs = diagram.entries.get(key, 0)
-                        checked += 1
-                        if lhs != rhs:
-                            record(spec, k, l, key, lhs, rhs, "freudenthal")
-                if oracle in ("convolution", "all"):
-                    for mu in candidate_dominants(spec, k, l):
-                        lhs = bivariate_mult(spec, k, l, mu)
-                        rhs = convolution_mult(spec, k, l, mu)
-                        checked += 1
-                        if lhs != rhs:
-                            record(spec, k, l, mu, lhs, rhs, "convolution")
-                        lhs_t = tensor_mult(spec, k, l, mu)
-                        rhs_t = tensor_conv_mult(spec, k, l, mu)
-                        checked += 1
-                        if lhs_t != rhs_t:
-                            record(spec, k, l, mu, lhs_t, rhs_t, "tensor")
-                if oracle in ("kostka", "all") and spec.family == "A":
-                    shape = (k, l) if l else (k,)
-                    for mu in candidate_dominants(spec, k, l):
-                        lhs = bivariate_mult(spec, k, l, mu)
-                        rhs = kostka_count(shape, mu)
-                        checked += 1
-                        if lhs != rhs:
-                            record(spec, k, l, mu, lhs, rhs, "kostka")
+                    compared += [("freudenthal", key, got.get(key, 0), diagram.get(key, 0))
+                                 for key in set(diagram) | set(got)]
+                for checks in passes:
+                    compared += [(label, mu, engine[side](spec, k, l, mu), check(spec, k, l, mu))
+                                 for mu in candidate_dominants(spec, k, l)
+                                 for label, side, check in checks]
+                checked += len(compared)
+                mismatches += [f"mismatch[{label}] family={spec.family} rank={spec.rank} "
+                               f"k={k} l={l} mu={mu}: {lhs} != {rhs}"
+                               for label, mu, lhs, rhs in compared if lhs != rhs]
     return checked, mismatches
 
 
@@ -415,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--grid", default="",
                           help='e.g. "families=B,C;ranks=2,3;maxsum=4"')
     p_verify.add_argument("--oracle", default="all",
-                          choices=["freudenthal", "convolution", "kostka", "all"])
+                          choices=["freudenthal", *ORACLES, "all"])
 
     return parser
 
@@ -440,8 +433,10 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     families, ranks, maxsum = _parse_grid(args.grid)
-    if args.oracle == "kostka" and any(f != "A" for f in families):
-        print("error: the kostka oracle is defined for family A only", file=sys.stderr)
+    covers = ORACLES[args.oracle][0] if args.oracle in ORACLES else "ABCD"
+    if any(f not in covers for f in families):
+        print(f"error: the {args.oracle} oracle is defined for family "
+              f"{', '.join(covers)} only", file=sys.stderr)
         return 2
     checked, mismatches = run_verification(families, ranks, maxsum, args.oracle)
     for line in mismatches:

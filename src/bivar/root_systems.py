@@ -280,7 +280,8 @@ def _orbit_size(family: str, coords: Weight, weyl: bool) -> int:
 def positive_roots(spec: AlgebraSpec) -> tuple[Weight, ...]:
     """Positive roots as coordinate tuples (length n, or n+1 for A).
 
-    The list serves ``weight_tables.freudenthal_table``; :func:`weyl_dimension`
+    The list serves ``weight_tables.freudenthal_table``, which takes as simple
+    the roots on it that are not the sum of two others; :func:`weyl_dimension`
     builds none.
     """
     n = spec.rank
@@ -313,29 +314,6 @@ def positive_roots(spec: AlgebraSpec) -> tuple[Weight, ...]:
             lng[i] = 2
             roots.append(tuple(lng))
     return tuple(roots)
-
-
-def simple_roots(spec: AlgebraSpec) -> tuple[Weight, ...]:
-    """Simple roots in the standard ordering for each family."""
-    n = spec.rank
-    fam = spec.family
-    out = []
-    length = weight_length(spec)
-    for i in range(n - 1):
-        root = [0] * length
-        root[i], root[i + 1] = 1, -1
-        out.append(tuple(root))
-    last = [0] * length
-    if fam == "A":
-        last[n - 1], last[n] = 1, -1
-    elif fam == "B":
-        last[n - 1] = 1
-    elif fam == "C":
-        last[n - 1] = 2
-    else:  # D
-        last[n - 2], last[n - 1] = 1, 1
-    out.append(tuple(last))
-    return tuple(out)
 
 
 def rho_twice(spec: AlgebraSpec) -> Weight:

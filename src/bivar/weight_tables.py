@@ -36,7 +36,6 @@ from .root_systems import (
     is_dominant,
     positive_roots,
     rho_twice,
-    simple_roots,
     weyl_dimension,
 )
 
@@ -143,10 +142,12 @@ def freudenthal_table(spec: AlgebraSpec, k: int, l: int,
     """Weight table computed by the textbook Freudenthal algorithm.
 
     Starting from the highest weight lam, each level is generated by
-    subtracting simple roots and every candidate's multiplicity is
-    evaluated by the recursion directly, one weight at a time, over the
-    whole weight system (no orbit reduction). Deliberately the classical
-    formulation: this is the baseline engine of performance gate 8b.
+    subtracting simple roots, the positive roots a (:func:`positive_roots`)
+    that are not the sum of two, i.e. for which no positive b leaves a
+    positive a - b. Every candidate's multiplicity is evaluated by the
+    recursion directly, one weight at a time, over the whole weight system
+    (no orbit reduction). Deliberately the classical formulation: this is
+    the baseline engine of performance gate 8b.
 
     Every quantity is an exact integer: the norm |mu+rho|^2 - |rho|^2 is
     sum a (a + 2 rho_i) with 2 rho from :func:`rho_twice`, the pairing of
@@ -164,8 +165,11 @@ def freudenthal_table(spec: AlgebraSpec, k: int, l: int,
     started = time.perf_counter()
     lam = highest_weight(spec, k, l)
     rho2 = rho_twice(spec)
-    roots = [(root, [(i, c) for i, c in enumerate(root) if c]) for root in positive_roots(spec)]
-    simple = simple_roots(spec)
+    positive = positive_roots(spec)
+    roots = [(root, [(i, c) for i, c in enumerate(root) if c]) for root in positive]
+    found = set(positive)
+    simple = [a for a in positive if all(tuple(x - y for x, y in zip(a, b)) not in found
+                                         for b in positive)]
 
     def norm(mu: Weight) -> int:  # |mu+rho|^2 - |rho|^2
         return sum(a * (a + r) for a, r in zip(mu, rho2))

@@ -1,4 +1,4 @@
-"""Recorded mutants of the kernel, kept as a check that the tests still kill them.
+"""Recorded mutants of bivar, kept as a check that the tests still kill them.
 
 Run it as ``python tests/mutants.py``; it finds the tree from its own path.
 Each entry names a mutant, the file it changes, the exact old text (found
@@ -24,6 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL = "src/bivar/kernel.py"
+TABLES = "src/bivar/weight_tables.py"
+CLI = "src/bivar/cli.py"
 
 A_SMALL_GRID = "tests/test_kernel.py::TestAgainstLiteralEvaluation::test_a_small_grid"
 A_WIDE = "tests/test_kernel.py::TestAgainstLiteralEvaluation::test_a_wide_digits"
@@ -37,6 +39,13 @@ VIRTUAL_RING = "tests/test_multiplicity.py::TestBivariate::test_virtual_ring_ide
 HIGH_RANK = "tests/test_multiplicity.py::test_single_weight_matches_diagram_at_high_rank"
 WALK = "tests/test_weight_tables.py::TestBuildTable::test_walk_matches_candidate_evaluation"
 WALK_DIGEST = "tests/test_weight_tables.py::test_dominant_rows_digest"
+WALK_COUNTERS = "tests/test_weight_tables.py::TestBuildTable::test_walk_counters"
+DOMINANT_PINNED = "tests/test_cli.py::TestTable::test_dominant_table_bytes_pinned"
+FREUDENTHAL = "tests/test_weight_tables.py::TestFreudenthalEngine::test_agrees_with_bivariate_engine"
+BAD_ROWS = "tests/test_root_systems.py::TestOrbit::test_full_table_text_rejects_bad_rows"
+DEFAULT_GRID = "tests/test_cli.py::TestVerify::test_default_grid_passes"
+SMALL_GRID = "tests/test_cli.py::TestVerify::test_small_grid_all_oracles"
+FAULT = "tests/test_cli.py::TestVerify::test_fault_injection_reports_mismatch"
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -64,6 +73,63 @@ MUTANTS = [
      "        count = parts.count(a) if a < l else rest\n",
      "        count = sum(part >= a for part in parts) if a < l else rest\n",
      [A_SMALL_GRID, A_NEGATIVE, BCD_GRID, BCD_FOLD, SLOTS, DIGEST]),
+    ("the walk's big parts starting at l - 1", KERNEL,
+     "    low, top = max(l, 1), ",
+     "    low, top = max(l - 1, 1), ",
+     [WALK_COUNTERS, WALK_DIGEST, DOMINANT_PINNED]),
+    ("the walk's C cached per level class without its parity", KERNEL,
+     "read[r2 & 1] = reads[r2 & 1](product)\n",
+     "read[0] = read[1] = reads[r2 & 1](product)\n",
+     [WALK, WALK_COUNTERS, WALK_DIGEST, DOMINANT_PINNED]),
+    ("freudenthal_table with rho for 2 rho", TABLES,
+     "    rho2 = rho_twice(spec)\n",
+     "    rho2 = [r // 2 for r in rho_twice(spec)]\n",
+     [FREUDENTHAL]),
+    ("freudenthal_table with rho reversed", TABLES,
+     "    rho2 = rho_twice(spec)\n",
+     "    rho2 = rho_twice(spec)[::-1]\n",
+     [FREUDENTHAL]),
+    ("freudenthal_table pairing with |c| for c", TABLES,
+     "sum(c * nu[i] for i, c in support)",
+     "sum(abs(c) * nu[i] for i, c in support)",
+     [FREUDENTHAL]),
+    ("freudenthal_table pairing negated", TABLES,
+     "sum(c * nu[i] for i, c in support)",
+     "-sum(c * nu[i] for i, c in support)",
+     [FREUDENTHAL]),
+    ("freudenthal_table step without its factor 2", TABLES,
+     "mult[mu] = 2 * acc // denom",
+     "mult[mu] = acc // denom",
+     [FREUDENTHAL]),
+    ("freudenthal_table root strings stopped after one step", TABLES,
+     "                while m := mult.get(nu):\n",
+     "                if m := mult.get(nu):\n",
+     [FREUDENTHAL]),
+    ("freudenthal_table without the last positive root", TABLES,
+     "    positive = positive_roots(spec)\n",
+     "    positive = positive_roots(spec)[:-1]\n",
+     [FREUDENTHAL]),
+    ("freudenthal_table norm without its a^2 term", TABLES,
+     "return sum(a * (a + r) for a, r in zip(mu, rho2))",
+     "return sum(a * r for a, r in zip(mu, rho2))",
+     [FREUDENTHAL]),
+    ("freudenthal_table simple roots taken with any for all", TABLES,
+     "simple = [a for a in positive if all(",
+     "simple = [a for a in positive if any(",
+     [FREUDENTHAL]),
+    ("the full-table text drops negative last coordinates in every family", CLI,
+     'if spec.family != "D" or mu[-1] >= 0]',
+     "if mu[-1] >= 0]",
+     [BAD_ROWS]),
+    ("verify's convolution entry without its tensor check", CLI,
+     '(("convolution", "irreducible", convolution_mult),\n'
+     '                             ("tensor", "tensor", tensor_conv_mult))),',
+     '(("convolution", "irreducible", convolution_mult),)),',
+     [SMALL_GRID, FAULT]),
+    ("verify's kostka entry covering every family", CLI,
+     '"kostka": ("A", ',
+     '"kostka": ("ABCD", ',
+     [DEFAULT_GRID, SMALL_GRID]),
 ]
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, serialization, verification."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -464,7 +465,7 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "--grid",
                                     "families=B,C,A;ranks=2;maxsum=3"])
         assert code == 0
-        assert "no mismatches" in out
+        assert out.splitlines() == ["ok: 171 comparisons, no mismatches"]
 
     def test_kostka_needs_family_a(self, capsys):
         code, _, err = run(capsys, ["verify", "--oracle", "kostka",
@@ -489,20 +490,32 @@ class TestVerify:
         assert err.startswith("error: ")
         assert "ok:" not in out
 
-    def test_fault_injection_reports_mismatch(self, capsys, monkeypatch):
-        real = cli.bivariate_mult
+    @pytest.mark.parametrize("label, engine, oracle, family", [
+        ("convolution", "bivariate_mult", "convolution", "C"),
+        ("tensor", "tensor_mult", "convolution", "C"),
+        ("kostka", "bivariate_mult", "kostka", "A"),
+        ("freudenthal", "build_table", "freudenthal", "C"),
+    ], ids=["convolution", "tensor", "kostka", "freudenthal"])
+    def test_fault_injection_reports_mismatch(self, capsys, monkeypatch, label, engine,
+                                              oracle, family):
+        # one engine side off by one at k = 2, l = 1: only its own check may report it
+        real = getattr(cli, engine)
 
-        def corrupted(spec, k, l, mu):
-            value = real(spec, k, l, mu)
-            if (k, l) == (2, 1) and sum(abs(a) for a in mu) == 1:
-                return value + 1
-            return value
+        def corrupted(spec, k, l, *rest, **options):
+            value = real(spec, k, l, *rest, **options)
+            if (k, l) != (2, 1):
+                return value
+            if engine == "build_table":
+                return dataclasses.replace(value, rows=tuple((mu, m + 1) for mu, m in value.rows))
+            return value + 1
 
-        monkeypatch.setattr(cli, "bivariate_mult", corrupted)
-        code, out, _ = run(capsys, ["verify", "--oracle", "convolution",
-                                    "--grid", "families=C;ranks=2;maxsum=3"])
+        monkeypatch.setattr(cli, engine, corrupted)
+        code, out, _ = run(capsys, ["verify", "--oracle", oracle,
+                                    "--grid", f"families={family};ranks=2;maxsum=3"])
         assert code == 1
-        assert "mismatch[convolution]" in out
+        lines = out.splitlines()
+        assert lines[-1].startswith(f"FAIL: {len(lines) - 1} mismatches out of ")
+        assert {line.split()[0] for line in lines[:-1]} == {f"mismatch[{label}]"}
 
     def test_skips_invalid_rank_family_pairs(self, capsys):
         # D_2 is skipped rather than failing the whole grid

@@ -217,9 +217,7 @@ class TestOrbit:
             assert group % len(members) == 0
 
     def test_full_table_text_rejects_bad_rows(self):
-        spec = algebra("D", 3)
-
-        def text(rows):
+        def text(rows, spec=algebra("D", 3)):
             return b"".join(cli.table_text(MultiplicityTable(spec, 0, 0, True, rows), "csv",
                                            full=True))
 
@@ -230,6 +228,15 @@ class TestOrbit:
         assert text([]) == b"mu_1,mu_2,mu_3,mult\n"
         # a negative last coordinate is a D mirror row, dropped before the walk
         assert text([((2, 1, -1), 1)]) == b"mu_1,mu_2,mu_3,mult\n"
+        # in B and C it is no dominant row, and is refused rather than dropped
+        with pytest.raises(NotDominant):
+            text([((1, 0), 1), ((1, -1), 5)], algebra("B", 2))
+        with pytest.raises(NotDominant):
+            text([((1, -1), 1)], algebra("C", 2))
+        # an A row is written as its orbit, the permutations of the coordinates as given
+        rows = [",".join(map(str, w)) + ",1\n" for w in sorted(set(permutations((2, 1, -1))))]
+        assert text([((2, 1, -1), 1)], algebra("A", 2)).decode() == \
+            "mu_1,mu_2,mu_3,mult\n" + "".join(rows)
 
     def test_weyl_orbit_size_d_mirror_split(self):
         spec = algebra("D", 3)
