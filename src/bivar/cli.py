@@ -449,6 +449,20 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Python converts int and decimal text only up to 4,300 digits (3.10.7 and
+    # later); a command reads and prints integers of any length, and a library
+    # caller gets its own limit back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return _main(argv)
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

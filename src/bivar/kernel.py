@@ -12,11 +12,13 @@ table, in one walk.
 Each sum reads one packed product per weight. All else it needs depends on
 the algebra and l, not on the weight, so it is built once per key, by shifts
 and adds, and cached. The product depends on the weight only through its
-level counts, which :func:`_product` counts over the weight's nonzero parts as
-it multiplies, so a single weight costs the same at any rank but for passes
-over its coordinates at C speed; and :func:`dominant_rows` makes one product
-and one read per level class and parity of r2, and spreads the read over the
-class's weights.
+nonzero parts: :func:`_product` starts from the packing's root divided by N_0^s,
+s the number of parts, and multiplies in the sparse numerator N_a of each part's
+level a by shifts and adds, so a single weight costs the same at any rank but
+for passes over its coordinates at C speed; and :func:`dominant_rows` makes one
+product and one read per level class and parity of r2, and spreads the read
+over the class's weights, dividing each parent by N_0 once and making each
+child with one N_a.
 How the product is packed, and why it is exact, is written once: in the
 comment of :func:`_packing`, and of :func:`_packing_a` for type A.
 
@@ -45,18 +47,18 @@ def weight_sum(family, n, l, r2, levels, virtual=True):
     the representative summing to k + l (r2 unused). l >= 0 unchecked.
     """
     if family == "A":
-        _, mask, roots, ratios, reads = _packing_a(n + 1, l)
-        return reads[0](_product(roots[virtual], mask, ratios, l, levels))[0]
+        _, root, times, _, reads = _packing_a(n + 1, l)
+        return reads[0](_product(root, times, virtual, levels))[0]
     return _sum_bcd(n, _degree(family, n), l, r2, levels, 1 if family == "B" else 2, virtual)
 
 
 def _sum_bcd(f, d, l, r2, levels, step, virtual):
     # the B/C/D sum over f coordinates at binomial degree d and step (1 for B, 2 for C and D)
-    _, mask, roots, ratios, reads = _packing(f, d, l, step)
+    _, root, times, _, reads = _packing(f, d, l, step)
     # C_i multiplies binom(t, d), t = r2 // 2 + i - l + d; a plain loop, as a
     # generator's set-up costs more than its l + 1 terms
     total, t = 0, r2 // 2 - l + d
-    for c in reads[r2 & 1](_product(roots[virtual], mask, ratios, l, levels)):
+    for c in reads[r2 & 1](_product(root, times, virtual, levels)):
         if c and t >= 0:
             total += c * comb(t, d)
         t += 1
@@ -88,8 +90,9 @@ def tensor_sum_bcd(n, d, l, r2, ell, step):
 
 @lru_cache(maxsize=None)
 def _packing(f, d, l, step):
-    # What a B/C/D sum over f coordinates needs besides the weight: digit width,
-    # mask to y-degree <= l, roots [virtual], ratios r_0..r_l and readers [r2 % 2].
+    # What a B/C/D sum over f coordinates needs besides the weight: digit width, the
+    # root over N_0^s [virtual, s], the maps G -> G N_a (times, one a per part) and
+    # G -> G / N_0 (divide), each masked to y-degree <= l, and readers [r2 % 2].
     # f is n for every weight of rank n (only level counts ell with sum(ell[:l]) > n
     # ask for more), so a process builds one packing per (family, rank, l) it asks
     # for, and tensor_mult, bivariate_mult and the dominant_rows walk all read it.
@@ -102,9 +105,8 @@ def _packing(f, d, l, step):
     # one per coordinate at level a. Block N needs ell[:N] alone, as f_a and f_N
     # agree up to y^N for a >= N; so levels l and up act as l, and one product F,
     # truncated at y^l, holds every block N <= l. F is packed by Kronecker
-    # substitution, x = 2**bits and y = 2**((l + 1) bits), and masked to y^l, so a
-    # multiply is one big-int multiply and a mask, and digit N (l + 1) + m counts
-    # the nu of one-norm N with overlap m.
+    # substitution, x = 2**bits and y = 2**W, W = (l + 1) bits, and masked to y^l,
+    # so digit N (l + 1) + m counts the nu of one-norm N with overlap m.
     # Coefficient m of block N enters the sum at (L, r2) times binom((r2 - L -
     # N) // 2 + m + d, d) C((L - N) // 2 + d, d). Over j = L - N, the outer
     # binomials times x^((parity + j) // 2) are the y^j coefficients of K =
@@ -114,39 +116,76 @@ def _packing(f, d, l, step):
     # l, l - 1, l - 1 and l - 2), whose signs V folds in at no multiply of its own.
     # Then mult = sum_i C_i binom(r2 // 2 + i - l + d, d) (weight_sum): l + 1
     # binomials, and C depends on r2 only through its parity.
-    # As f_0 = (1 + y) / (1 - y), F = f_0^f times r_a = f_a / f_0 = f_a (1 - y) / (1 + y)
-    # per coordinate at level a >= 1. So f_0^f, which holds the only count that
-    # grows with the rank, comes in closed form in a root, K0 f_0^f or K0 V f_0^f;
-    # _product multiplies in each level's ratio, raised to its count by squaring;
+    # Summed as geometric series, f_a = N_a / ((1 - y)(1 - x y)) with the sparse
+    # N_a = 1 - x y^2 + (1 - x) x^a y^(a + 1) for 1 <= a < l, N_a = 1 - x y^2 for
+    # a >= l (its last term passes y^l), and N_0 = (1 + y)(1 - x y). So a weight
+    # with s nonzero parts has F = f_0^f N_0^-s prod N_a, one N_a per part:
+    # - f_0^f N_0^-s = (1 + y)^(f - s) (1 - y)^-f (1 - x y)^-s, which holds the
+    #   only counts that grow with the rank, times K0 (and V) is root(virtual, s),
+    #   kept per packing and virtual flag, by division from a kept root or in
+    #   closed form (closed, _roots);
+    # - G N_a is two shift-adds and a small multiple, G - (G << 2W + bits) +
+    #   (G << (a + 1) W + a bits)(1 - 2**bits) (times);
+    # - G / N_0 is G (1 - y)(1 + y^2)(1 + y^4)... (1 + x y)(1 + x^2 y^2)..., up to
+    #   degree l: 2 ceil(log2(l + 1)) shift-adds (divide), which the walk takes
+    #   once per parent, as a child is its parent times N_a / N_0;
     # and a reader takes on the step-1 factor by one shift-add and reads the l + 1
-    # digits of y^l. Shifts and adds build the packing (below), with no pow and no
-    # product of two packed ints.
-    # The packing is a ring map Z[x, y]/(y^(l + 1)) -> Z/2^((l + 1)^2 bits) (x
-    # never outruns y in a root or ratio), so a masked product with negative digits
-    # is still exact; only the polynomial read must fit its digits. They hold a
-    # sign and every coefficient to y^l of F K V, at most
+    # digits of y^l. Shifts, adds and small multiples build all of it, with no pow
+    # and no product of two packed ints.
+    # The packing is a ring map Z[x, y]/(y^(l + 1)) -> Z/2^((l + 1)^2 bits), so a
+    # masked residue stays the image of its polynomial however large or negative
+    # the coefficients on the way (root / N_0^s outruns every digit); F K V is one
+    # element of that ring however it is factored, so its residue, and every digit
+    # read from it, does not depend on the route. Only the polynomial read must fit
+    # its digits: x never outruns y in it, and they hold a sign and every
+    # coefficient to y^l of F K V, at most
     # sum_N 4 binom((l - N) // 2 + d, d) E_N, where E_N = 2^min(f, N) C(f + N - 1, N)
     # bounds the points of one-norm N (|f + N - 1| keeps it exact at f = 0: 1 at N = 0, else 0)
     bits = (8 * sum(comb((l - big_n) // 2 + d, d) * comb(abs(f + big_n - 1), big_n) << min(f, big_n)
                     for big_n in range(l + 1))).bit_length()
     width = (l + 1) * bits
     mask = (1 << (l + 1) * width) - 1
-    # f_0^f has no x, and its y^b coefficients p_b follow from P' = 2f P / (1 - y^2):
-    # (b + 1) p_(b+1) = 2f p_b + (b - 1) p_(b-1)
-    f0_power, previous, p = 1, 1, 2 * f
-    for b in range(1, l + 1):
-        f0_power += p << b * width
-        previous, p = p, (2 * f * p + (b - 1) * previous) // (b + 1)
-    # K0 f_0^f: each binomial of K0 scales a shifted copy of f_0^f
-    root = sum(comb(h + d, d) * f0_power << h * (2 * width + bits) for h in range(l // 2 + 1)) & mask
-    roots = (root, root - (root << width) - (root << width + bits) + (root << 2 * width + bits) & mask)
-    # r_a = r_(a-1) + x^(a-1) y^a rise, rise = (x - 1) / (1 + y) = (x - 1)(1 - y) / (1 - y^2),
-    # and 1 / (1 - y^2) truncated is evens = 1 + y^2 + ... + y^(2 (l // 2))
-    evens = ((1 << 2 * width * (l // 2 + 1)) - 1) // ((1 << 2 * width) - 1)
-    rise = (evens << bits) - evens - (evens << width + bits) + (evens << width)
-    ratios = [1]
-    for a in range(1, l + 1):
-        ratios.append(ratios[-1] + (rise << a * width + (a - 1) * bits) & mask)
+    xy, xy2 = width + bits, 2 * width + bits  # the shifts of x y and x y^2
+
+    def closed(s):
+        # the tensor and virtual roots over N_0^s in closed form. (1 + y)^(f - s)
+        # (1 - y)^-f has no x, and its y^b coefficients p_b follow from
+        # P' (1 - y^2) = (2f - s + s y) P: (b + 1) p_(b+1) = (2f - s) p_b + (b - 1 + s) p_(b-1)
+        power, previous, p = 1, 1, 2 * f - s
+        for b in range(1, l + 1):
+            power += p << b * width
+            previous, p = p, ((2 * f - s) * p + (b - 1 + s) * previous) // (b + 1)
+        # times K0, each binomial scaling a shifted copy, then (1 - x y)^-s, whose
+        # (x y)^m coefficient C(s + m - 1, m) scales another
+        packed = sum(comb(h + d, d) * power << h * xy2 for h in range(l // 2 + 1)) & mask
+        tensor, c = packed, s
+        for m in range(1, l + 1 if s else 1):
+            tensor += c * packed << m * xy
+            c = c * (s + m) // (m + 1)
+        tensor &= mask
+        # the virtual root: times V = 1 - y - x y + x y^2
+        return tensor, tensor - (tensor << width) - (tensor << xy) + (tensor << xy2) & mask
+
+    # the shifts of x^a y^(a + 1) for a < l, and 1 - x as a small multiplier
+    shifts, one_minus_x = [a * xy + width for a in range(l)], 1 - (1 << bits)
+
+    def times(packed, parts):
+        for a in parts:
+            if a < l:
+                packed = packed - (packed << xy2) + (packed << shifts[a]) * one_minus_x & mask
+            else:
+                packed = packed - (packed << xy2) & mask
+        return packed
+    # the shifts of y^2, y^4, ... and x y, x^2 y^2, ... up to degree l
+    doublings = ([width << j for j in range(1, l.bit_length())]
+                 + [xy << j for j in range(l.bit_length())])
+
+    def divide(packed):
+        packed = packed - (packed << width) & mask
+        for shift in doublings:
+            packed = packed + (packed << shift) & mask
+        return packed
+    root = _roots(closed, divide, l)
     # The map from a packed product G to its C: times 1 + 2**shift (1 + y or 1 + x y)
     # unless shift is None, then the digits of y^l, each biased by half its range so
     # that none borrows from the next
@@ -162,19 +201,25 @@ def _packing(f, d, l, step):
             return [(top >> i & digit) - bias for i in offsets]
         return read
     reads = [reader(width + parity * bits if step == 1 else None) for parity in (0, 1)]
-    return bits, mask, roots, ratios, reads
+    return bits, root, times, divide, reads
 
 
 @lru_cache(maxsize=None)
 def _packing_a(f, l):
     # What an A sum over f coordinates (n + 1 for a weight of rank n) needs besides the
-    # weight, in the fields of _packing: digit width, mask to y-degree <= l, roots,
-    # ratios g_0..g_l at y = 2**bits and, for either parity, the map to (digit l,).
+    # weight, in the fields of _packing, at y = 2**bits: digit width, root(virtual, s),
+    # times, divide and, for either parity, the map to (digit l,).
     # The tensor sum is c_l, the y^l coefficient of the product G of
-    # g_a = 1 + y + ... + y^min(a, l), one per coordinate at level a; g_0 = 1, so the
-    # ratios are the factors. The irreducible is h_k h_l - h_(k+1) h_(l-1) in the
-    # virtual ring, c_l - c_(l-1): digit l of (1 - y) G. So the roots are 1 and 1 - y,
-    # and the one reader serves both, as V in the root serves B/C/D.
+    # g_a = 1 + y + ... + y^min(a, l), one per coordinate at level a. The irreducible
+    # is h_k h_l - h_(k+1) h_(l-1) in the virtual ring, c_l - c_(l-1): digit l of
+    # (1 - y) G. So the virtual root takes 1 - y, and the one reader serves both, as V
+    # in the root serves B/C/D.
+    # Summed, g_a = N_a / N_0 with N_0 = 1 - y, N_a = 1 - y^(a + 1) for a < l and
+    # N_a = 1 for a >= l (y^(a + 1) passes y^l), so g_0 = 1 and, as for B/C/D, a
+    # weight with s nonzero parts starts from (1 - y)^-s, whose y^m coefficient is
+    # C(s + m - 1, m), times 1 - y at the virtual root; each part's N_a is one
+    # shift-add, and G / N_0 is G (1 + y)(1 + y^2)(1 + y^4)..., up to degree l.
+    # Exact by the ring map of _packing, at Z[y]/(y^(l + 1)) -> Z/2^((l + 1) bits).
     # Digit j of G, the ways to spread j over f coordinates, is <= C(l + f - 1, f - 1)
     # < 2**bits. Digit j <= l of (1 - y) G, c_j - c_(j-1), needs no sign bias: for a
     # weight summing to k + l, k >= l, it is the Kostka number K_((k + l - j, j), mu),
@@ -183,12 +228,32 @@ def _packing_a(f, l):
     # l = 3 give c_3 - c_2 = 1 - 3 = -2.
     bits = comb(l + f - 1, f - 1).bit_length()
     mask = (1 << (l + 1) * bits) - 1
-    ones = mask // ((1 << bits) - 1)  # g_l = 1 + y + ... + y^l
+
+    def closed(s):
+        # the tensor root over (1 - y)^s, and the virtual root, times 1 - y
+        tensor, c = 0, 1
+        for m in range(l + 1):
+            tensor += c << m * bits
+            c = c * (s + m) // (m + 1)
+        tensor &= mask
+        return tensor, tensor - (tensor << bits) & mask
+
+    def times(packed, parts):
+        for a in parts:
+            if a < l:
+                packed = packed - (packed << (a + 1) * bits) & mask
+        return packed
+    doublings = [bits << j for j in range(l.bit_length())]
+
+    def divide(packed):
+        for shift in doublings:
+            packed = packed + (packed << shift) & mask
+        return packed
+    root = _roots(closed, divide, l)
 
     def read(packed):
         return (packed >> l * bits,)
-    roots = (1, (1 - (1 << bits)) & mask)
-    return bits, mask, roots, [ones & (1 << (a + 1) * bits) - 1 for a in range(l + 1)], (read, read)
+    return bits, root, times, divide, (read, read)
 
 
 def tensor_sum_a(n, l, ell):
@@ -203,42 +268,56 @@ def tensor_sum_a(n, l, ell):
     return weight_sum("A", f - 1, l, 0, _parts(f, l, ell), False)
 
 
-def _product(packed, mask, ratios, l, levels):
-    # packed times the ratio of each coordinate at a level a >= 1 (r_0 = 1), each
-    # level's by binary powers. Levels from l on act as l, and at l = 0 every
-    # coordinate is at level 0. The zeros are dropped at C speed, so the counts
-    # run over the at most k + l nonzero parts: those in [1, l - 1] one level at
-    # a time, and the rest at l.
+def _roots(closed, divide, l):
+    # root(virtual, s), the root over N_0^s. Per virtual flag a chain of roots at
+    # s = 0, 1, 2, ... is kept, grown by one division per step up to an s at most
+    # l steps past its end; a root farther on comes from closed(s), the tensor and
+    # virtual roots in closed form, kept apart. A closed form costs some 4 to 14
+    # divisions (l = 8 to 80), so the chain serves the few part counts of a rank's
+    # weights, and a weight with many parts pays one closed form, not a division
+    # per part. A closed form for every s was slower on streams of single queries.
+    tensor, virtual = closed(0)
+    chains, far = ([tensor], [virtual]), {}
+
+    def root(virtual, s):
+        chain = chains[virtual]
+        if s >= len(chain) + l:
+            if s not in far:
+                far[s] = closed(s)
+            return far[s][virtual]
+        while len(chain) <= s:
+            chain.append(divide(chain[-1]))
+        return chain[s]
+    return root
+
+
+def _product(root, times, virtual, levels):
+    # a weight's packed product: its root over N_0^s, s its nonzero parts, times
+    # each part's N_a. The zeros are dropped at C speed, so the loop runs over the
+    # at most k + l nonzero parts, and levels from l on act as l (at l = 0 every
+    # N_a is 1).
     parts = list(filter(None, levels))
-    rest = len(parts)
-    for a in range(1, l + 1):
-        count = parts.count(a) if a < l else rest
-        rest -= count
-        factor = ratios[a]
-        while count > 0:
-            if count & 1:
-                packed = packed * factor & mask
-            count >>= 1
-            if count:
-                factor = factor * factor & mask
-    return packed
+    return times(root(virtual, len(parts)), parts)
 
 
 def dominant_rows(family, n, k, l):
     """Rows (mu, m), m > 0, of the dominant weights of k e1 + l e2 in family
     A-D of rank n, unsorted, and the counts of candidates, kept rows,
-    products (the walk's masked multiplies) and reads (C vectors read).
+    products (the walk's products by a ratio r_a: one per child and per count
+    of big parts) and reads (C vectors read).
 
     k >= l >= 0 unchecked. The candidates are the weakly decreasing mu >= 0
     with mu_1 <= k (larger mu_1 gives 0): n coordinates of one-norm <= k + l
     (even r2 for C and D), or for A n + 1 summing to k + l. A weight's
     product is the one :func:`weight_sum` takes (the packing at f = n,
-    n + 1 for A; its virtual root times the ratio r_a, g_a for A, of each
+    n + 1 for A; its virtual root times the ratio r_a = N_a / N_0 of each
     coordinate at level a), so it depends on mu only through its level class:
     c, the number of coordinates at level l, and the small parts, those in
-    [1, l - 1]. The walk steps c up from 0, one multiply by r_l each, and below
-    each c walks the weakly decreasing small parts depth first, one multiply
-    by r_a per child, pushing only children that some candidate completes.
+    [1, l - 1]. The walk steps c up from 0, one product by r_l each, and below
+    each c walks the weakly decreasing small parts depth first, pushing only
+    children that some candidate completes: a parent with children is divided
+    by N_0 once, by shift-adds, and each child is that times its N_a, a few
+    shift-adds more, so a product costs time linear in its width.
     A class reads C once per parity of r2 and spreads it over its weights:
     the big parts, c values in [max(l, 1), k] weakly decreasing, listed once
     per c and grouped by their sum S, which sets r2 and so the binomials the
@@ -253,7 +332,7 @@ def dominant_rows(family, n, k, l):
         packing = _packing(n, d, l, step)  # weight_sum's packing
         # C_i meets binom(r2 // 2 - l + d + i, d) = binoms[r2 // 2 + i]
         binoms = [comb(t, d) if t >= 0 else 0 for t in range(d - l, (k + l) // 2 + d + 1)]
-    _, mask, roots, ratios, reads = packing
+    _, root, times, divide, reads = packing
     low, top = max(l, 1), max(l - 1, 0)  # big parts lie in [low, k], small parts in [1, top]
 
     def sums(c, total, more):
@@ -269,10 +348,10 @@ def dominant_rows(family, n, k, l):
     # the least sum the big parts must reach at cmax, where small parts fill the rest
     need = k + l - slack - top * (coords - cmax)
     rows, candidates, products, read_count = [], 0, 0, 0
-    bigs, packed = {0: [()]}, roots[True]  # the c-tuples of big parts by sum; root times r_l^c
+    bigs, packed = {0: [()]}, root(True, 0)  # the c-tuples of big parts by sum; root times r_l^c
     for c in range(cmax + 1):
         if c:
-            packed = packed * ratios[l] & mask
+            packed = times(divide(packed), (l,))
             products += 1
             grown = {}
             for norm, parts in bigs.items():
@@ -306,8 +385,10 @@ def dominant_rows(family, n, k, l):
                 high = min(last, total - c * low)
                 children = range(high - (total - c * k - high) % stride,
                                  max(0, (total - slack - c * k - 1) // room), -stride)
-                products += len(children)
-                stack += [(small + (a,), product * ratios[a] & mask, total - a, a)
-                          for a in children]
+                if children:
+                    products += len(children)
+                    divided = divide(product)
+                    stack += [(small + (a,), times(divided, (a,)), total - a, a)
+                              for a in children]
     return rows, {"candidates": candidates, "kept": len(rows), "products": products,
                   "reads": read_count}

@@ -34,6 +34,7 @@ BCD_GRID = "tests/test_kernel.py::TestAgainstLiteralEvaluation::test_bcd_small_g
 BCD_FOLD = "tests/test_kernel.py::test_fold_matches_brute_force_cold_and_warm"
 ENTRY_POINTS = "tests/test_kernel.py::test_entry_points_match_level_count_sums"
 SLOTS = "tests/test_kernel.py::test_product_slots_match_overlap_buckets"
+PACKING = "tests/test_kernel.py::test_packing_roots_and_ratios"
 DIGEST = "tests/test_multiplicity.py::test_entry_point_digest"
 VIRTUAL_RING = "tests/test_multiplicity.py::TestBivariate::test_virtual_ring_identity"
 HIGH_RANK = "tests/test_multiplicity.py::test_single_weight_matches_diagram_at_high_rank"
@@ -50,29 +51,41 @@ FAULT = "tests/test_cli.py::TestVerify::test_fault_injection_reports_mismatch"
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
     ("A's virtual root left at 1", KERNEL,
-     "    roots = (1, (1 - (1 << bits)) & mask)\n",
-     "    roots = (1, 1)\n",
+     "        return tensor, tensor - (tensor << bits) & mask\n",
+     "        return tensor, tensor\n",
      [A_SMALL_GRID, A_WIDE, A_NEGATIVE, ENTRY_POINTS, DIGEST, WALK_DIGEST]),
     ("A's virtual root set to 1 + y", KERNEL,
-     "    roots = (1, (1 - (1 << bits)) & mask)\n",
-     "    roots = (1, (1 + (1 << bits)) & mask)\n",
+     "        return tensor, tensor - (tensor << bits) & mask\n",
+     "        return tensor, tensor + (tensor << bits) & mask\n",
      [A_SMALL_GRID, A_WIDE, A_NEGATIVE, ENTRY_POINTS, DIGEST, WALK_DIGEST]),
     ("A's reader at digit l - 1", KERNEL,
      "        return (packed >> l * bits,)\n",
      "        return (packed >> max(l - 1, 0) * bits & (1 << bits) - 1,)\n",
      [A_SMALL_GRID, A_WIDE, A_NEGATIVE, DIGEST, WALK_DIGEST]),
     ("the B/C/D virtual sum read from the tensor root", KERNEL,
-     "    for c in reads[r2 & 1](_product(roots[virtual], mask, ratios, l, levels)):\n",
-     "    for c in reads[r2 & 1](_product(roots[False], mask, ratios, l, levels)):\n",
+     "    for c in reads[r2 & 1](_product(root, times, virtual, levels)):\n",
+     "    for c in reads[r2 & 1](_product(root, times, False, levels)):\n",
      [BCD_FOLD, ENTRY_POINTS, DIGEST, VIRTUAL_RING, WALK]),
-    ("_product's level-l rest counted over every coordinate, zeros included", KERNEL,
-     "    rest = len(parts)\n",
-     "    rest = len(levels)\n",
+    ("_product's root over N_0^s with s counted over every coordinate, zeros included", KERNEL,
+     "    return times(root(virtual, len(parts)), parts)\n",
+     "    return times(root(virtual, len(levels)), parts)\n",
      [A_NEGATIVE, ENTRY_POINTS, SLOTS, DIGEST, HIGH_RANK]),
-    ("_product's level a counted as the parts >= a", KERNEL,
-     "        count = parts.count(a) if a < l else rest\n",
-     "        count = sum(part >= a for part in parts) if a < l else rest\n",
+    ("_product's N_a taken once per level, not once per part", KERNEL,
+     "    return times(root(virtual, len(parts)), parts)\n",
+     "    return times(root(virtual, len(parts)), set(parts))\n",
      [A_SMALL_GRID, A_NEGATIVE, BCD_GRID, BCD_FOLD, SLOTS, DIGEST]),
+    ("B/C/D's N_a without its (1 - x) term", KERNEL,
+     "                packed = packed - (packed << xy2) + (packed << shifts[a]) * one_minus_x & mask\n",
+     "                packed = packed - (packed << xy2) + (packed << shifts[a]) & mask\n",
+     [BCD_GRID, BCD_FOLD, SLOTS, PACKING, DIGEST, WALK_DIGEST]),
+    ("the division by N_0 without its (1 - x y) half", KERNEL,
+     "                 + [xy << j for j in range(l.bit_length())])\n",
+     ")\n",
+     [PACKING, WALK, WALK_DIGEST, DOMINANT_PINNED]),
+    ("A's factor N_a written as 1 - y^a", KERNEL,
+     "                packed = packed - (packed << (a + 1) * bits) & mask\n",
+     "                packed = packed - (packed << a * bits) & mask\n",
+     [A_SMALL_GRID, A_WIDE, A_NEGATIVE, PACKING, DIGEST, WALK_DIGEST]),
     ("the walk's big parts starting at l - 1", KERNEL,
      "    low, top = max(l, 1), ",
      "    low, top = max(l - 1, 1), ",

@@ -35,6 +35,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def unlimited(convert, value):
+    """convert(value), int to text or back, with Python's digit limit lifted for it alone."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def reference_json(table):
     """The JSON writer as it was: one dict per row through json.dumps."""
     computed, _expected, _ok = dimension_audit(table)
@@ -143,6 +153,27 @@ class TestMult:
         assert code == 2
         assert out == ""
         assert err
+
+    def test_zero_weight_past_the_int_text_limit(self, capsys):
+        # a value of about 4,611 digits, past Python's 4,300-digit limit on int to
+        # text, is printed whole; the caller's limit holds again afterwards
+        spec, limit = algebra("B", 100_000), sys.get_int_max_str_digits()
+        zeros = (0,) * 100_000
+        code, out, err = run(capsys, ["mult", "--family", "B", "--rank", "100000", "--k", "4400",
+                                      "--l", "0", "--mu=" + ",".join(map(str, zeros))])
+        assert (code, err) == (0, "")
+        value = bivar.single_row_mult(spec, 4400, zeros)
+        assert value > 10 ** 4400 and out == unlimited(str, value) + "\n"
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_k_past_the_int_text_limit(self, capsys):
+        # a --k of 5,000 digits is read whole; B3 at l = 0 and the zero weight has
+        # multiplicity C(k // 2 + 2, 2)
+        k = 10 ** 4999 + 12_345
+        code, out, err = run(capsys, ["mult", "--family", "B", "--rank", "3",
+                                      "--k", unlimited(str, k), "--l", "0", "--mu", "0,0,0"])
+        assert (code, err) == (0, "")
+        assert unlimited(int, out) == comb(k // 2 + 2, 2)
 
 
 class TestTable:

@@ -15,10 +15,12 @@ packing cold and warm; on the wide keys its C, read through ``_packing`` and
 ``_product``, is checked against the same combination taken one block
 coefficient at a time.
 The packing's cache key is checked by interleaving families that share
-all but one of (f, d, l, step). Its roots K0 f_0^f and K0 V f_0^f and its
-ratios r_a = f_a (1 - y) / (1 + y), built by shifts and adds, are checked
-against pow and multiply over the factor layout f_a (``reference_packing``)
-for f up to 10,000 and l up to 14.
+all but one of (f, d, l, step). Its roots K0 f_0^f and K0 V f_0^f, its
+ratios r_a = f_a (1 - y) / (1 + y) taken as N_a after a division by N_0, and
+its roots over N_0^s (by division, or in closed form) times the N_a of s parts,
+all built by shifts and adds, are checked against pow and multiply over the factor layout f_a
+(``reference_packing``) for f up to 10,000 and l up to 14; so are type A's
+roots 1 and 1 - y and its g_a.
 
 The literal evaluator below walks the partitions of bivar.partitions and
 the beta / alpha arrays of the test-side index_sets module, and
@@ -51,7 +53,7 @@ from functools import lru_cache
 from itertools import product, zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bivar import kernel
@@ -360,7 +362,7 @@ def test_packing_key_holds_f(n, l, ell):
 
 def reference_packing(f, d, l, bits):
     """Roots and ratios by pow and multiply, from the factor layout f_a of
-    ``_packing``: K0 (V) f_0^f and f_a (1 - y) / (1 + y), masked."""
+    ``_packing``: K0 (V) f_0^f and r_a = f_a (1 - y) / (1 + y), masked."""
     width = (l + 1) * bits
     mask = (1 << (l + 1) * width) - 1
     # f_a = sum_{b <= l} y^b + sum_{1 <= b <= a} (x y)^b + x^a sum_{a < b <= l} y^b
@@ -376,20 +378,61 @@ def reference_packing(f, d, l, bits):
     return (k0 * power & mask, k0 * v * power & mask), [a * quotient & mask for a in factors]
 
 
+def mixed_parts(s, l):
+    """s nonzero levels cycling through 1..l + 1, so that levels at and past l occur."""
+    return [1 + j % (l + 1) for j in range(s)]
+
+
+def assert_packing_matches(packing, want_roots, want_ratios, mask, f, l):
+    """The packing's roots, each ratio as N_a after one division by N_0 (levels
+    0..l and one past l), and the root over N_0^s times s parts' N_a, against
+    the reference roots times the pow-and-multiply product of the parts' ratios.
+    On a new packing, s = 1, 2 and 5 grow the chain of roots by division where
+    l allows, and s = 40 (f if smaller) comes in closed form for l < 35; each
+    root must also be its s-fold division of the root at s = 0."""
+    _, root, times, divide, _ = packing
+    assert (root(False, 0), root(True, 0)) == want_roots
+    assert [times(divide(1), (a,)) for a in range(l + 2)] == want_ratios + want_ratios[-1:]
+    for s in sorted({1, 2, 5, min(f, 40)}):
+        parts = mixed_parts(s, l)
+        ratio = 1
+        for a in set(parts):
+            ratio = ratio * pow(want_ratios[min(a, l)], parts.count(a), mask + 1) & mask
+        for virtual in (False, True):
+            assert times(root(virtual, s), parts) == want_roots[virtual] * ratio & mask, (s, virtual)
+            divided = root(virtual, 0)
+            for _ in range(s):
+                divided = divide(divided)
+            assert root(virtual, s) == divided, (s, virtual)
+
+
 def test_packing_roots_and_ratios():
-    # the shift-and-add roots and ratios against pow and multiply on every
-    # key of the grid, f up to 10,000 and l up to 14
+    # the shift-and-add roots, the closed-form roots over N_0^s and the ratios
+    # N_a / N_0 against pow and multiply on every key of the grid, f up to
+    # 10,000 and l up to 14, for B/C/D and for A
+    kernel._packing.cache_clear()
+    kernel._packing_a.cache_clear()
     checked = 0
     for f in (*range(1, 13), 100, 1_000, 10_000):
         for d in {f - 1, max(f - 2, 0)}:
             for l in range(15):
                 for step in (1, 2):
-                    bits, mask, roots, ratios, _ = kernel._packing(f, d, l, step)
+                    packing = kernel._packing(f, d, l, step)
+                    bits = packing[0]
                     want_roots, want_ratios = reference_packing(f, d, l, bits)
-                    assert roots == want_roots, (f, d, l, step)
-                    assert ratios == want_ratios, (f, d, l, step)
+                    mask = (1 << (l + 1) ** 2 * bits) - 1
+                    assert_packing_matches(packing, want_roots, want_ratios, mask, f, l)
                     checked += 1
-    assert checked == 870
+        for l in range(15):
+            # g_a = 1 + y + ... + y^min(a, l), and the roots 1 and 1 - y
+            packing = kernel._packing_a(f, l)
+            bits = packing[0]
+            mask = (1 << (l + 1) * bits) - 1
+            ones = mask // ((1 << bits) - 1)
+            want_ratios = [ones & (1 << (a + 1) * bits) - 1 for a in range(l + 1)]
+            assert_packing_matches(packing, (1, 1 - (1 << bits) & mask), want_ratios, mask, f, l)
+            checked += 1
+    assert checked == 870 + 225
 
 
 cached_brute_block = lru_cache(maxsize=None)(brute_block)
@@ -404,8 +447,9 @@ def product_slots(n, l, ell):
     so F is that product times 1 - x y^2.
     """
     f = max(n, sum(ell[:l]))
-    bits, mask, roots, ratios, _ = kernel._packing(f, 0, l, 1)
-    started = kernel._product(roots[False], mask, ratios, l, weight_from_levels(f, ell[:l], l))
+    bits, root, times, _, _ = kernel._packing(f, 0, l, 1)
+    mask = (1 << (l + 1) ** 2 * bits) - 1
+    started = kernel._product(root, times, False, weight_from_levels(f, ell[:l], l))
     packed = started - (started << (2 * l + 3) * bits) & mask
     digit = (1 << bits) - 1
     return [tuple(packed >> (big_n * (l + 1) + m) * bits & digit for m in range(big_n + 1))
@@ -469,8 +513,8 @@ def test_product_wide_slots(n, l, ell):
                 base = (parity - big_l - big_n) // 2 + shift + l
                 for m, c in enumerate(slots[big_n]):
                     expected[base + m] += outer * c
-        _, mask, roots, ratios, reads = kernel._packing(n, d, l, step)
-        assert reads[parity](kernel._product(roots[True], mask, ratios, l, levels)) == expected
+        _, root, times, _, reads = kernel._packing(n, d, l, step)
+        assert reads[parity](kernel._product(root, times, True, levels)) == expected
 
 
 @pytest.mark.parametrize("n, l, ell", [
@@ -545,6 +589,8 @@ def virtual_combination(spec, k, l, mu):
 
 
 @given(signed_sparse_weights())
+# an A weight with l >= 1 on the support, which any fault in A's virtual root changes
+@example((algebra("A", 3), 3, 2, (1, 1, 0, -1)))
 @settings(max_examples=120, deadline=None)
 def test_entry_points_match_level_count_sums(case):
     # tensor_mult hands the kernel the weight's |mu_i|, which it counts over the

@@ -159,6 +159,12 @@ class TestBuildTable:
     @example(algebra("A", 3), 2, 23)
     @example(algebra("D", 4), 0, 20)
     @example(algebra("D", 5), 4, 36)
+    # l >= 10, where the walk's products divided by N_0 once per parent meet the
+    # single weights' roots over N_0^s at wide digits
+    @example(algebra("C", 4), 12, 2)
+    @example(algebra("B", 3), 14, 3)
+    @example(algebra("D", 5), 10, 2)
+    @example(algebra("A", 4), 12, 3)
     @settings(max_examples=80, deadline=None)
     def test_walk_matches_candidate_evaluation(self, spec, l, excess):
         k = l + excess
