@@ -122,8 +122,8 @@ def _packing(f, d, l, step):
     # with s nonzero parts has F = f_0^f N_0^-s prod N_a, one N_a per part:
     # - f_0^f N_0^-s = (1 + y)^(f - s) (1 - y)^-f (1 - x y)^-s, which holds the
     #   only counts that grow with the rank, times K0 (and V) is root(virtual, s),
-    #   kept per packing and virtual flag, by division from a kept root or in
-    #   closed form (closed, _roots);
+    #   built at s = 0 from the coefficients of f_0^f and kept per packing and
+    #   virtual flag, each s one division of the root at s - 1 (_roots);
     # - G N_a is two shift-adds and a small multiple, G - (G << 2W + bits) +
     #   (G << (a + 1) W + a bits)(1 - 2**bits) (times);
     # - G / N_0 is G (1 - y)(1 + y^2)(1 + y^4)... (1 + x y)(1 + x^2 y^2)..., up to
@@ -147,24 +147,15 @@ def _packing(f, d, l, step):
     mask = (1 << (l + 1) * width) - 1
     xy, xy2 = width + bits, 2 * width + bits  # the shifts of x y and x y^2
 
-    def closed(s):
-        # the tensor and virtual roots over N_0^s in closed form. (1 + y)^(f - s)
-        # (1 - y)^-f has no x, and its y^b coefficients p_b follow from
-        # P' (1 - y^2) = (2f - s + s y) P: (b + 1) p_(b+1) = (2f - s) p_b + (b - 1 + s) p_(b-1)
-        power, previous, p = 1, 1, 2 * f - s
-        for b in range(1, l + 1):
-            power += p << b * width
-            previous, p = p, ((2 * f - s) * p + (b - 1 + s) * previous) // (b + 1)
-        # times K0, each binomial scaling a shifted copy, then (1 - x y)^-s, whose
-        # (x y)^m coefficient C(s + m - 1, m) scales another
-        packed = sum(comb(h + d, d) * power << h * xy2 for h in range(l // 2 + 1)) & mask
-        tensor, c = packed, s
-        for m in range(1, l + 1 if s else 1):
-            tensor += c * packed << m * xy
-            c = c * (s + m) // (m + 1)
-        tensor &= mask
-        # the virtual root: times V = 1 - y - x y + x y^2
-        return tensor, tensor - (tensor << width) - (tensor << xy) + (tensor << xy2) & mask
+    # the root at s = 0: (1 + y)^f (1 - y)^-f = f_0^f has no x, and its y^b
+    # coefficients p_b follow from P' (1 - y^2) = 2f P: (b + 1) p_(b+1) = 2f p_b + (b - 1) p_(b-1)
+    power, previous, p = 1, 1, 2 * f
+    for b in range(1, l + 1):
+        power += p << b * width
+        previous, p = p, (2 * f * p + (b - 1) * previous) // (b + 1)
+    # times K0, each binomial scaling a shifted copy, and the virtual root times V = 1 - y - x y + x y^2
+    tensor = sum(comb(h + d, d) * power << h * xy2 for h in range(l // 2 + 1)) & mask
+    virtual = tensor - (tensor << width) - (tensor << xy) + (tensor << xy2) & mask
 
     # the shifts of x^a y^(a + 1) for a < l, and 1 - x as a small multiplier
     shifts, one_minus_x = [a * xy + width for a in range(l)], 1 - (1 << bits)
@@ -185,7 +176,7 @@ def _packing(f, d, l, step):
         for shift in doublings:
             packed = packed + (packed << shift) & mask
         return packed
-    root = _roots(closed, divide, l)
+    root = _roots(tensor, virtual, divide)
     # The map from a packed product G to its C: times 1 + 2**shift (1 + y or 1 + x y)
     # unless shift is None, then the digits of y^l, each biased by half its range so
     # that none borrows from the next
@@ -216,9 +207,9 @@ def _packing_a(f, l):
     # in the root serves B/C/D.
     # Summed, g_a = N_a / N_0 with N_0 = 1 - y, N_a = 1 - y^(a + 1) for a < l and
     # N_a = 1 for a >= l (y^(a + 1) passes y^l), so g_0 = 1 and, as for B/C/D, a
-    # weight with s nonzero parts starts from (1 - y)^-s, whose y^m coefficient is
-    # C(s + m - 1, m), times 1 - y at the virtual root; each part's N_a is one
-    # shift-add, and G / N_0 is G (1 + y)(1 + y^2)(1 + y^4)..., up to degree l.
+    # weight with s nonzero parts starts from (1 - y)^-s, 1 divided s times by N_0
+    # (times 1 - y at the virtual root); each part's N_a is one shift-add, and
+    # G / N_0 is G (1 + y)(1 + y^2)(1 + y^4)..., up to degree l.
     # Exact by the ring map of _packing, at Z[y]/(y^(l + 1)) -> Z/2^((l + 1) bits).
     # Digit j of G, the ways to spread j over f coordinates, is <= C(l + f - 1, f - 1)
     # < 2**bits. Digit j <= l of (1 - y) G, c_j - c_(j-1), needs no sign bias: for a
@@ -228,15 +219,6 @@ def _packing_a(f, l):
     # l = 3 give c_3 - c_2 = 1 - 3 = -2.
     bits = comb(l + f - 1, f - 1).bit_length()
     mask = (1 << (l + 1) * bits) - 1
-
-    def closed(s):
-        # the tensor root over (1 - y)^s, and the virtual root, times 1 - y
-        tensor, c = 0, 1
-        for m in range(l + 1):
-            tensor += c << m * bits
-            c = c * (s + m) // (m + 1)
-        tensor &= mask
-        return tensor, tensor - (tensor << bits) & mask
 
     def times(packed, parts):
         for a in parts:
@@ -249,7 +231,7 @@ def _packing_a(f, l):
         for shift in doublings:
             packed = packed + (packed << shift) & mask
         return packed
-    root = _roots(closed, divide, l)
+    root = _roots(1, 1 - (1 << bits) & mask, divide)
 
     def read(packed):
         return (packed >> l * bits,)
@@ -268,26 +250,20 @@ def tensor_sum_a(n, l, ell):
     return weight_sum("A", f - 1, l, 0, _parts(f, l, ell), False)
 
 
-def _roots(closed, divide, l):
-    # root(virtual, s), the root over N_0^s. Per virtual flag a chain of roots at
-    # s = 0, 1, 2, ... is kept, grown by one division per step up to an s at most
-    # l steps past its end; a root farther on comes from closed(s), the tensor and
-    # virtual roots in closed form, kept apart. A closed form costs some 4 to 14
-    # divisions (l = 8 to 80), so the chain serves the few part counts of a rank's
-    # weights, and a weight with many parts pays one closed form, not a division
-    # per part. A closed form for every s was slower on streams of single queries.
-    tensor, virtual = closed(0)
-    chains, far = ([tensor], [virtual]), {}
+def _roots(tensor, virtual, divide):
+    # root(virtual, s), the root over N_0^s: per virtual flag the roots at s = 0,
+    # 1, 2, ... kept by s, each the one before divided by N_0 once, so a weight with
+    # s parts pays at most s divisions on a new packing and none after. An entry
+    # depends on its s alone, so threads that grow the same roots at once store
+    # equal values (setdefault keeps the first).
+    kept = ({0: tensor}, {0: virtual})
 
     def root(virtual, s):
-        chain = chains[virtual]
-        if s >= len(chain) + l:
-            if s not in far:
-                far[s] = closed(s)
-            return far[s][virtual]
-        while len(chain) <= s:
-            chain.append(divide(chain[-1]))
-        return chain[s]
+        roots = kept[virtual]
+        if s not in roots:
+            for i in range(len(roots), s + 1):
+                roots.setdefault(i, divide(roots[i - 1]))
+        return roots[s]
     return root
 
 

@@ -35,6 +35,7 @@ BCD_FOLD = "tests/test_kernel.py::test_fold_matches_brute_force_cold_and_warm"
 ENTRY_POINTS = "tests/test_kernel.py::test_entry_points_match_level_count_sums"
 SLOTS = "tests/test_kernel.py::test_product_slots_match_overlap_buckets"
 PACKING = "tests/test_kernel.py::test_packing_roots_and_ratios"
+THREADS = "tests/test_kernel.py::test_roots_grown_by_threads_at_once"
 DIGEST = "tests/test_multiplicity.py::test_entry_point_digest"
 VIRTUAL_RING = "tests/test_multiplicity.py::TestBivariate::test_virtual_ring_identity"
 HIGH_RANK = "tests/test_multiplicity.py::test_single_weight_matches_diagram_at_high_rank"
@@ -51,12 +52,12 @@ FAULT = "tests/test_cli.py::TestVerify::test_fault_injection_reports_mismatch"
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
     ("A's virtual root left at 1", KERNEL,
-     "        return tensor, tensor - (tensor << bits) & mask\n",
-     "        return tensor, tensor\n",
+     "    root = _roots(1, 1 - (1 << bits) & mask, divide)\n",
+     "    root = _roots(1, 1, divide)\n",
      [A_SMALL_GRID, A_WIDE, A_NEGATIVE, ENTRY_POINTS, DIGEST, WALK_DIGEST]),
     ("A's virtual root set to 1 + y", KERNEL,
-     "        return tensor, tensor - (tensor << bits) & mask\n",
-     "        return tensor, tensor + (tensor << bits) & mask\n",
+     "    root = _roots(1, 1 - (1 << bits) & mask, divide)\n",
+     "    root = _roots(1, 1 + (1 << bits) & mask, divide)\n",
      [A_SMALL_GRID, A_WIDE, A_NEGATIVE, ENTRY_POINTS, DIGEST, WALK_DIGEST]),
     ("A's reader at digit l - 1", KERNEL,
      "        return (packed >> l * bits,)\n",
@@ -81,11 +82,17 @@ MUTANTS = [
     ("the division by N_0 without its (1 - x y) half", KERNEL,
      "                 + [xy << j for j in range(l.bit_length())])\n",
      ")\n",
-     [PACKING, WALK, WALK_DIGEST, DOMINANT_PINNED]),
+     [PACKING, WALK_DIGEST, DOMINANT_PINNED]),
     ("A's factor N_a written as 1 - y^a", KERNEL,
      "                packed = packed - (packed << (a + 1) * bits) & mask\n",
      "                packed = packed - (packed << a * bits) & mask\n",
      [A_SMALL_GRID, A_WIDE, A_NEGATIVE, PACKING, DIGEST, WALK_DIGEST]),
+    ("the kept roots grown by check-then-append, not by s", KERNEL,
+     "            for i in range(len(roots), s + 1):\n"
+     "                roots.setdefault(i, divide(roots[i - 1]))\n",
+     "            while len(roots) <= s:\n"
+     "                roots[len(roots)] = divide(roots[len(roots) - 1])\n",
+     [THREADS]),
     ("the walk's big parts starting at l - 1", KERNEL,
      "    low, top = max(l, 1), ",
      "    low, top = max(l - 1, 1), ",

@@ -35,9 +35,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def int_text_limit():
+    """Python's limit on the digits of int to text and back; None before 3.10.7, which has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
 def unlimited(convert, value):
     """convert(value), int to text or back, with Python's digit limit lifted for it alone."""
-    limit = sys.get_int_max_str_digits()
+    limit = int_text_limit()
+    if limit is None:
+        return convert(value)
     sys.set_int_max_str_digits(0)
     try:
         return convert(value)
@@ -157,14 +164,14 @@ class TestMult:
     def test_zero_weight_past_the_int_text_limit(self, capsys):
         # a value of about 4,611 digits, past Python's 4,300-digit limit on int to
         # text, is printed whole; the caller's limit holds again afterwards
-        spec, limit = algebra("B", 100_000), sys.get_int_max_str_digits()
+        spec, limit = algebra("B", 100_000), int_text_limit()
         zeros = (0,) * 100_000
         code, out, err = run(capsys, ["mult", "--family", "B", "--rank", "100000", "--k", "4400",
                                       "--l", "0", "--mu=" + ",".join(map(str, zeros))])
         assert (code, err) == (0, "")
         value = bivar.single_row_mult(spec, 4400, zeros)
         assert value > 10 ** 4400 and out == unlimited(str, value) + "\n"
-        assert sys.get_int_max_str_digits() == limit
+        assert int_text_limit() == limit
 
     def test_k_past_the_int_text_limit(self, capsys):
         # a --k of 5,000 digits is read whole; B3 at l = 0 and the zero weight has
@@ -174,6 +181,13 @@ class TestMult:
                                       "--k", unlimited(str, k), "--l", "0", "--mu", "0,0,0"])
         assert (code, err) == (0, "")
         assert unlimited(int, out) == comb(k // 2 + 2, 2)
+
+    def test_runs_where_python_has_no_digit_limit(self, capsys, monkeypatch):
+        # before 3.10.7 sys has no int/text digit limit, and main runs as it is
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        code, out, err = run(capsys, ["mult", "--family", "B", "--rank", "3",
+                                      "--k", "2", "--l", "0", "--mu", "0,0,0"])
+        assert (code, out, err) == (0, "3\n", "")
 
 
 class TestTable:

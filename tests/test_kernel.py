@@ -17,7 +17,7 @@ coefficient at a time.
 The packing's cache key is checked by interleaving families that share
 all but one of (f, d, l, step). Its roots K0 f_0^f and K0 V f_0^f, its
 ratios r_a = f_a (1 - y) / (1 + y) taken as N_a after a division by N_0, and
-its roots over N_0^s (by division, or in closed form) times the N_a of s parts,
+its roots over N_0^s (s divisions of the root at 0) times the N_a of s parts,
 all built by shifts and adds, are checked against pow and multiply over the factor layout f_a
 (``reference_packing``) for f up to 10,000 and l up to 14; so are type A's
 roots 1 and 1 - y and its g_a.
@@ -49,8 +49,10 @@ tensor_mult values. For type A with negative coordinates both are checked
 against Kostka numbers and the direct convolution too.
 """
 
+import sys
 from functools import lru_cache
 from itertools import product, zip_longest
+from threading import Barrier, Thread
 
 import pytest
 from hypothesis import example, given, settings
@@ -387,9 +389,8 @@ def assert_packing_matches(packing, want_roots, want_ratios, mask, f, l):
     """The packing's roots, each ratio as N_a after one division by N_0 (levels
     0..l and one past l), and the root over N_0^s times s parts' N_a, against
     the reference roots times the pow-and-multiply product of the parts' ratios.
-    On a new packing, s = 1, 2 and 5 grow the chain of roots by division where
-    l allows, and s = 40 (f if smaller) comes in closed form for l < 35; each
-    root must also be its s-fold division of the root at s = 0."""
+    On a new packing, s = 1, 2, 5 and 40 (f if smaller) grow the kept roots by
+    division; each root must also be its s-fold division of the root at s = 0."""
     _, root, times, divide, _ = packing
     assert (root(False, 0), root(True, 0)) == want_roots
     assert [times(divide(1), (a,)) for a in range(l + 2)] == want_ratios + want_ratios[-1:]
@@ -407,7 +408,7 @@ def assert_packing_matches(packing, want_roots, want_ratios, mask, f, l):
 
 
 def test_packing_roots_and_ratios():
-    # the shift-and-add roots, the closed-form roots over N_0^s and the ratios
+    # the shift-and-add roots, the roots over N_0^s and the ratios
     # N_a / N_0 against pow and multiply on every key of the grid, f up to
     # 10,000 and l up to 14, for B/C/D and for A
     kernel._packing.cache_clear()
@@ -433,6 +434,40 @@ def test_packing_roots_and_ratios():
             assert_packing_matches(packing, (1, 1 - (1 << bits) & mask), want_ratios, mask, f, l)
             checked += 1
     assert checked == 870 + 225
+
+
+def test_roots_grown_by_threads_at_once():
+    # eight threads ask one new packing for its roots over N_0^s at once, some
+    # from s = f down and some up, with thread switches every microsecond; each
+    # root they get, and each kept one, is the s-fold division of the root at
+    # s = 0, as one thread alone makes it. 20 new packings, built uncached.
+    for f, d, l, step in ((40, 39, 12, 1), (40, 38, 8, 2)):
+        _, root, _, divide, _ = kernel._packing.__wrapped__(f, d, l, step)
+        want = [[root(virtual, 0)] for virtual in (False, True)]
+        for roots in want:
+            while len(roots) <= f:
+                roots.append(divide(roots[-1]))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                root = kernel._packing.__wrapped__(f, d, l, step)[1]
+                start, got = Barrier(8), [None] * 8
+
+                def ask(t):
+                    start.wait()
+                    order = range(f, -1, -1) if t % 2 else range(f + 1)
+                    got[t] = [[root(virtual, s) for s in order][::-1 if t % 2 else 1]
+                              for virtual in (False, True)]
+                threads = [Thread(target=ask, args=(t,)) for t in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert got == [want] * 8
+                assert [[root(virtual, s) for s in range(f + 1)] for virtual in (False, True)] == want
+        finally:
+            sys.setswitchinterval(switch)
 
 
 cached_brute_block = lru_cache(maxsize=None)(brute_block)

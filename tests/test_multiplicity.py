@@ -234,9 +234,9 @@ def test_single_weight_matches_diagram_at_high_rank(data):
 
 
 def test_many_parts_single_weight_pinned():
-    # 400 nonzero parts: the root over N_0^400 comes in closed form, then one
-    # N_a per part; the value recorded when each level's ratio was raised to its
-    # count by squaring, a route that shares no step with this one
+    # 400 nonzero parts: the root over N_0^400 is 400 divisions of the root at
+    # s = 0, then one N_a per part; the value recorded when each level's ratio
+    # was raised to its count by squaring, a route that shares no step with this one
     mu = (1,) * 400 + (0,) * 600
     assert bivariate_mult(algebra("B", 1000), 400, 8, mu) == 707546771671375556982342750
 
