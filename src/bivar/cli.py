@@ -80,17 +80,11 @@ def _walk_text(root: list, head: bytes) -> Iterator[bytes]:
             stack.pop()
 
 
-def table_text(table: MultiplicityTable, fmt: str, full: bool = False,
-               dimension: int | None = None) -> Iterable[bytes]:
+def table_text(table: MultiplicityTable, fmt: str, full: bool = False) -> Iterable[bytes]:
     """The JSON or CSV text of ``table`` as ASCII bytes pieces; the first row drops its head's first byte.
 
-    JSON ends with ``"dimension"``, the orbit-weighted total of the rows:
-    ``dimension`` when given (``cmd_table`` passes Weyl's, ``weyl_dimension``,
-    which the total equals for every table ``build_table`` makes), else
-    ``dimension_audit(table)[0]``, a pass over the rows, for a table read by
-    ``table_from_json`` or built by hand. It is an argument and not read from
-    ``meta``, which no writer reads, so a table changed with
-    ``dataclasses.replace`` cannot write a total that no longer fits its rows.
+    JSON ends with ``"dimension"``, Weyl's ``weyl_dimension(spec, k, l)``, which
+    ``table_from_json`` checks against the rows' orbit-weighted total.
 
     Without ``full``, the rows' text is one piece. With
     ``full``, the text of the full table ``build_table(spec, k, l)``, written
@@ -132,8 +126,7 @@ def table_text(table: MultiplicityTable, fmt: str, full: bool = False,
         return chain((header.encode(),), lines, (b"\n",)) if rows else (header.encode(),)
     header = json.dumps({"family": spec.family, "rank": spec.rank, "k": table.k, "l": table.l,
                          "dominant_only": table.dominant_only and not full}, separators=(",", ":"))
-    if dimension is None:
-        dimension = dimension_audit(table)[0]
+    dimension = weyl_dimension(spec, table.k, table.l)
     return chain(((header[:-1] + ',"rows":[').encode(),), lines,
                  (f'],"dimension":{json.dumps(str(dimension))}}}\n'.encode(),))
 
@@ -423,8 +416,7 @@ def cmd_mult(args) -> int:
 def cmd_table(args) -> int:
     table = build_table(algebra(args.family, args.rank), args.k, args.l, dominant_only=True)
     try:
-        _write_out(table_text(table, args.format, not args.dominant_only,
-                              weyl_dimension(table.spec, table.k, table.l)), args.out)
+        _write_out(table_text(table, args.format, not args.dominant_only), args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 3
@@ -449,36 +441,22 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Python converts int and decimal text only up to 4,300 digits (3.10.7 and
-    # later); a command reads and prints integers of any length, and a library
-    # caller gets its own limit back
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is None:
-        return _main(argv)
+    # Python converts int and decimal text only up to 4,300 digits; a command
+    # reads and prints integers of any length, and a library caller gets its
+    # own limit back
+    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _main(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _main(argv: Sequence[str] | None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return {"mult": cmd_mult, "table": cmd_table, "verify": cmd_verify}[args.command](args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 0 if exc.code in (0, None) else 2
-    handlers = {
-        "mult": cmd_mult,
-        "table": cmd_table,
-        "verify": cmd_verify,
-    }
-    try:
-        return handlers[args.command](args)
     except (BivarError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main_entry() -> None:

@@ -121,8 +121,8 @@ def dimension_audit(table: MultiplicityTable) -> tuple[int, int, bool]:
     table each multiplicity is weighted by its orbit size, taken from the row
     tuple with no per-row weight check by ``root_systems._orbit_size``: a sort
     of the row and arithmetic over its nonzero parts only, so a row at rank
-    5,000 costs little more than its sort. ``bivar table`` does not call it, as it writes
-    Weyl's dimension.
+    5,000 costs little more than its sort. No writer calls it: ``cli.table_text``
+    states Weyl's dimension.
     """
     if table.dominant_only:
         # orbit sizes straight from the row tuples, with no per-row weight check

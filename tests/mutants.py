@@ -3,13 +3,14 @@
 Run it as ``python tests/mutants.py``; it finds the tree from its own path.
 Each entry names a mutant, the file it changes, the exact old text (found
 there exactly once), the new text, and the test ids that must fail on it. For
-each entry the script copies ``src``, ``tests`` and ``pyproject.toml`` to a
-temporary directory, makes the one replacement and runs the named tests there
-with pytest. It first runs every named test on an unchanged copy, where all
-must pass. It exits non-zero if an old text is not found exactly once, if a
-named test fails on the unchanged copy or is not collected, or if a mutant
-survives one of its tests. A named test that is parametrized, or a Hypothesis
-property, counts as failed when any of its cases fails.
+each entry the script copies ``src``, ``tests``, ``pyproject.toml`` and
+``README.md`` (which a test reads) to a temporary directory, makes the one
+replacement and runs the named tests there with pytest. It first runs every
+named test on an unchanged copy, where all must pass. It exits non-zero if an
+old text is not found exactly once, if a named test fails on the unchanged copy
+or is not collected, or if a mutant survives one of its tests. A named test
+that is parametrized, or a Hypothesis property, counts as failed when any of
+its cases fails; a name may also pick one case, as ``test_id[case]``.
 
 pytest does not collect this file: its name does not start with ``test_``.
 """
@@ -48,6 +49,24 @@ BAD_ROWS = "tests/test_root_systems.py::TestOrbit::test_full_table_text_rejects_
 DEFAULT_GRID = "tests/test_cli.py::TestVerify::test_default_grid_passes"
 SMALL_GRID = "tests/test_cli.py::TestVerify::test_small_grid_all_oracles"
 FAULT = "tests/test_cli.py::TestVerify::test_fault_injection_reports_mismatch"
+HAND_BUILT = "tests/test_cli.py::TestTable::test_writers_match_reference_bytes_hand_built"
+JSON_WRITERS = [
+    "tests/test_cli.py::TestTable::test_json_dimension",
+    "tests/test_cli.py::TestTable::test_writers_match_reference_bytes",
+    HAND_BUILT,
+    "tests/test_cli.py::TestTable::test_full_table_bytes_match_reference",
+    DOMINANT_PINNED,
+    "tests/test_cli.py::TestTable::test_many_piece_table_same_on_every_sink",
+    "tests/test_cli.py::TestTable::test_full_text_memory_is_a_small_share_of_the_text",
+    "tests/test_cli.py::test_readme_cli_lines_run_and_its_json_example_is_the_real_output",
+    "tests/test_root_systems.py::test_full_table_text_matches_brute_force",
+]
+
+
+def bad_rows(*cases):
+    """The named cases of ``test_json_rejects_bad_rows``."""
+    return [f"tests/test_cli.py::TestTable::test_json_rejects_bad_rows[{case}]" for case in cases]
+
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -150,6 +169,41 @@ MUTANTS = [
      '"kostka": ("A", ',
      '"kostka": ("ABCD", ',
      [DEFAULT_GRID, SMALL_GRID]),
+    ("the JSON row writes the multiplicity as a number", CLI,
+     "'],\"mult\":\"%s\"}'",
+     "'],\"mult\":%s}'",
+     JSON_WRITERS),
+    ("table_text states the rows' total", CLI,
+     "dimension = weyl_dimension(spec, table.k, table.l)",
+     "dimension = dimension_audit(table)[0]",
+     [HAND_BUILT]),
+    # table_from_json without each of its checks
+    ("table_from_json takes a multiplicity that is not positive", CLI,
+     "        if mult <= 0:\n"
+     '            raise ValueError(f"row {mu}: multiplicity must be positive, got {mult}")\n',
+     "",
+     bad_rows("negative-mult")),
+    ("table_from_json takes a type A weight that is not the representative", CLI,
+     '        if spec.family == "A" and (min(mu) < 0 or sum(mu) != k + l):\n',
+     "        if False:\n",
+     bad_rows("a-wrong-sum", "a-negative-coordinate", "a-shifted-row")),
+    ("table_from_json takes a weight outside the support", CLI,
+     "        if _checked_support(spec.family, k, l, mu) is None:\n",
+     "        if False:\n",
+     bad_rows("norm-above-k-plus-l", "wrong-parity", "above-k", "a-above-k")),
+    ("table_from_json takes a weight that is not dominant in a dominant-only table", CLI,
+     "        if dominant_only and not _dominant(spec.family, mu):\n",
+     "        if False:\n",
+     bad_rows("not-dominant")),
+    ("table_from_json takes a repeated weight", CLI,
+     "        if mu == nu:\n",
+     "        if False:\n",
+     bad_rows("duplicate-weight")),
+    ("table_from_json takes any stated dimension", CLI,
+     "    if not stated == total == weyl:\n",
+     "    if False:\n",
+     bad_rows("dimension-wrong", "row-dropped", "row-dropped-dimension-lowered",
+              "full-row-dropped-dimension-lowered")),
 ]
 
 
@@ -157,7 +211,8 @@ def copy_tree(into):
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, into / name,
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-    shutil.copy(ROOT / "pyproject.toml", into)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, into)
 
 
 def failed_tests(into, test_ids):

@@ -35,16 +35,9 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def int_text_limit():
-    """Python's limit on the digits of int to text and back; None before 3.10.7, which has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: None)()
-
-
 def unlimited(convert, value):
     """convert(value), int to text or back, with Python's digit limit lifted for it alone."""
-    limit = int_text_limit()
-    if limit is None:
-        return convert(value)
+    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         return convert(value)
@@ -53,8 +46,7 @@ def unlimited(convert, value):
 
 
 def reference_json(table):
-    """The JSON writer as it was: one dict per row through json.dumps."""
-    computed, _expected, _ok = dimension_audit(table)
+    """The JSON writer as it was: one dict per row through json.dumps, and Weyl's dimension."""
     obj = {
         "family": table.spec.family,
         "rank": table.spec.rank,
@@ -62,7 +54,7 @@ def reference_json(table):
         "l": table.l,
         "dominant_only": table.dominant_only,
         "rows": [{"mu": list(mu), "mult": str(m)} for mu, m in table.rows],
-        "dimension": str(computed),
+        "dimension": str(weyl_dimension(table.spec, table.k, table.l)),
     }
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
@@ -164,14 +156,14 @@ class TestMult:
     def test_zero_weight_past_the_int_text_limit(self, capsys):
         # a value of about 4,611 digits, past Python's 4,300-digit limit on int to
         # text, is printed whole; the caller's limit holds again afterwards
-        spec, limit = algebra("B", 100_000), int_text_limit()
+        spec, limit = algebra("B", 100_000), sys.get_int_max_str_digits()
         zeros = (0,) * 100_000
         code, out, err = run(capsys, ["mult", "--family", "B", "--rank", "100000", "--k", "4400",
                                       "--l", "0", "--mu=" + ",".join(map(str, zeros))])
         assert (code, err) == (0, "")
         value = bivar.single_row_mult(spec, 4400, zeros)
         assert value > 10 ** 4400 and out == unlimited(str, value) + "\n"
-        assert int_text_limit() == limit
+        assert sys.get_int_max_str_digits() == limit
 
     def test_k_past_the_int_text_limit(self, capsys):
         # a --k of 5,000 digits is read whole; B3 at l = 0 and the zero weight has
@@ -181,13 +173,6 @@ class TestMult:
                                       "--k", unlimited(str, k), "--l", "0", "--mu", "0,0,0"])
         assert (code, err) == (0, "")
         assert unlimited(int, out) == comb(k // 2 + 2, 2)
-
-    def test_runs_where_python_has_no_digit_limit(self, capsys, monkeypatch):
-        # before 3.10.7 sys has no int/text digit limit, and main runs as it is
-        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-        code, out, err = run(capsys, ["mult", "--family", "B", "--rank", "3",
-                                      "--k", "2", "--l", "0", "--mu", "0,0,0"])
-        assert (code, out, err) == (0, "3\n", "")
 
 
 class TestTable:
@@ -239,6 +224,11 @@ class TestTable:
          "type A weights"),
         ([{"mu": [2, 0, -1], "mult": "1"}], {"family": "A", "dominant_only": False}, ValueError,
          "type A weights"),
+        # A2 k1 l1's full table with (1, 1, 0) written as (2, 2, 1): the same weight and
+        # on the support, with the right total, but not the representative summing to k + l
+        ([{"mu": mu, "mult": "1"} for mu in ([0, 1, 1], [1, 0, 1], [2, 2, 1])],
+         {"family": "A", "k": 1, "l": 1, "dominant_only": False, "dimension": "3"}, ValueError,
+         "type A weights"),
         # one-norm within k + l, yet not weights of the table the header names
         ([{"mu": [1, 0], "mult": "1"}], {"family": "C", "k": 1, "l": 1}, ValueError,
          "not a weight of"),
@@ -252,6 +242,7 @@ class TestTable:
          {"dominant_only": False}, ValueError, "more than once"),
         ([{"mu": [0, 0], "mult": "1"}], {"rank": MISSING}, ValueError, "'rank'"),
         ([{"mu": [0, 0]}], {}, ValueError, "'mult'"),
+        ([1], {}, ValueError, "row must be a JSON object"),
         # int() would read these as 1
         ([{"mu": [0, 0], "mult": "0_1"}], {}, ValueError, "expected an integer"),
         ([{"mu": [0, 0], "mult": " 1"}], {}, ValueError, "expected an integer"),
@@ -279,9 +270,9 @@ class TestTable:
          {"dominant_only": False, "dimension": "4"}, ValueError, "the rows add up to"),
     ], ids=["wrong-length", "negative-mult", "string-k", "k-below-l",
             "non-bool-dominant", "float-mult", "norm-above-k-plus-l", "not-dominant",
-            "a-wrong-sum", "a-negative-coordinate", "wrong-parity", "above-k",
+            "a-wrong-sum", "a-negative-coordinate", "a-shifted-row", "wrong-parity", "above-k",
             "a-above-k", "duplicate-weight",
-            "missing-header-field", "missing-row-field", "underscore-mult",
+            "missing-header-field", "missing-row-field", "row-not-object", "underscore-mult",
             "space-mult", "plus-mult", "non-ascii-mult", "rows-number", "rows-null",
             "rows-object", "rows-string", "bool-rank", "bool-k", "bool-l", "bool-mu",
             "bool-mult", "dimension-missing", "dimension-wrong", "dimension-bool",
@@ -358,18 +349,23 @@ class TestTable:
     @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_passed_dimension_and_audit_write_the_same_bytes(self, family, rank, fmt):
-        # cmd_table passes Weyl's dimension; given none, as for a table read back
-        # or built by hand, the writer sums the rows instead
+        # the writer states Weyl's dimension, and on every table build_table makes,
+        # and on each read back, the rows' orbit-weighted total is the same number
         spec = algebra(family, rank)
+        weyl = weyl_dimension(spec, 4, 2)
         dominant = build_table(spec, 4, 2, dominant_only=True)
         full = build_table(spec, 4, 2)
         for table, as_full in ((dominant, False), (dominant, True), (full, False)):
-            passed = b"".join(cli.table_text(table, fmt, as_full, weyl_dimension(spec, 4, 2)))
-            assert passed == b"".join(cli.table_text(table, fmt, as_full))
+            written = b"".join(cli.table_text(table, fmt, as_full))
             if fmt == "json":
-                read_back = cli.table_from_json(passed.decode())
+                assert json.loads(written)["dimension"] == str(weyl)
+                read_back = cli.table_from_json(written.decode())
                 assert not read_back.meta
-                assert b"".join(cli.table_text(read_back, fmt)) == passed
+            else:
+                read_back = MultiplicityTable(spec, 4, 2, table.dominant_only and not as_full,
+                                              cli.csv_rows(written.decode()))
+            assert dimension_audit(table)[0] == dimension_audit(read_back)[0] == weyl
+            assert b"".join(cli.table_text(read_back, fmt)) == written
 
     @pytest.mark.parametrize("point", sorted(DOMINANT_DIGESTS),
                              ids=lambda p: "%s%d_k%d_l%d" % p)
@@ -523,16 +519,20 @@ class TestVerify:
                                     "--grid", "families=A;ranks=2,3;maxsum=4"])
         assert code == 0
 
-    @pytest.mark.parametrize("grid", [
-        "depth=3",
-        "families=D;ranks=2",
-        "families=B,C;ranks=1;maxsum=3",
-        "families=A;ranks=\u0663;maxsum=1",
-    ], ids=["unknown-key", "no-valid-rank-D", "no-valid-rank-BC", "non-ascii-rank"])
-    def test_bad_grid(self, capsys, grid):
+    @pytest.mark.parametrize("grid, message", [
+        ("depth=3", "unknown grid key"),
+        ("families=D;ranks=2", "empty verification grid"),
+        ("families=B,C;ranks=1;maxsum=3", "empty verification grid"),
+        ("families=A;ranks=\u0663;maxsum=1", "expected an integer"),
+        ("families", "bad grid clause"),
+        ("families=E", "bad families list"),
+        ("maxsum=-1", "empty verification grid"),
+    ], ids=["unknown-key", "no-valid-rank-D", "no-valid-rank-BC", "non-ascii-rank",
+            "no-equals", "unknown-family", "negative-maxsum"])
+    def test_bad_grid(self, capsys, grid, message):
         code, out, err = run(capsys, ["verify", "--grid", grid])
         assert code == 2
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and message in err
         assert "ok:" not in out
 
     @pytest.mark.parametrize("label, engine, oracle, family", [
