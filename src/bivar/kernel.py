@@ -12,7 +12,7 @@ table, in one walk.
 Each sum reads one packed product per weight. All else it needs depends on
 the algebra and l, not on the weight, so it is built once per key, by shifts
 and adds, and cached. The product depends on the weight only through its
-nonzero parts: :func:`_product` starts from the packing's root divided by N_0^s,
+nonzero parts: the packing's ``product`` starts from its root divided by N_0^s,
 s the number of parts, and multiplies in the sparse numerator N_a of each part's
 level a by shifts and adds, so a single weight costs the same at any rank but
 for passes over its coordinates at C speed; and :func:`dominant_rows` makes one
@@ -47,18 +47,18 @@ def weight_sum(family, n, l, r2, levels, virtual=True):
     the representative summing to k + l (r2 unused). l >= 0 unchecked.
     """
     if family == "A":
-        _, root, times, _, reads = _packing_a(n + 1, l)
-        return reads[0](_product(root, times, virtual, levels))[0]
+        _, product, _, _, read = _packing_a(n + 1, l)
+        return read(product(virtual, levels), 0)[0]
     return _sum_bcd(n, _degree(family, n), l, r2, levels, 1 if family == "B" else 2, virtual)
 
 
 def _sum_bcd(f, d, l, r2, levels, step, virtual):
     # the B/C/D sum over f coordinates at binomial degree d and step (1 for B, 2 for C and D)
-    _, root, times, _, reads = _packing(f, d, l, step)
+    _, product, _, _, read = _packing(f, d, l, step)
     # C_i multiplies binom(t, d), t = r2 // 2 + i - l + d; a plain loop, as a
     # generator's set-up costs more than its l + 1 terms
     total, t = 0, r2 // 2 - l + d
-    for c in reads[r2 & 1](_product(root, times, virtual, levels)):
+    for c in read(product(virtual, levels), r2 & 1):
         if c and t >= 0:
             total += c * comb(t, d)
         t += 1
@@ -90,14 +90,14 @@ def tensor_sum_bcd(n, d, l, r2, ell, step):
 
 @lru_cache(maxsize=None)
 def _packing(f, d, l, step):
-    # What a B/C/D sum over f coordinates needs besides the weight: digit width, the
-    # root over N_0^s [virtual, s], the maps G -> G N_a (times, one a per part) and
-    # G -> G / N_0 (divide), each masked to y-degree <= l, and readers [r2 % 2].
+    # What a B/C/D sum over f coordinates needs besides the weight: digit width, a
+    # weight's packed product G (product), the maps G -> G N_a (times, one a per part)
+    # and G -> G / N_0 (divide), masked to y-degree <= l, and G -> C (read, by r2 % 2).
     # f is n for every weight of rank n (only level counts ell with sum(ell[:l]) > n
     # ask for more), so a process builds one packing per (family, rank, l) it asks
     # for, and tensor_mult, bivariate_mult and the dominant_rows walk all read it.
     # C is not cached: a weight costs one product over its nonzero parts
-    # (_product) and one read, and in the dominant_rows walk a level class does,
+    # (product) and one read, and in the dominant_rows walk a level class does,
     # shared by all its weights of one parity of r2.
     # Block N of the sum counts the nu in Z^f of one-norm N by their overlap with
     # mu, the sum of min(|mu_i|, |nu_i|) where mu_i and nu_i share a sign: it is the
@@ -121,15 +121,15 @@ def _packing(f, d, l, step):
     # a >= l (its last term passes y^l), and N_0 = (1 + y)(1 - x y). So a weight
     # with s nonzero parts has F = f_0^f N_0^-s prod N_a, one N_a per part:
     # - f_0^f N_0^-s = (1 + y)^(f - s) (1 - y)^-f (1 - x y)^-s, which holds the
-    #   only counts that grow with the rank, times K0 (and V) is root(virtual, s),
-    #   built at s = 0 from the coefficients of f_0^f and kept per packing and
-    #   virtual flag, each s one division of the root at s - 1 (_roots);
+    #   only counts that grow with the rank, times K0 (and V) is the root over
+    #   N_0^s, built at s = 0 from the coefficients of f_0^f and kept per packing
+    #   and virtual flag, each s one division of the root at s - 1 (_products);
     # - G N_a is two shift-adds and a small multiple, G - (G << 2W + bits) +
     #   (G << (a + 1) W + a bits)(1 - 2**bits) (times);
     # - G / N_0 is G (1 - y)(1 + y^2)(1 + y^4)... (1 + x y)(1 + x^2 y^2)..., up to
     #   degree l: 2 ceil(log2(l + 1)) shift-adds (divide), which the walk takes
     #   once per parent, as a child is its parent times N_a / N_0;
-    # and a reader takes on the step-1 factor by one shift-add and reads the l + 1
+    # and read takes on the step-1 factor by one shift-add and reads the l + 1
     # digits of y^l. Shifts, adds and small multiples build all of it, with no pow
     # and no product of two packed ints.
     # The packing is a ring map Z[x, y]/(y^(l + 1)) -> Z/2^((l + 1)^2 bits), so a
@@ -176,34 +176,30 @@ def _packing(f, d, l, step):
         for shift in doublings:
             packed = packed + (packed << shift) & mask
         return packed
-    root = _roots(tensor, virtual, divide)
-    # The map from a packed product G to its C: times 1 + 2**shift (1 + y or 1 + x y)
-    # unless shift is None, then the digits of y^l, each biased by half its range so
-    # that none borrows from the next
+    # The map from a packed product G to its C: at step 1 times 1 + y, or 1 + x y for
+    # odd r2, then the digits of y^l, each biased by half its range so that none
+    # borrows from the next
     half = mask // ((1 << bits) - 1) << bits - 1
     block, digit, bias = (1 << width) - 1, (1 << bits) - 1, 1 << bits - 1
     offsets = range(0, width, bits)
 
-    def reader(shift):
-        def read(packed):
-            if shift is not None:
-                packed += packed << shift
-            top = (packed + half >> l * width) & block
-            return [(top >> i & digit) - bias for i in offsets]
-        return read
-    reads = [reader(width + parity * bits if step == 1 else None) for parity in (0, 1)]
-    return bits, root, times, divide, reads
+    def read(packed, parity):
+        if step == 1:
+            packed += packed << width + parity * bits
+        top = (packed + half >> l * width) & block
+        return [(top >> i & digit) - bias for i in offsets]
+    return bits, _products(tensor, virtual, times, divide), times, divide, read
 
 
 @lru_cache(maxsize=None)
 def _packing_a(f, l):
     # What an A sum over f coordinates (n + 1 for a weight of rank n) needs besides the
-    # weight, in the fields of _packing, at y = 2**bits: digit width, root(virtual, s),
-    # times, divide and, for either parity, the map to (digit l,).
+    # weight, in the fields of _packing, at y = 2**bits: digit width, product, times,
+    # divide and read, the map to (digit l,) for either parity.
     # The tensor sum is c_l, the y^l coefficient of the product G of
     # g_a = 1 + y + ... + y^min(a, l), one per coordinate at level a. The irreducible
     # is h_k h_l - h_(k+1) h_(l-1) in the virtual ring, c_l - c_(l-1): digit l of
-    # (1 - y) G. So the virtual root takes 1 - y, and the one reader serves both, as V
+    # (1 - y) G. So the virtual root takes 1 - y, and the one read serves both, as V
     # in the root serves B/C/D.
     # Summed, g_a = N_a / N_0 with N_0 = 1 - y, N_a = 1 - y^(a + 1) for a < l and
     # N_a = 1 for a >= l (y^(a + 1) passes y^l), so g_0 = 1 and, as for B/C/D, a
@@ -231,11 +227,10 @@ def _packing_a(f, l):
         for shift in doublings:
             packed = packed + (packed << shift) & mask
         return packed
-    root = _roots(1, 1 - (1 << bits) & mask, divide)
 
-    def read(packed):
+    def read(packed, parity):
         return (packed >> l * bits,)
-    return bits, root, times, divide, (read, read)
+    return bits, _products(1, 1 - (1 << bits) & mask, times, divide), times, divide, read
 
 
 def tensor_sum_a(n, l, ell):
@@ -250,30 +245,25 @@ def tensor_sum_a(n, l, ell):
     return weight_sum("A", f - 1, l, 0, _parts(f, l, ell), False)
 
 
-def _roots(tensor, virtual, divide):
-    # root(virtual, s), the root over N_0^s: per virtual flag the roots at s = 0,
-    # 1, 2, ... kept by s, each the one before divided by N_0 once, so a weight with
-    # s parts pays at most s divisions on a new packing and none after. An entry
-    # depends on its s alone, so threads that grow the same roots at once store
-    # equal values (setdefault keeps the first).
+def _products(tensor, virtual, times, divide):
+    # product(virtual, levels), a weight's packed product: its root over N_0^s, s its
+    # nonzero parts, times each part's N_a. The zeros are dropped at C speed, so the
+    # loop runs over the at most k + l nonzero parts, and levels from l on act as l
+    # (at l = 0 every N_a is 1). Per virtual flag the roots at s = 0, 1, 2, ... are
+    # kept by s, each the one before divided by N_0 once, so a weight with s parts
+    # pays at most s divisions on a new packing and none after. An entry depends on
+    # its s alone, so threads that grow the same roots at once store equal values
+    # (setdefault keeps the first).
     kept = ({0: tensor}, {0: virtual})
 
-    def root(virtual, s):
-        roots = kept[virtual]
+    def product(virtual, levels):
+        parts = list(filter(None, levels))
+        roots, s = kept[virtual], len(parts)
         if s not in roots:
             for i in range(len(roots), s + 1):
                 roots.setdefault(i, divide(roots[i - 1]))
-        return roots[s]
-    return root
-
-
-def _product(root, times, virtual, levels):
-    # a weight's packed product: its root over N_0^s, s its nonzero parts, times
-    # each part's N_a. The zeros are dropped at C speed, so the loop runs over the
-    # at most k + l nonzero parts, and levels from l on act as l (at l = 0 every
-    # N_a is 1).
-    parts = list(filter(None, levels))
-    return times(root(virtual, len(parts)), parts)
+        return times(roots[s], parts)
+    return product
 
 
 def dominant_rows(family, n, k, l):
@@ -308,7 +298,7 @@ def dominant_rows(family, n, k, l):
         packing = _packing(n, d, l, step)  # weight_sum's packing
         # C_i meets binom(r2 // 2 - l + d + i, d) = binoms[r2 // 2 + i]
         binoms = [comb(t, d) if t >= 0 else 0 for t in range(d - l, (k + l) // 2 + d + 1)]
-    _, root, times, divide, reads = packing
+    _, product, times, divide, read = packing
     low, top = max(l, 1), max(l - 1, 0)  # big parts lie in [low, k], small parts in [1, top]
 
     def sums(c, total, more):
@@ -324,10 +314,10 @@ def dominant_rows(family, n, k, l):
     # the least sum the big parts must reach at cmax, where small parts fill the rest
     need = k + l - slack - top * (coords - cmax)
     rows, candidates, products, read_count = [], 0, 0, 0
-    bigs, packed = {0: [()]}, root(True, 0)  # the c-tuples of big parts by sum; root times r_l^c
+    bigs, root = {0: [()]}, product(True, ())  # the c-tuples of big parts by sum; root times r_l^c
     for c in range(cmax + 1):
         if c:
-            packed = times(divide(packed), (l,))
+            root = times(divide(root), (l,))
             products += 1
             grown = {}
             for norm, parts in bigs.items():
@@ -338,19 +328,19 @@ def dominant_rows(family, n, k, l):
                         grown.setdefault(norm + a, []).append(part + (a,))
             bigs = grown
         spans = [sums(c, total, 0) for total in range(k + l + 1)]  # a class's big sums by total
-        stack = [((), packed, k + l, top)] if c in big_counts else []
+        stack = [((), root, k + l, top)] if c in big_counts else []
         while stack:  # class: small parts, product, k + l minus their sum, largest next part
-            small, product, total, last = stack.pop()
+            small, packed, total, last = stack.pop()
             room = coords - c - len(small)
             if spans[total]:
-                tail, read = small + (0,) * room, [None, None]
+                tail, cs = small + (0,) * room, [None, None]  # C by parity of r2
                 for norm in spans[total]:
                     r2 = total - norm
-                    if read[r2 & 1] is None:
-                        read[r2 & 1] = reads[r2 & 1](product)
+                    if cs[r2 & 1] is None:
+                        cs[r2 & 1] = read(packed, r2 & 1)
                         read_count += 1
                     candidates += len(bigs[norm])
-                    if m := sum(map(mul, read[r2 & 1], binoms[r2 // 2:])):
+                    if m := sum(map(mul, cs[r2 & 1], binoms[r2 // 2:])):
                         rows += [(part + tail, m) for part in bigs[norm]]
             if room:
                 # a child a leaves a class that some candidate completes when
@@ -363,7 +353,7 @@ def dominant_rows(family, n, k, l):
                                  max(0, (total - slack - c * k - 1) // room), -stride)
                 if children:
                     products += len(children)
-                    divided = divide(product)
+                    divided = divide(packed)
                     stack += [(small + (a,), times(divided, (a,)), total - a, a)
                               for a in children]
     return rows, {"candidates": candidates, "kept": len(rows), "products": products,

@@ -53,9 +53,9 @@ class MultiplicityTable:
     every multiplicity positive. ``meta`` carries provenance (engine
     version, kernel backend, elapsed seconds, creation timestamp) and,
     for :func:`build_table`, the walk's four counts: dominant candidates
-    evaluated (``candidates``), rows kept (``kept``), masked multiplies
-    (``products``) and coefficient vectors read (``reads``). It never takes
-    part in comparisons or serialization.
+    evaluated (``candidates``), rows kept (``kept``), products made by
+    shift-adds (``products``) and coefficient vectors read (``reads``). It
+    never takes part in comparisons or serialization.
     """
 
     spec: AlgebraSpec

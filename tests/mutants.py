@@ -45,6 +45,8 @@ WALK_DIGEST = "tests/test_weight_tables.py::test_dominant_rows_digest"
 WALK_COUNTERS = "tests/test_weight_tables.py::TestBuildTable::test_walk_counters"
 DOMINANT_PINNED = "tests/test_cli.py::TestTable::test_dominant_table_bytes_pinned"
 FREUDENTHAL = "tests/test_weight_tables.py::TestFreudenthalEngine::test_agrees_with_bivariate_engine"
+FREUDENTHAL_A = [f"{FREUDENTHAL}[AlgebraSpec(family='A', rank={n})-{k}-{l}]"
+                 for n, k, l in ((2, 3, 1), (3, 4, 2), (4, 3, 3))]
 BAD_ROWS = "tests/test_root_systems.py::TestOrbit::test_full_table_text_rejects_bad_rows"
 DEFAULT_GRID = "tests/test_cli.py::TestVerify::test_default_grid_passes"
 SMALL_GRID = "tests/test_cli.py::TestVerify::test_small_grid_all_oracles"
@@ -71,29 +73,38 @@ def bad_rows(*cases):
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
     ("A's virtual root left at 1", KERNEL,
-     "    root = _roots(1, 1 - (1 << bits) & mask, divide)\n",
-     "    root = _roots(1, 1, divide)\n",
+     "_products(1, 1 - (1 << bits) & mask, times, divide)",
+     "_products(1, 1, times, divide)",
      [A_SMALL_GRID, A_WIDE, A_NEGATIVE, ENTRY_POINTS, DIGEST, WALK_DIGEST]),
     ("A's virtual root set to 1 + y", KERNEL,
-     "    root = _roots(1, 1 - (1 << bits) & mask, divide)\n",
-     "    root = _roots(1, 1 + (1 << bits) & mask, divide)\n",
+     "_products(1, 1 - (1 << bits) & mask, times, divide)",
+     "_products(1, 1 + (1 << bits) & mask, times, divide)",
      [A_SMALL_GRID, A_WIDE, A_NEGATIVE, ENTRY_POINTS, DIGEST, WALK_DIGEST]),
     ("A's reader at digit l - 1", KERNEL,
      "        return (packed >> l * bits,)\n",
      "        return (packed >> max(l - 1, 0) * bits & (1 << bits) - 1,)\n",
      [A_SMALL_GRID, A_WIDE, A_NEGATIVE, DIGEST, WALK_DIGEST]),
     ("the B/C/D virtual sum read from the tensor root", KERNEL,
-     "    for c in reads[r2 & 1](_product(root, times, virtual, levels)):\n",
-     "    for c in reads[r2 & 1](_product(root, times, False, levels)):\n",
+     "    for c in read(product(virtual, levels), r2 & 1):\n",
+     "    for c in read(product(False, levels), r2 & 1):\n",
      [BCD_FOLD, ENTRY_POINTS, DIGEST, VIRTUAL_RING, WALK]),
-    ("_product's root over N_0^s with s counted over every coordinate, zeros included", KERNEL,
-     "    return times(root(virtual, len(parts)), parts)\n",
-     "    return times(root(virtual, len(levels)), parts)\n",
-     [A_NEGATIVE, ENTRY_POINTS, SLOTS, DIGEST, HIGH_RANK]),
-    ("_product's N_a taken once per level, not once per part", KERNEL,
-     "    return times(root(virtual, len(parts)), parts)\n",
-     "    return times(root(virtual, len(parts)), set(parts))\n",
-     [A_SMALL_GRID, A_NEGATIVE, BCD_GRID, BCD_FOLD, SLOTS, DIGEST]),
+    ("a weight's product over N_0^s with s counted over every coordinate, zeros included", KERNEL,
+     "        roots, s = kept[virtual], len(parts)\n",
+     "        roots, s = kept[virtual], len(levels)\n",
+     [A_NEGATIVE, ENTRY_POINTS, SLOTS, PACKING, DIGEST, HIGH_RANK]),
+    ("a weight's product taking N_a once per level, not once per part", KERNEL,
+     "        return times(roots[s], parts)\n",
+     "        return times(roots[s], set(parts))\n",
+     [A_SMALL_GRID, A_NEGATIVE, BCD_GRID, BCD_FOLD, SLOTS, PACKING, DIGEST]),
+    # the coefficients of f_0^f by their recurrence
+    ("the root's recurrence with b for b - 1", KERNEL,
+     "(b - 1) * previous",
+     "b * previous",
+     [PACKING, DIGEST, WALK_DIGEST]),
+    ("the root's recurrence divided by b + 2", KERNEL,
+     "previous) // (b + 1)",
+     "previous) // (b + 2)",
+     [PACKING, DIGEST, WALK_DIGEST]),
     ("B/C/D's N_a without its (1 - x) term", KERNEL,
      "                packed = packed - (packed << xy2) + (packed << shifts[a]) * one_minus_x & mask\n",
      "                packed = packed - (packed << xy2) + (packed << shifts[a]) & mask\n",
@@ -117,8 +128,8 @@ MUTANTS = [
      "    low, top = max(l - 1, 1), ",
      [WALK_COUNTERS, WALK_DIGEST, DOMINANT_PINNED]),
     ("the walk's C cached per level class without its parity", KERNEL,
-     "read[r2 & 1] = reads[r2 & 1](product)\n",
-     "read[0] = read[1] = reads[r2 & 1](product)\n",
+     "cs[r2 & 1] = read(packed, r2 & 1)\n",
+     "cs[0] = cs[1] = read(packed, r2 & 1)\n",
      [WALK, WALK_COUNTERS, WALK_DIGEST, DOMINANT_PINNED]),
     ("freudenthal_table with rho for 2 rho", TABLES,
      "    rho2 = rho_twice(spec)\n",
@@ -144,6 +155,11 @@ MUTANTS = [
      "                while m := mult.get(nu):\n",
      "                if m := mult.get(nu):\n",
      [FREUDENTHAL]),
+    ("freudenthal_table writing type A rows as min-0 representatives", TABLES,
+     "    rows = sorted(mult.items())\n",
+     '    rows = sorted((tuple(a - min(w) for a in w) if spec.family == "A" else w, m)\n'
+     "                  for w, m in mult.items())\n",
+     FREUDENTHAL_A),
     ("freudenthal_table without the last positive root", TABLES,
      "    positive = positive_roots(spec)\n",
      "    positive = positive_roots(spec)[:-1]\n",
@@ -221,7 +237,8 @@ def failed_tests(into, test_ids):
     env = dict(os.environ, PYTHONPATH=str(into / "src"), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
                           *test_ids], cwd=into, env=env, capture_output=True, text=True)
-    outcomes = re.findall(r"^(PASSED|FAILED|ERROR) (\S+)", run.stdout, re.M)
+    # a case id may hold spaces; a failure's line ends in " - " and its message
+    outcomes = re.findall(r"^(PASSED|FAILED|ERROR) (.+?)(?: - .*)?$", run.stdout, re.M)
     failed = []
     for test_id in test_ids:
         seen = [outcome for outcome, got in outcomes

@@ -11,16 +11,16 @@ full grid of small keys and on keys whose coefficients need more than 64
 bits. The B/C/D irreducible of :func:`bivar.kernel.weight_sum`, read from
 the product started at the virtual root K0 V f_0^f instead of 1, is checked
 against the four-term combination of brute-force sums with the cached
-packing cold and warm; on the wide keys its C, read through ``_packing`` and
-``_product``, is checked against the same combination taken one block
-coefficient at a time.
+packing cold and warm; on the wide keys its C, read through the packing's
+``product`` and ``read``, is checked against the same combination taken one
+block coefficient at a time.
 The packing's cache key is checked by interleaving families that share
 all but one of (f, d, l, step). Its roots K0 f_0^f and K0 V f_0^f, its
 ratios r_a = f_a (1 - y) / (1 + y) taken as N_a after a division by N_0, and
-its roots over N_0^s (s divisions of the root at 0) times the N_a of s parts,
-all built by shifts and adds, are checked against pow and multiply over the factor layout f_a
-(``reference_packing``) for f up to 10,000 and l up to 14; so are type A's
-roots 1 and 1 - y and its g_a.
+its products of s parts (the root over N_0^s, s divisions of the root at 0,
+times the parts' N_a), all built by shifts and adds, are checked against pow
+and multiply over the factor layout f_a (``reference_packing``) for f up to
+10,000 and l up to 14; so are type A's roots 1 and 1 - y and its g_a.
 
 The literal evaluator below walks the partitions of bivar.partitions and
 the beta / alpha arrays of the test-side index_sets module, and
@@ -386,13 +386,14 @@ def mixed_parts(s, l):
 
 
 def assert_packing_matches(packing, want_roots, want_ratios, mask, f, l):
-    """The packing's roots, each ratio as N_a after one division by N_0 (levels
-    0..l and one past l), and the root over N_0^s times s parts' N_a, against
-    the reference roots times the pow-and-multiply product of the parts' ratios.
-    On a new packing, s = 1, 2, 5 and 40 (f if smaller) grow the kept roots by
-    division; each root must also be its s-fold division of the root at s = 0."""
-    _, root, times, divide, _ = packing
-    assert (root(False, 0), root(True, 0)) == want_roots
+    """The packing's roots (the products of no parts), each ratio as N_a after
+    one division by N_0 (levels 0..l and one past l), and the product of s
+    parts, zeros among them, against the reference roots times the
+    pow-and-multiply product of the parts' ratios. On a new packing, s = 1, 2,
+    5 and 40 (f if smaller) grow the kept roots by division; each product must
+    also be the walk's route to it, the root divided s times, then the parts' N_a."""
+    _, product, times, divide, _ = packing
+    assert (product(False, ()), product(True, ())) == want_roots
     assert [times(divide(1), (a,)) for a in range(l + 2)] == want_ratios + want_ratios[-1:]
     for s in sorted({1, 2, 5, min(f, 40)}):
         parts = mixed_parts(s, l)
@@ -400,11 +401,12 @@ def assert_packing_matches(packing, want_roots, want_ratios, mask, f, l):
         for a in set(parts):
             ratio = ratio * pow(want_ratios[min(a, l)], parts.count(a), mask + 1) & mask
         for virtual in (False, True):
-            assert times(root(virtual, s), parts) == want_roots[virtual] * ratio & mask, (s, virtual)
-            divided = root(virtual, 0)
+            got = product(virtual, [0, *parts, 0])
+            assert got == want_roots[virtual] * ratio & mask, (s, virtual)
+            divided = product(virtual, ())
             for _ in range(s):
                 divided = divide(divided)
-            assert root(virtual, s) == divided, (s, virtual)
+            assert got == times(divided, parts), (s, virtual)
 
 
 def test_packing_roots_and_ratios():
@@ -437,27 +439,30 @@ def test_packing_roots_and_ratios():
 
 
 def test_roots_grown_by_threads_at_once():
-    # eight threads ask one new packing for its roots over N_0^s at once, some
-    # from s = f down and some up, with thread switches every microsecond; each
-    # root they get, and each kept one, is the s-fold division of the root at
-    # s = 0, as one thread alone makes it. 20 new packings, built uncached.
+    # eight threads ask one new packing for its products of s parts at level l
+    # at once, so that its roots over N_0^s grow, some from s = f down and some
+    # up, with thread switches every microsecond; each product they get, and each
+    # one asked again after, is the s-fold division of the root at s = 0 times
+    # N_l^s, as one thread alone makes it. 20 new packings, built uncached.
     for f, d, l, step in ((40, 39, 12, 1), (40, 38, 8, 2)):
-        _, root, _, divide, _ = kernel._packing.__wrapped__(f, d, l, step)
-        want = [[root(virtual, 0)] for virtual in (False, True)]
-        for roots in want:
+        _, product, times, divide, _ = kernel._packing.__wrapped__(f, d, l, step)
+        want = []
+        for virtual in (False, True):
+            roots = [product(virtual, ())]
             while len(roots) <= f:
                 roots.append(divide(roots[-1]))
+            want.append([times(root, [l] * s) for s, root in enumerate(roots)])
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                root = kernel._packing.__wrapped__(f, d, l, step)[1]
+                product = kernel._packing.__wrapped__(f, d, l, step)[1]
                 start, got = Barrier(8), [None] * 8
 
                 def ask(t):
                     start.wait()
                     order = range(f, -1, -1) if t % 2 else range(f + 1)
-                    got[t] = [[root(virtual, s) for s in order][::-1 if t % 2 else 1]
+                    got[t] = [[product(virtual, [l] * s) for s in order][::-1 if t % 2 else 1]
                               for virtual in (False, True)]
                 threads = [Thread(target=ask, args=(t,)) for t in range(8)]
                 for thread in threads:
@@ -465,7 +470,8 @@ def test_roots_grown_by_threads_at_once():
                 for thread in threads:
                     thread.join()
                 assert got == [want] * 8
-                assert [[root(virtual, s) for s in range(f + 1)] for virtual in (False, True)] == want
+                assert [[product(virtual, [l] * s) for s in range(f + 1)]
+                        for virtual in (False, True)] == want
         finally:
             sys.setswitchinterval(switch)
 
@@ -482,9 +488,9 @@ def product_slots(n, l, ell):
     so F is that product times 1 - x y^2.
     """
     f = max(n, sum(ell[:l]))
-    bits, root, times, _, _ = kernel._packing(f, 0, l, 1)
+    bits, product, _, _, _ = kernel._packing(f, 0, l, 1)
     mask = (1 << (l + 1) ** 2 * bits) - 1
-    started = kernel._product(root, times, False, weight_from_levels(f, ell[:l], l))
+    started = product(False, weight_from_levels(f, ell[:l], l))
     packed = started - (started << (2 * l + 3) * bits) & mask
     digit = (1 << bits) - 1
     return [tuple(packed >> (big_n * (l + 1) + m) * bits & digit for m in range(big_n + 1))
@@ -548,8 +554,8 @@ def test_product_wide_slots(n, l, ell):
                 base = (parity - big_l - big_n) // 2 + shift + l
                 for m, c in enumerate(slots[big_n]):
                     expected[base + m] += outer * c
-        _, root, times, _, reads = kernel._packing(n, d, l, step)
-        assert reads[parity](kernel._product(root, times, True, levels)) == expected
+        _, weight_product, _, _, read = kernel._packing(n, d, l, step)
+        assert read(weight_product(True, levels), parity) == expected
 
 
 @pytest.mark.parametrize("n, l, ell", [

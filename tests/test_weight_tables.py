@@ -131,8 +131,8 @@ class TestBuildTable:
                   and (spec.family in "AB" or (k + l - sum(mu)) % 2 == 0)]
         assert candidates == len(walked)
         # a product depends on mu only through the levels min(a, l) of its nonzero
-        # parts, largest first: one masked multiply per level prefix, and each
-        # prefix is cut from some walked candidate, so no multiply leads nowhere
+        # parts, largest first: one product per level prefix, and each prefix
+        # is cut from some walked candidate, so no product leads nowhere
         levels = [tuple(min(a, l) for a in mu if a) for mu in walked]
         assert products == len({seq[:j] for seq in levels for j in range(1, len(seq) + 1)})
         # so never more than one per prefix of the nonzero values themselves
